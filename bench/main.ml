@@ -530,19 +530,21 @@ let zoo () =
 let multi_fpga () =
   section
     "Extension -- PW advection decomposed over multiple U280s (slabs along\n\
-     the streamed dimension, halo overlap; bit-exactness is asserted by\n\
-     the test suite)";
+     the streamed dimension, halo exchange over the modelled link;\n\
+     bit-exactness is asserted by the test suite)";
   let grid = [ 128; 32; 16 ] in
   let t =
     Table.create ~aligns:[ Table.Right; Table.Right; Table.Right ]
       [ "devices"; "aggregate MPt/s"; "scaling" ]
   in
-  let params = [ ("tcx", 0.12); ("tcy", 0.09) ] in
   let base = ref 0.0 in
   List.iter
     (fun slabs ->
-      let r = Shmls_host.Partition.run PW.kernel ~grid ~slabs ~params () in
-      let mpts = Shmls_host.Partition.aggregate_mpts ~grid r in
+      let p = Shmls_host.Multi_device.plan PW.kernel ~grid ~devices:slabs in
+      let mpts =
+        Shmls_host.Multi_device.aggregate_mpts p
+          (Shmls_host.Multi_device.estimate p)
+      in
       if slabs = 1 then base := mpts;
       Table.add_row t
         [ string_of_int slabs; f2 mpts; Printf.sprintf "%.2fx" (mpts /. !base) ])
@@ -550,8 +552,9 @@ let multi_fpga () =
   Table.print t;
   Printf.printf
     "\n(scaling is sub-linear at this laptop-scale grid because every slab\n\
-     pays the same shift-buffer fill latency; at the paper's sizes the\n\
-     fill is negligible and scaling is essentially linear.)\n"
+     pays the same shift-buffer fill latency and the link charge; at the\n\
+     paper's sizes both are negligible and scaling is essentially\n\
+     linear.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: cost of the pipeline itself *)
@@ -621,8 +624,7 @@ let micro_tests () =
     Shmls.Grid.create (Shmls.Ty.make_bounds ~lb:[ 0; 0; 0 ] ~ub:[ 64; 64; 16 ])
   in
   Shmls.Grid.init_hash g;
-  (* small-grid functional-sim rows: cheap enough for the smoke run, and
-     they feed the derived functional_sim_speedup entry *)
+  (* a small-grid functional-sim row, cheap enough for the smoke run *)
   let small = Shmls.compile_cached Shmls_kernels.Didactic.heat_3d ~grid:[ 12; 10; 8 ] in
   (* the sweep-scaling rows live in this shared subset so the CI smoke
      json carries them too (the sweep gate reads them) *)
@@ -637,22 +639,15 @@ let micro_tests () =
   (* warm the compile-cache, plan and reference-state memos so the jobs1
      and jobsN rows both measure steady-state sweeps rather than the
      first row absorbing every one-time cache fill *)
-  ignore
-    (Shmls.sweep ~jobs:1 ~sim:Shmls.Compiled ~verify_designs:true
-       sweep_bench_configs);
-  ignore
-    (Shmls.sweep ~jobs:1 ~sim:Shmls.Batched ~verify_designs:true
-       sweep_bench_configs);
+  ignore (Shmls.sweep ~jobs:1 ~verify_designs:true sweep_bench_configs);
   (* warm the tuner's configurations too, so its row measures the search
      machinery (enumeration, pruning, model evaluation, Pareto
      maintenance, frontier validation) rather than first-compile cost *)
   ignore
     (Shmls_tune.Tune.run ~max_cu:2 ~jobs:1 Shmls_kernels.Didactic.laplace_2d
        ~grids:[ [ 12; 12 ] ]);
-  (* the cycle-sim engine pair runs on the full-bench PW grid even in
-     the smoke subset: the event engine fast-forwards the steady state,
-     and the tick oracle at this size still fits the smoke budget — the
-     CI regression gate reads the derived speedup from these rows *)
+  (* the cycle simulator runs on the full-bench PW grid even in the
+     smoke subset: it fast-forwards the steady state *)
   let cycle_design =
     (Shmls.compile_cached PW.kernel ~grid:[ 24; 16; 8 ]).c_design
   in
@@ -674,13 +669,8 @@ let micro_tests () =
     Test.make ~name:"multi_device_scaling_4slab"
       (Staged.stage (fun () ->
            ignore (Shmls_host.Multi_device.estimate md4)));
-    Test.make ~name:"pipeline_cycle_sim"
-      (Staged.stage (fun () ->
-           ignore (Shmls.Cycle_sim.run ~engine:Shmls.Cycle_sim.Tick cycle_design)));
     Test.make ~name:"pipeline_cycle_sim_event"
-      (Staged.stage (fun () ->
-           ignore
-             (Shmls.Cycle_sim.run ~engine:Shmls.Cycle_sim.Event cycle_design)));
+      (Staged.stage (fun () -> ignore (Shmls.Cycle_sim.run cycle_design)));
     (* the design-space autotuner end to end on a small kernel: compile
        cache hot, so this is points-through-the-search-driver throughput *)
     Test.make ~name:"tune_search_throughput"
@@ -688,38 +678,19 @@ let micro_tests () =
            ignore
              (Shmls_tune.Tune.run ~max_cu:2 ~jobs:1
                 Shmls_kernels.Didactic.laplace_2d ~grids:[ [ 12; 12 ] ])));
-    (* --jobs scaling: the sweep driver with compiled-sim design
-       verification, sequential vs the adaptive work-stealing pool (one
-       shared plan per config, per-domain run states) *)
-    Test.make ~name:"sweep_verify_compiled_jobs1"
-      (Staged.stage (fun () ->
-           ignore
-             (Shmls.sweep ~jobs:1 ~sim:Shmls.Compiled ~verify_designs:true
-                sweep_bench_configs)));
-    Test.make ~name:"sweep_verify_compiled_jobsN"
-      (Staged.stage (fun () ->
-           ignore
-             (Shmls.sweep ~jobs:0 ~sim:Shmls.Compiled ~verify_designs:true
-                sweep_bench_configs)));
+    (* --jobs scaling: the sweep driver with design verification,
+       sequential vs the adaptive work-stealing pool (one shared plan
+       per config, per-domain run states) *)
     Test.make ~name:"sweep_verify_batched_jobs1"
       (Staged.stage (fun () ->
            ignore
-             (Shmls.sweep ~jobs:1 ~sim:Shmls.Batched ~verify_designs:true
-                sweep_bench_configs)));
+             (Shmls.sweep ~jobs:1 ~verify_designs:true sweep_bench_configs)));
     Test.make ~name:"sweep_verify_batched_jobsN"
       (Staged.stage (fun () ->
            ignore
-             (Shmls.sweep ~jobs:0 ~sim:Shmls.Batched ~verify_designs:true
-                sweep_bench_configs)));
-    Test.make ~name:"functional_sim_interp_small"
-      (Staged.stage (fun () ->
-           ignore (Shmls.verify ~sim:Shmls.Interp small)));
-    Test.make ~name:"functional_sim_compiled_small"
-      (Staged.stage (fun () ->
-           ignore (Shmls.verify ~sim:Shmls.Compiled small)));
+             (Shmls.sweep ~jobs:0 ~verify_designs:true sweep_bench_configs)));
     Test.make ~name:"functional_sim_batched_small"
-      (Staged.stage (fun () ->
-           ignore (Shmls.verify ~sim:Shmls.Batched small)));
+      (Staged.stage (fun () -> ignore (Shmls.verify small)));
     Test.make ~name:"stage_compile_once_small"
       (Staged.stage (fun () ->
            ignore (Shmls.Stage_compiler.compile small.c_design)));
@@ -775,14 +746,9 @@ let compile_once_counts () =
   let second = Shmls.compile_runs () - first in
   (first, second)
 
-(* The seed repo's pipeline_functional_sim cost (BENCH_pipeline.json at
-   the PR-2 baseline): the interpreter's verify on PW advection 24x16x8.
-   The compiled simulator's speedup is reported against it. *)
-let seed_functional_sim_ns = 140162611.8
-
 (* BENCH_pipeline.json: machine-readable record of the micro-benchmarks
    plus the derived acceptance numbers (block-construction speedup,
-   functional-sim speedup, compile-once counts). *)
+   sweep scaling, compile-once counts). *)
 let emit_json ~path rows =
   let first, second = compile_once_counts () in
   let speedup =
@@ -801,51 +767,10 @@ let emit_json ~path rows =
     | Some fast, Some slow when fast > 0.0 -> Some (slow /. fast)
     | _ -> None
   in
-  (* interpreter vs compiled functional sim: the full PW rows when the
-     full suite ran, else the small smoke rows *)
-  let full_compiled = find_row rows "pipeline_functional_sim_compiled" in
-  let sim_pair =
-    match (find_row rows "pipeline_functional_sim", full_compiled) with
-    | Some i, Some c when c > 0.0 -> Some (i, c)
-    | _ -> (
-      match
-        ( find_row rows "functional_sim_interp_small",
-          find_row rows "functional_sim_compiled_small" )
-      with
-      | Some i, Some c when c > 0.0 -> Some (i, c)
-      | _ -> None)
-  in
-  (* compiled vs batched engine, same fallback scheme: the full PW rows
-     when the full suite ran, else the small smoke rows *)
-  let batched_pair =
-    match (full_compiled, find_row rows "pipeline_functional_sim_batched") with
-    | Some c, Some b when b > 0.0 -> Some (c, b)
-    | _ -> (
-      match
-        ( find_row rows "functional_sim_compiled_small",
-          find_row rows "functional_sim_batched_small" )
-      with
-      | Some c, Some b when b > 0.0 -> Some (c, b)
-      | _ -> None)
-  in
-  let batched_vs_interp =
-    match
-      ( find_row rows "pipeline_functional_sim",
-        find_row rows "pipeline_functional_sim_batched" )
-    with
-    | Some i, Some b when b > 0.0 -> Some (i /. b)
-    | _ -> (
-      match
-        ( find_row rows "functional_sim_interp_small",
-          find_row rows "functional_sim_batched_small" )
-      with
-      | Some i, Some b when b > 0.0 -> Some (i /. b)
-      | _ -> None)
-  in
   let jobs_scaling =
     match
-      ( find_row rows "sweep_verify_compiled_jobs1",
-        find_row rows "sweep_verify_compiled_jobsN" )
+      ( find_row rows "sweep_verify_batched_jobs1",
+        find_row rows "sweep_verify_batched_jobsN" )
     with
     | Some j1, Some jn when jn > 0.0 -> Some (j1 /. jn)
     | _ -> None
@@ -864,14 +789,6 @@ let emit_json ~path rows =
     in
     let one = mpts 1 in
     if one > 0.0 then Some (mpts 4 /. one) else None
-  in
-  (* tick oracle vs event-driven engine on the same design (PW 24x16x8) *)
-  let cycle_speedup =
-    match
-      (find_row rows "pipeline_cycle_sim", find_row rows "pipeline_cycle_sim_event")
-    with
-    | Some tick, Some event when event > 0.0 -> Some (tick /. event)
-    | _ -> None
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -896,40 +813,11 @@ let emit_json ~path rows =
     Buffer.add_string buf
       (Printf.sprintf "    \"grid_indexing_speedup\": %.1f,\n" s)
   | None -> ());
-  (match sim_pair with
-  | Some (i, c) ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"functional_sim_speedup\": %.1f,\n" (i /. c))
-  | None -> ());
-  (match batched_pair with
-  | Some (c, b) ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"batched_sim_speedup\": %.2f,\n" (c /. b))
-  | None -> ());
-  (match batched_vs_interp with
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"batched_sim_speedup_vs_interp\": %.1f,\n" s)
-  | None -> ());
-  (match cycle_speedup with
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"cycle_sim_speedup\": %.1f,\n" s)
-  | None -> ());
   (match md_scaling with
   | Some s ->
     Buffer.add_string buf
       (Printf.sprintf "    \"multi_device_mpts_scaling_4slab\": %.2f,\n" s)
   | None -> ());
-  (match full_compiled with
-  | Some c when c > 0.0 ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"functional_sim_compiled_ns\": %.1f,\n" c);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "    \"functional_sim_speedup_vs_seed_baseline\": %.1f,\n"
-         (seed_functional_sim_ns /. c))
-  | _ -> ());
   (match jobs_scaling with
   | Some s ->
     (* interpret against the machine: on a one-domain box the adaptive
@@ -1002,14 +890,8 @@ let bechamel () =
               ignore
                 (Shmls_transforms.Stencil_to_hls.run
                    lowered.Shmls.Lower.l_module)));
-      Test.make ~name:"pipeline_functional_sim"
-        (Staged.stage (fun () -> ignore (Shmls.verify compiled)));
-      Test.make ~name:"pipeline_functional_sim_compiled"
-        (Staged.stage (fun () ->
-             ignore (Shmls.verify ~sim:Shmls.Compiled compiled)));
       Test.make ~name:"pipeline_functional_sim_batched"
-        (Staged.stage (fun () ->
-             ignore (Shmls.verify ~sim:Shmls.Batched compiled)));
+        (Staged.stage (fun () -> ignore (Shmls.verify compiled)));
       Test.make ~name:"stage_compile_once"
         (Staged.stage (fun () ->
              ignore (Shmls.Stage_compiler.compile compiled.c_design)));

@@ -12,7 +12,7 @@
    configuration as it completes:
 
      shmls-compile sweep heat_3d laplace_2d --grids 32x32x16,64x64x32 \
-       --verify --sim compiled --out results.jsonl *)
+       --verify --out results.jsonl *)
 
 let builtin_kernels =
   [
@@ -68,19 +68,10 @@ let dump_interiors path grid (outputs : (string * Shmls_interp.Grid.t) list) =
   Printf.printf "wrote %s\n" path
 
 let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
-    report trace pass_stats sim cycle_engine jobs devices link_spec sweeps
-    dump_grids =
+    report trace pass_stats jobs devices link_spec sweeps dump_grids =
   try
     let kernel = load_kernel kernel_spec in
     let grid = parse_grid grid_spec in
-    let sim =
-      match Shmls.sim_of_string sim with Ok s -> s | Error m -> failwith m
-    in
-    let engine =
-      match Shmls.Cycle_sim.engine_of_string cycle_engine with
-      | Some e -> e
-      | None -> failwith ("bad --cycle-engine: " ^ cycle_engine)
-    in
     let variant =
       match Shmls.Variant.of_string variant_spec with
       | Ok v -> v
@@ -115,7 +106,7 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
     (match plan with
     | Some p ->
       print_string (Shmls_host.Multi_device.summarise p);
-      let mr = Shmls_host.Multi_device.estimate ~engine p in
+      let mr = Shmls_host.Multi_device.estimate p in
       Printf.printf
         "ensemble: %.0f cycles makespan (exchange: %.0f charged, %.0f \
          hidden), %.2f MPt/s aggregate\n"
@@ -149,11 +140,11 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
       else write_file outdir (kernel.k_name ^ ".circt.mlir") (Shmls.emit_circt_text c)
     end;
     if report then begin
-      let cycle_result = Shmls.Cycle_sim.run ~engine c.c_design in
-      print_string (Shmls.report_text ~sim ~cycle_result c)
+      let cycle_result = Shmls.Cycle_sim.run c.c_design in
+      print_string (Shmls.report_text ~cycle_result c)
     end;
     if trace <> "" then begin
-      let result, t = Shmls.Trace.capture ~engine c.c_design in
+      let result, t = Shmls.Trace.capture c.c_design in
       let oc = open_out trace in
       output_string oc (Shmls.Trace.to_csv t);
       close_out oc;
@@ -165,8 +156,8 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
     if verify then begin
       let v =
         match plan with
-        | Some p -> Shmls_host.Multi_device.verify_vs_reference ~sim p
-        | None -> Shmls.verify ~sim c
+        | Some p -> Shmls_host.Multi_device.verify_vs_reference p
+        | None -> Shmls.verify c
       in
       List.iter
         (fun (f, d) -> Printf.printf "verify %-12s max |diff| = %g\n" f d)
@@ -185,7 +176,7 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
     (match (dump_grids, plan) with
     | "", _ | _, None -> ()
     | path, Some p ->
-      let r = Shmls_host.Multi_device.run ~sim p in
+      let r = Shmls_host.Multi_device.run p in
       dump_interiors path grid r.Shmls_host.Multi_device.rr_outputs);
     if evaluate then begin
       Printf.printf "\nevaluation on %s (all flows):\n" grid_spec;
@@ -257,14 +248,12 @@ let row_json ~variant ~idx ~kernel_name ~grid ~measured (outcomes, verification)
     | Some (v : Shmls.verification) ->
       Printf.sprintf {|,"verify_max_diff":%.6g|} v.v_max_diff
   in
-  (* measured cycles (and the cycle-sim engine that produced them) ride
-     along only on verified rows: --verify opted into simulation *)
+  (* measured cycles ride along only on verified rows: --verify opted
+     into simulation *)
   let measured_field =
     match measured with
     | None -> ""
-    | Some (cycles, engine) ->
-      Printf.sprintf {|,"measured_cycles":%d,"cycle_engine":"%s"|} cycles
-        (json_escape engine)
+    | Some cycles -> Printf.sprintf {|,"measured_cycles":%d|} cycles
   in
   Printf.sprintf {|{"index":%d,"kernel":"%s","grid":[%s],"variant":"%s","flows":[%s]%s%s%s}|}
     idx (json_escape kernel_name)
@@ -294,8 +283,8 @@ let config_key ~variant (k : Shmls.Ast.kernel) grid =
   ^ "|"
   ^ Shmls.Variant.to_string variant
 
-let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
-    out resume devices =
+let run_sweep kernel_specs grids_spec variant_spec verify seed jobs chunk out
+    resume devices =
   try
     if devices < 1 then failwith "bad --devices (want >= 1)";
     let kernels = List.map load_kernel kernel_specs in
@@ -306,9 +295,6 @@ let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
       |> List.map parse_grid
     in
     if grids = [] then failwith "empty --grids";
-    let sim =
-      match Shmls.sim_of_string sim with Ok s -> s | Error m -> failwith m
-    in
     let variant =
       match Shmls.Variant.of_string variant_spec with
       | Ok v -> v
@@ -361,9 +347,7 @@ let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
             Shmls_host.Multi_device.plan ~variant kernels_arr.(idx) ~grid
               ~devices
           in
-          let v =
-            Shmls_host.Multi_device.verify_vs_reference ~seed ~sim p
-          in
+          let v = Shmls_host.Multi_device.verify_vs_reference ~seed p in
           if v.Shmls.v_max_diff > 1e-9 then multi_bad := true;
           (outcomes, Some v)
         | _ -> row
@@ -377,10 +361,7 @@ let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
         | None -> None
         | Some _ ->
           let c = Shmls.compile_cached ~variant kernels_arr.(idx) ~grid in
-          let cs = Shmls.Cycle_sim.run c.c_design in
-          Some
-            ( cs.Shmls.Cycle_sim.cycles,
-              Shmls.Cycle_sim.engine_to_string cs.Shmls.Cycle_sim.engine )
+          Some (Shmls.Cycle_sim.run c.c_design).Shmls.Cycle_sim.cycles
       in
       let line =
         row_json ~variant ~idx:orig_index.(idx) ~kernel_name:name ~grid
@@ -404,7 +385,7 @@ let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
     Fun.protect ~finally (fun () ->
         let chunk = if chunk > 0 then Some chunk else None in
         let results =
-          Shmls.sweep ~jobs ?chunk ~on_result:emit ~sim
+          Shmls.sweep ~jobs ?chunk ~on_result:emit
             ~verify_designs:(verify && devices = 1)
             ~seed ~variant configs
         in
@@ -475,7 +456,9 @@ let verify_arg =
   Arg.(
     value & flag
     & info [ "verify" ]
-        ~doc:"Run the functional simulator against the reference interpreter.")
+        ~doc:
+          "Run the generated design in the functional simulator (its \
+           whole-stream batched plan) against the reference interpreter.")
 
 let evaluate_arg =
   Arg.(
@@ -498,36 +481,6 @@ let pass_stats_arg =
     value & flag
     & info [ "pass-stats" ]
         ~doc:"Print per-step timing of the nine-pass HLS lowering.")
-
-let sim_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("interp", "interp");
-             ("compiled", "compiled");
-             ("batched", "batched");
-           ])
-        "interp"
-    & info [ "sim" ] ~docv:"ENGINE"
-        ~doc:
-          "Functional-simulation engine for --verify and --report: the \
-           reference IR interpreter (interp), the per-element \
-           specialized-closure plan (compiled), or the whole-stream \
-           batched plan (batched, the fastest). All three are \
-           bit-identical.")
-
-let cycle_engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("tick", "tick"); ("event", "event") ]) "event"
-    & info [ "cycle-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Cycle-simulation engine for --report and --trace: the \
-           event-driven engine with steady-state fast-forward (event, the \
-           default) or the per-cycle tick loop (tick, the bit-exact \
-           oracle). Both produce identical cycle counts and traces.")
 
 let jobs_arg =
   Arg.(
@@ -582,8 +535,8 @@ let compile_term =
     ret
       (const run_tool $ kernel_arg $ grid_arg $ variant_arg $ emit_arg
      $ outdir_arg $ verify_arg $ evaluate_arg $ report_arg $ trace_arg
-     $ pass_stats_arg $ sim_arg $ cycle_engine_arg $ jobs_arg $ devices_arg
-     $ link_arg $ sweeps_arg $ dump_grids_arg))
+     $ pass_stats_arg $ jobs_arg $ devices_arg $ link_arg $ sweeps_arg
+     $ dump_grids_arg))
 
 let sweep_kernels_arg =
   Arg.(
@@ -650,8 +603,8 @@ let sweep_cmd =
     Term.(
       ret
         (const run_sweep $ sweep_kernels_arg $ grids_arg $ variant_arg
-       $ sim_arg $ verify_arg $ seed_arg $ jobs_arg $ chunk_arg $ out_arg
-       $ resume_arg $ sweep_devices_arg))
+       $ verify_arg $ seed_arg $ jobs_arg $ chunk_arg $ out_arg $ resume_arg
+       $ sweep_devices_arg))
 
 let cmd =
   let doc = "compile stencil kernels through the Stencil-HMLS pipeline" in

@@ -123,14 +123,14 @@ type compiled = {
   c_connectivity : string; (* v++ connectivity config *)
   c_pass_stats : Pass.stat list; (* per-step HLS lowering statistics *)
   c_plan : Stage_compiler.t Lazy.t;
-      (* compiled functional-sim plan; forced on first Compiled verify
-         via [plan_of] (mutex-guarded: [Lazy.force] is not domain-safe).
-         The plan itself is immutable and shared across domains —
-         per-run mutation lives in Stage_compiler.Run_state. *)
+      (* per-element plan, test oracle: the design-level reference the
+         differential suite compares the batched plan against *)
   c_plan_batched : Stage_compiler.t Lazy.t;
-      (* whole-stream batched plan (--sim=batched); forced on first
-         Batched verify, independently of [c_plan].  Same sharing
-         discipline: immutable plan, per-domain run states. *)
+      (* whole-stream batched plan, the functional engine: forced on
+         first use via [batched_plan_of] (mutex-guarded: [Lazy.force] is
+         not domain-safe).  The plan itself is immutable and shared
+         across domains — per-run mutation lives in
+         Stage_compiler.Run_state. *)
 }
 
 (* Raw pipeline executions, cached or not: lets tests assert how many
@@ -256,20 +256,6 @@ type verification = {
   v_max_diff : float;
 }
 
-type sim = Interp | Compiled | Batched
-
-let sim_to_string = function
-  | Interp -> "interp"
-  | Compiled -> "compiled"
-  | Batched -> "batched"
-
-let sim_of_string = function
-  | "interp" -> Ok Interp
-  | "compiled" -> Ok Compiled
-  | "batched" -> Ok Batched
-  | s ->
-    Error (Printf.sprintf "unknown simulator %S (interp|compiled|batched)" s)
-
 (* The reference interpreter state is a pure function of
    (kernel, grid, seed) and is only *read* after it is built, so it is
    cached across repeated verifications — the 10-run bench protocol pays
@@ -301,9 +287,24 @@ let reset_compile_cache () =
   Mutex.protect ref_state_mutex (fun () -> Hashtbl.reset ref_state_cache);
   Atomic.set compile_runs_counter 0
 
-(* [run_design] executes the design on [args]: the interpreter, or a
-   compiled plan ({!Stage_compiler}). *)
-let verify_with ~seed ~run_design (c : compiled) =
+(* [Lazy.force] is not domain-safe (two domains forcing the same
+   suspension at once is undefined), so all plan forcing goes through
+   this mutex.  The [Lazy.is_val] fast path skips the lock once the
+   plan exists — after that, sharing the forced plan across domains is
+   exactly what the plan/run-state split is for. *)
+let plan_mutex = Mutex.create ()
+
+let batched_plan_of (c : compiled) =
+  let l = c.c_plan_batched in
+  if Lazy.is_val l then Lazy.force l
+  else Mutex.protect plan_mutex (fun () -> Lazy.force l)
+
+(* Stage_compiler.run uses a per-domain cached run state, so this is
+   safe to call concurrently from several domains *)
+let run_design (c : compiled) ~args =
+  Stage_compiler.run (batched_plan_of c) ~args
+
+let verify ?(seed = 7) (c : compiled) =
   (* reference *)
   let ref_state = reference_state ~seed c in
   (* simulated design on identical fresh inputs *)
@@ -314,7 +315,7 @@ let verify_with ~seed ~run_design (c : compiled) =
     @ List.map (fun (_, v) -> Functional.F v) sim_state.params
     |> Array.of_list
   in
-  run_design ~args;
+  run_design c ~args;
   let interior = Ty.make_bounds ~lb:(List.map (fun _ -> 0) c.c_grid) ~ub:c.c_grid in
   let outputs =
     List.filter
@@ -331,41 +332,6 @@ let verify_with ~seed ~run_design (c : compiled) =
   in
   let max_diff = List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 fields in
   { v_fields = fields; v_max_diff = max_diff }
-
-(* [Lazy.force] is not domain-safe (two domains forcing the same
-   suspension at once is undefined), so all plan forcing goes through
-   this mutex.  The [Lazy.is_val] fast path skips the lock once the
-   plan exists — after that, sharing the forced plan across domains is
-   exactly what the plan/run-state split is for. *)
-let plan_mutex = Mutex.create ()
-
-let force_plan l =
-  if Lazy.is_val l then Lazy.force l
-  else Mutex.protect plan_mutex (fun () -> Lazy.force l)
-
-let plan_of (c : compiled) = force_plan c.c_plan
-let batched_plan_of (c : compiled) = force_plan c.c_plan_batched
-
-(* The plan an engine runs on, if any: [None] for the interpreter. *)
-let plan_for_sim sim (c : compiled) =
-  match sim with
-  | Interp -> None
-  | Compiled -> Some (plan_of c)
-  | Batched -> Some (batched_plan_of c)
-
-let runner_of_sim sim (c : compiled) =
-  match plan_for_sim sim c with
-  | None -> fun ~args -> Functional.run c.c_design ~args
-  | Some plan ->
-    (* Stage_compiler.run uses a per-domain cached run state, so this
-       runner is safe to call concurrently from several domains *)
-    fun ~args -> Stage_compiler.run plan ~args
-
-let run_design ?(sim = Interp) (c : compiled) ~args =
-  (runner_of_sim sim c) ~args
-
-let verify ?(seed = 7) ?(sim = Interp) (c : compiled) =
-  verify_with ~seed ~run_design:(runner_of_sim sim c) c
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation: the Stencil-HMLS flow reported in the same shape as the
@@ -440,8 +406,8 @@ let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
 
    Compilation runs sequentially up front — IR construction wants
    deterministic ids for anything that prints golden output, and every
-   job afterwards only *reads* the shared [compiled] records.  For a
-   Compiled sweep the shared plan is forced up front too, so the
+   job afterwards only *reads* the shared [compiled] records.  When
+   designs are verified the shared plan is forced up front too, so the
    parallel phase does zero plan compilation: every job runs the same
    immutable plan against its own per-domain run state.
 
@@ -451,8 +417,8 @@ let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
    configuration raises, rows after it are withheld and the error
    re-raises for the smallest failing index, as a sequential loop would
    report first. *)
-let sweep ?(jobs = 0) ?chunk ?on_result ?(sim = Interp)
-    ?(verify_designs = false) ?(seed = 7) ?(variant = Variant.default)
+let sweep ?(jobs = 0) ?chunk ?on_result ?(verify_designs = false) ?(seed = 7)
+    ?(variant = Variant.default)
     (configs : (Ast.kernel * int list) list) =
   let prepared =
     List.map
@@ -461,8 +427,8 @@ let sweep ?(jobs = 0) ?chunk ?on_result ?(sim = Interp)
           try Ok (compile_cached ~variant kernel ~grid)
           with Err.Error e -> Error e
         in
-        (match (verify_designs, sim, c) with
-        | true, (Compiled | Batched), Ok c -> ignore (plan_for_sim sim c)
+        (match (verify_designs, c) with
+        | true, Ok c -> ignore (batched_plan_of c)
         | _ -> ());
         (kernel, grid, c))
       configs
@@ -473,7 +439,7 @@ let sweep ?(jobs = 0) ?chunk ?on_result ?(sim = Interp)
     let outcomes = evaluate_all ~jobs:1 ~variant kernel ~grid in
     let verification =
       match (verify_designs, c) with
-      | true, Ok c -> Some (verify_with ~seed ~run_design:(runner_of_sim sim c) c)
+      | true, Ok c -> Some (verify ~seed c)
       | _ -> None
     in
     (outcomes, verification)
@@ -512,12 +478,10 @@ let emit_llvm_text (c : compiled) = Shmls_llvmir.Ll.to_string c.c_llvm
    design lowered to a CIRCT hw/esi netlist. *)
 let emit_circt_text (c : compiled) = Shmls_circt.Circt.emit c.c_design
 
-(* A Vitis-style synthesis report for the compiled design.  The
-   functional-simulation section renders uniformly for all three
-   engines: the engine name always, plus the plan shape for the
-   plan-backed engines. *)
-let report_text ?(sim = Interp) ?cycle_result (c : compiled) =
-  Shmls_fpga.Report.render ~sim_engine:(sim_to_string sim)
-    ?sim_plan:(plan_for_sim sim c) ?cycle_result c.c_design
+(* A Vitis-style synthesis report for the compiled design, with the
+   functional engine's plan shape. *)
+let report_text ?cycle_result (c : compiled) =
+  Shmls_fpga.Report.render ~plan:(batched_plan_of c) ?cycle_result
+    c.c_design
 let emit_stencil_text (c : compiled) = Printer.to_string c.c_lowered.l_module
 let emit_hls_text (c : compiled) = Printer.to_string c.c_hls_module

@@ -110,16 +110,17 @@ type compiled = {
   c_pass_stats : Pass.stat list;
       (** wall time / op-count deltas of the nine HLS lowering steps *)
   c_plan : Stage_compiler.t Lazy.t;
-      (** compiled functional-simulation plan, built once on first use.
-          The plan is immutable and shared across domains — parallel
-          sweeps run it against per-domain run states. Force it through
-          the library entry points ({!verify}, {!sweep}, {!report_text}),
-          which serialize the forcing; [Lazy.force] from several domains
-          at once is not safe. *)
+      (** per-element plan, test oracle: the design-level reference the
+          differential suite compares [c_plan_batched] against. No
+          library entry point forces it. *)
   c_plan_batched : Stage_compiler.t Lazy.t;
-      (** whole-stream batched plan ([Batched]), built once on first
-          use, independently of [c_plan]. Same sharing and forcing
-          discipline. *)
+      (** whole-stream batched plan — the functional engine — built
+          once on first use. The plan is immutable and shared across
+          domains: parallel sweeps run it against per-domain run
+          states. Force it through the library entry points
+          ({!run_design}, {!verify}, {!sweep}, {!report_text}), which
+          serialize the forcing; [Lazy.force] from several domains at
+          once is not safe. *)
 }
 
 (** Run the full Stencil-HMLS compilation pipeline. [balance_depths]
@@ -153,30 +154,17 @@ type verification = {
   v_max_diff : float;
 }
 
-(** Which functional-simulation engine executes the design: the
-    reference IR interpreter ({!Functional}), the per-element
-    specialized-closure plan ({!Stage_compiler.compile}), or the
-    whole-stream batched plan ({!Stage_compiler.compile_batched}). All
-    three are bit-identical; the plan-backed engines are the fast
-    paths, the interpreter the oracle. *)
-type sim = Interp | Compiled | Batched
+(** Execute the compiled design once on the given argument values
+    through its whole-stream batched plan
+    ({!Stage_compiler.compile_batched}), forcing the shared plan safely;
+    the call is safe from several domains at once. *)
+val run_design : compiled -> args:Functional.value array -> unit
 
-val sim_to_string : sim -> string
-
-(** Parse a [--sim] CLI argument ("interp" | "compiled" | "batched"). *)
-val sim_of_string : string -> (sim, string) result
-
-(** Execute the compiled design once on the given argument values with
-    the chosen functional-simulation engine (default the interpreter).
-    Plan-backed engines force the shared plan safely; the call is safe
-    from several domains at once. *)
-val run_design : ?sim:sim -> compiled -> args:Functional.value array -> unit
-
-(** Execute the generated design in the functional simulator against the
-    reference interpreter on identical inputs. The reference state is
-    cached per (kernel, grid, seed); [sim] defaults to the
-    interpreter. *)
-val verify : ?seed:int -> ?sim:sim -> compiled -> verification
+(** Run the generated design ({!run_design}) against the reference
+    stencil interpreter on identical inputs and compare every output
+    field on the interior. The reference state is cached per (kernel,
+    grid, seed). *)
+val verify : ?seed:int -> compiled -> verification
 
 (** The Stencil-HMLS flow's performance/resources/power, in the same
     shape as the baselines. *)
@@ -195,8 +183,7 @@ val evaluate_all :
 
 (** Evaluate many (kernel, grid) configurations — the grid-sweep
     experiment driver. Compilation runs sequentially up front (cached,
-    and for the plan-backed engines ([Compiled]/[Batched]) the shared
-    plan is forced up front too);
+    and with [verify_designs] the shared plan is forced up front too);
     the per-configuration evaluations (and optional design
     verifications) then run on a chunked work-stealing domain pool, all
     sharing one immutable plan per configuration with per-domain run
@@ -213,12 +200,11 @@ val evaluate_all :
     been emitted, so a consumer writing JSON Lines observes a prefix of
     the sequential output at all times. If a configuration fails, rows
     after the smallest failing index are withheld.
-    [verify_designs] adds a functional verification per configuration
-    using [sim]. *)
+    [verify_designs] adds a {!verify} per configuration. *)
 val sweep :
   ?jobs:int -> ?chunk:int ->
   ?on_result:(int -> Flow.outcome list * verification option -> unit) ->
-  ?sim:sim -> ?verify_designs:bool -> ?seed:int ->
+  ?verify_designs:bool -> ?seed:int ->
   ?variant:Variant.t ->
   (Ast.kernel * int list) list ->
   (Flow.outcome list * verification option) list
@@ -230,13 +216,11 @@ val emit_llvm_text : compiled -> string
 (** The CIRCT hw/esi netlist (the paper's future-work backend). *)
 val emit_circt_text : compiled -> string
 
-(** A Vitis-style synthesis report. The functional-simulation section
-    renders uniformly for all three engines: the engine name always,
-    plus the plan shape for the plan-backed engines.  [cycle_result]
-    appends a cycle-simulation section (cycles simulated vs
-    fast-forwarded, detected steady-state period, fill model check). *)
-val report_text :
-  ?sim:sim -> ?cycle_result:Cycle_sim.result -> compiled -> string
+(** A Vitis-style synthesis report, ending with the shape of the
+    functional engine's plan.  [cycle_result] appends a
+    cycle-simulation section (cycles simulated vs fast-forwarded,
+    detected steady-state period, fill model check). *)
+val report_text : ?cycle_result:Cycle_sim.result -> compiled -> string
 
 val emit_stencil_text : compiled -> string
 val emit_hls_text : compiled -> string

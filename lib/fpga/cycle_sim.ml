@@ -17,31 +17,17 @@
               and the result (after a pipeline latency) fits downstream
      write    retires 1 element per stream per cycle
 
-   Two engines implement those rules:
-
-     Tick   the original loop: every stage fired every cycle.  Kept as
-            the bit-exact oracle — slow but obviously correct.
-     Event  the same firing rules on precomputed arrays, plus two
-            fast-forward mechanisms that skip whole runs of cycles in
-            closed form: an idle jump to the next time-based guard flip
-            when a cycle mutates nothing (pure pipeline-latency wait),
-            and a steady-state detector that recognises when the bounded
-            state (FIFO occupancies, in-flight offsets, II distances)
-            repeats with period p and all counters advance by a constant
-            per-period delta, then applies n periods at once.  Cycle
-            counts, deadlock verdicts and tracer-visible occupancy
-            sequences are identical to Tick by construction (the
-            differential suite in test/test_cycle_engines.ml enforces
-            it). *)
-
-type engine = Tick | Event
-
-let engine_to_string = function Tick -> "tick" | Event -> "event"
-
-let engine_of_string = function
-  | "tick" -> Some Tick
-  | "event" -> Some Event
-  | _ -> None
+   The engine applies those rules on precomputed arrays, plus two
+   fast-forward mechanisms that skip whole runs of cycles in closed
+   form: an idle jump to the next time-based guard flip when a cycle
+   mutates nothing (pure pipeline-latency wait), and a steady-state
+   detector that recognises when the bounded state (FIFO occupancies,
+   in-flight offsets, II distances) repeats with period p and all
+   counters advance by a constant per-period delta, then applies n
+   periods at once.  Cycle counts, deadlock verdicts and tracer-visible
+   occupancy sequences are identical to firing every stage every cycle:
+   the differential suite (test/test_cycle_engines.ml) checks them
+   against exactly that loop, kept with the tests as the oracle. *)
 
 type result = {
   cycles : int;
@@ -49,7 +35,6 @@ type result = {
   stalled_stage : string option; (* where progress stopped, if deadlocked *)
   progress : (string * int * int) list; (* stage, tokens done, target *)
   fifo_occupancy : (int * int * int) list; (* stream, occ, cap (at end) *)
-  engine : engine; (* which engine produced this result *)
   cycles_simulated : int; (* cycles advanced one at a time *)
   cycles_fast_forwarded : int; (* cycles covered in closed form *)
   ss_period : (int * int) option;
@@ -57,27 +42,6 @@ type result = {
 }
 
 type fifo = { mutable occ : int; cap : int }
-
-type stage_state =
-  | S_load of { mutable remaining : int array } (* per output stream *)
-  | S_shift of {
-      mutable consumed : int;
-      mutable produced : int;
-      lookahead : int;
-      window : int;
-      total : int;
-    }
-  | S_dup of { mutable moved : int; total : int }
-  | S_compute of {
-      mutable started : int;
-      mutable retired : int;
-      ii : int;
-      latency : int;
-      total : int;
-      in_flight : int Queue.t; (* ready cycles, FIFO: O(1) add/pop *)
-      mutable last_start : int;
-    }
-  | S_write of { mutable retired : int array (* per input stream *) }
 
 let max_cycles_factor = 64
 
@@ -90,213 +54,11 @@ let check_has_write (d : Design.t) =
   then Err.raise_error "cycle sim: design has no write_data stage"
 
 (* ------------------------------------------------------------------ *)
-(* Tick engine: the original per-cycle loop, kept as the oracle.      *)
+(* The engine.
 
-let run_tick ?on_cycle (d : Design.t) =
-  check_has_write d;
-  let total = Design.total_padded d in
-  let fifos = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Design.stream) ->
-      Hashtbl.replace fifos s.st_id { occ = 0; cap = s.st_depth })
-    d.d_streams;
-  let fifo id =
-    match Hashtbl.find_opt fifos id with
-    | Some f -> f
-    | None -> Err.raise_error "cycle sim: unknown stream %d" id
-  in
-  let states =
-    List.map
-      (fun stage ->
-        let st =
-          match stage with
-          | Design.Load { out_streams; _ } ->
-            S_load { remaining = Array.make (List.length out_streams) total }
-          | Design.Shift { halo; extent; _ } ->
-            let la = Design.shift_lookahead ~halo ~extent in
-            S_shift
-              {
-                consumed = 0;
-                produced = 0;
-                lookahead = la;
-                window = (2 * la) + 1;
-                total;
-              }
-          | Design.Dup _ -> S_dup { moved = 0; total }
-          | Design.Compute c ->
-            (* a fused (no-split) stage makes [serial] passes over the
-               grid, one per output stream, back to back *)
-            S_compute
-              {
-                started = 0;
-                retired = 0;
-                ii = c.ii;
-                latency = 8 + c.flops;
-                total = c.serial * total;
-                in_flight = Queue.create ();
-                last_start = -1_000_000; (* "long ago", without overflow *)
-              }
-          | Design.Write { in_streams; _ } ->
-            S_write { retired = Array.make (List.length in_streams) 0 }
-        in
-        (stage, st))
-      d.d_stages
-  in
-  let complete () =
-    List.for_all
-      (fun (_, st) ->
-        match st with
-        | S_write w -> Array.for_all (fun r -> r >= total) w.retired
-        | _ -> true)
-      states
-  in
-  let cycle = ref 0 in
-  let progressed = ref true in
-  let stalled = ref None in
-  let budget = max_cycles_factor * (total + 1000) in
-  while (not (complete ())) && !progressed && !cycle < budget do
-    progressed := false;
-    List.iter
-      (fun (stage, st) ->
-        match (stage, st) with
-        | Design.Load { out_streams; _ }, S_load l ->
-          List.iteri
-            (fun i sid ->
-              let f = fifo sid in
-              let burst = min 8 (min l.remaining.(i) (f.cap - f.occ)) in
-              if burst > 0 then begin
-                f.occ <- f.occ + burst;
-                l.remaining.(i) <- l.remaining.(i) - burst;
-                progressed := true
-              end)
-            out_streams
-        | Design.Shift { input; output; _ }, S_shift s ->
-          let fin = fifo input and fout = fifo output in
-          (* consume *)
-          if s.consumed < s.total && fin.occ > 0 && s.consumed - s.produced < s.window
-          then begin
-            fin.occ <- fin.occ - 1;
-            s.consumed <- s.consumed + 1;
-            progressed := true
-          end;
-          (* produce *)
-          if
-            s.produced < s.total
-            && (s.consumed >= s.produced + s.lookahead + 1 || s.consumed = s.total)
-            && fout.occ < fout.cap
-          then begin
-            fout.occ <- fout.occ + 1;
-            s.produced <- s.produced + 1;
-            progressed := true
-          end
-        | Design.Dup { input; outputs }, S_dup du ->
-          let fin = fifo input in
-          let fouts = List.map fifo outputs in
-          if
-            du.moved < du.total && fin.occ > 0
-            && List.for_all (fun f -> f.occ < f.cap) fouts
-          then begin
-            fin.occ <- fin.occ - 1;
-            List.iter (fun f -> f.occ <- f.occ + 1) fouts;
-            du.moved <- du.moved + 1;
-            progressed := true
-          end
-        | Design.Compute { in_streams; out_streams; _ }, S_compute c ->
-          let fins = List.map fifo in_streams in
-          (* start a new iteration *)
-          if
-            c.started < c.total
-            && !cycle - c.last_start >= c.ii
-            && List.for_all (fun f -> f.occ > 0) fins
-          then begin
-            List.iter (fun f -> f.occ <- f.occ - 1) fins;
-            c.started <- c.started + 1;
-            c.last_start <- !cycle;
-            Queue.add (!cycle + c.latency) c.in_flight;
-            progressed := true
-          end;
-          (* retire finished iterations *)
-          (match Queue.peek_opt c.in_flight with
-          | Some ready when ready <= !cycle ->
-            (* pass k (of [serial]) retires into out_streams[k] *)
-            let phase =
-              min (c.retired / total) (List.length out_streams - 1)
-            in
-            let fout = fifo (List.nth out_streams phase) in
-            if fout.occ < fout.cap then begin
-              fout.occ <- fout.occ + 1;
-              c.retired <- c.retired + 1;
-              ignore (Queue.pop c.in_flight);
-              progressed := true
-            end
-          | Some _ ->
-            (* results draining through the pipeline: time passing is
-               progress, not deadlock *)
-            progressed := true
-          | None -> ())
-        | Design.Write { in_streams; _ }, S_write w ->
-          List.iteri
-            (fun i sid ->
-              let f = fifo sid in
-              if w.retired.(i) < total && f.occ > 0 then begin
-                f.occ <- f.occ - 1;
-                w.retired.(i) <- w.retired.(i) + 1;
-                progressed := true
-              end)
-            in_streams
-        | _ -> assert false)
-      states;
-    (* only materialise the occupancy list when someone is listening —
-       it used to allocate every cycle even with no tracer attached *)
-    (match on_cycle with
-    | Some f -> f !cycle (Hashtbl.fold (fun id f acc -> (id, f.occ) :: acc) fifos [])
-    | None -> ());
-    incr cycle
-  done;
-  let deadlocked = not (complete ()) in
-  if deadlocked then
-    stalled :=
-      List.find_map
-        (fun (stage, st) ->
-          let blocked =
-            match st with
-            | S_load l -> Array.exists (fun r -> r > 0) l.remaining
-            | S_shift s -> s.produced < s.total
-            | S_dup du -> du.moved < du.total
-            | S_compute c -> c.retired < c.total
-            | S_write w -> Array.exists (fun r -> r < total) w.retired
-          in
-          if blocked then Some (Design.stage_name stage) else None)
-        states;
-  let progress =
-    List.map
-      (fun (stage, st) ->
-        let done_, target =
-          match st with
-          | S_load l -> (Array.fold_left (fun a r -> a + (total - r)) 0 l.remaining,
-                         total * Array.length l.remaining)
-          | S_shift s -> (s.produced, s.total)
-          | S_dup du -> (du.moved, du.total)
-          | S_compute c -> (c.retired, c.total)
-          | S_write w -> (Array.fold_left ( + ) 0 w.retired, total * Array.length w.retired)
-        in
-        (Design.stage_name stage, done_, target))
-      states
-  in
-  let fifo_occupancy =
-    Hashtbl.fold (fun id f acc -> (id, f.occ, f.cap) :: acc) fifos []
-    |> List.sort compare
-  in
-  { cycles = !cycle; deadlocked; stalled_stage = !stalled; progress;
-    fifo_occupancy; engine = Tick; cycles_simulated = !cycle;
-    cycles_fast_forwarded = 0; ss_period = None }
-
-(* ------------------------------------------------------------------ *)
-(* Event engine.
-
-   Same firing rules as Tick, compiled to arrays with direct FIFO
-   references (no per-cycle hashtable lookups or list allocation), plus
-   two closed-form fast-forward mechanisms:
+   The firing rules compiled to arrays with direct FIFO references (no
+   per-cycle hashtable lookups or list allocation), plus two closed-form
+   fast-forward mechanisms:
 
    Idle jump.  When a fired cycle mutates no state yet still counts as
    progress (results draining through a compute pipeline), nothing can
@@ -382,7 +144,7 @@ type cnt_kind =
   | K_dec (* load remaining: full bursts only while >= 8 *)
   | K_phase of int * int (* per_pass, passes: retirement stream select *)
 
-let run_event ?on_cycle (d : Design.t) =
+let run ?on_cycle (d : Design.t) =
   check_has_write d;
   let total = Design.total_padded d in
   let nstreams = List.length d.d_streams in
@@ -520,7 +282,7 @@ let run_event ?on_cycle (d : Design.t) =
   let occ_list () =
     Hashtbl.fold (fun id f acc -> (id, f.occ) :: acc) fifos []
   in
-  (* one mutating cycle, bit-equal to the Tick loop body *)
+  (* one mutating cycle: every stage fires once, in stage order *)
   let fire () =
     Array.iter
       (fun (_, st) ->
@@ -929,13 +691,8 @@ let run_event ?on_cycle (d : Design.t) =
     |> List.sort compare
   in
   { cycles = !cycle; deadlocked; stalled_stage = !stalled; progress;
-    fifo_occupancy; engine = Event; cycles_simulated = !cycle - !fast_forwarded;
+    fifo_occupancy; cycles_simulated = !cycle - !fast_forwarded;
     cycles_fast_forwarded = !fast_forwarded; ss_period = !ss_period }
-
-let run ?(engine = Event) ?on_cycle (d : Design.t) =
-  match engine with
-  | Tick -> run_tick ?on_cycle d
-  | Event -> run_event ?on_cycle d
 
 (* ------------------------------------------------------------------ *)
 (* Multi-device runs: one design per slab device, joined by an
@@ -971,14 +728,14 @@ let design_fill (d : Design.t) =
   let delays = Depth_balance.stream_delays d in
   Hashtbl.fold (fun _ v acc -> max v acc) delays 0
 
-let run_multi ?(engine = Event) ?(sweeps = 1) ~link
+let run_multi ?(sweeps = 1) ~link
     (devices : (Design.t * int) list) =
   if devices = [] then Err.raise_error "cycle_sim: run_multi needs a device";
   if sweeps < 1 then Err.raise_error "cycle_sim: run_multi needs sweeps >= 1";
   let lanes =
     List.map
       (fun (d, bytes) ->
-        let r = run ~engine d in
+        let r = run d in
         let fill = design_fill d in
         let transfer =
           if bytes <= 0 then 0.0 else Link.transfer_cycles link ~bytes

@@ -1,19 +1,13 @@
 (** Token-level cycle simulation with bounded FIFOs and back-pressure:
     measures fill latency, steady-state II and completion cycles, and
     detects deadlock (the StencilFlow failure mode). Values are the
-    functional simulator's business; this counts tokens. *)
+    functional simulator's business; this counts tokens.
 
-(** Which simulation engine to run.  [Tick] is the original
-    fire-every-stage-every-cycle loop, kept as the bit-exact oracle.
-    [Event] (the default) applies the same firing rules on precomputed
-    arrays and fast-forwards pure latency waits and detected
-    steady-state periods in closed form; its cycle counts, deadlock
-    verdicts and tracer-visible occupancy sequences are identical to
-    [Tick] (enforced by the differential suite). *)
-type engine = Tick | Event
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
+    Pure latency waits and detected steady-state periods are
+    fast-forwarded in closed form; cycle counts, deadlock verdicts and
+    tracer-visible occupancy sequences are identical to firing every
+    stage every cycle (the differential suite checks them against that
+    loop, kept with the tests as the oracle). *)
 
 type result = {
   cycles : int;
@@ -21,19 +15,17 @@ type result = {
   stalled_stage : string option;  (** where progress stopped *)
   progress : (string * int * int) list;  (** stage, tokens done, target *)
   fifo_occupancy : (int * int * int) list;  (** stream, occ, cap at end *)
-  engine : engine;  (** which engine produced this result *)
   cycles_simulated : int;  (** cycles advanced one at a time *)
   cycles_fast_forwarded : int;  (** cycles covered in closed form *)
   ss_period : (int * int) option;
       (** detected steady state: (period cycles, write retirements per
-          period); [None] when no period was detected (or under Tick) *)
+          period); [None] when no period was detected *)
 }
 
 (** [on_cycle] is called after every simulated cycle with the FIFO
     occupancies (stream id, tokens); use {!Trace} to collect them.
     Fast-forwarded cycles synthesise identical per-cycle records. *)
 val run :
-  ?engine:engine ->
   ?on_cycle:(int -> (int * int) list -> unit) ->
   Design.t ->
   result
@@ -66,11 +58,10 @@ type multi_result = {
 }
 
 (** [run_multi ~link devices] cycle-simulates every [(design, exchange
-    bytes received per phase)] lane with [engine] and folds in the link
+    bytes received per phase)] lane and folds in the link
     charges.  [sweeps] (default 1) scales each lane's total — the
     steady-state convention charges one halo delivery per sweep. *)
 val run_multi :
-  ?engine:engine ->
   ?sweeps:int ->
   link:Link.t ->
   (Design.t * int) list ->

@@ -1,402 +1,8 @@
-(* Functional simulation of an extracted design.
-
-   Executes the generated HLS-dialect IR with Kahn-network semantics:
-   stages run to completion one at a time in topological order over
-   unbounded stream buffers.  Because the stage graph is acyclic and each
-   stage is deterministic, this computes exactly the values the real
-   dataflow hardware would produce; cycle behaviour is the business of
-   {!Cycle_sim} and {!Perf_model}.
-
-   Compute stages are executed by interpreting their region IR (the
-   pipelined scf.for loop with hls.read/hls.write, llvm.extractvalue
-   neighbourhood picks, BRAM small-data copies and the cloned arithmetic)
-   — i.e. the simulator runs the code the compiler actually generated,
-   not a re-derivation of the original stencil. *)
-
-open Shmls_ir
-open Shmls_dialects
-
-type token =
-  | Scalar of float
-  | Vector of float array (* a shift-buffer neighbourhood *)
+(* Argument values for a functional run of an extracted design: what
+   {!Stage_compiler.run} binds to the kernel function's arguments. *)
 
 type value =
   | F of float
   | I of int
-  | B of bool
-  | T of token
   | Ptr of float array * int (* external-memory pointer: base + offset *)
   | Mem of float array (* local BRAM array *)
-
-type stream_buf = {
-  mutable front : token list;
-  mutable back : token list;
-  mutable count : int; (* |front| + |back|, so length is O(1) *)
-}
-
-let buf_create () = { front = []; back = []; count = 0 }
-
-let buf_push b t =
-  b.back <- t :: b.back;
-  b.count <- b.count + 1
-
-let buf_pop ?(loc = Loc.unknown) b =
-  match b.front with
-  | t :: rest ->
-    b.front <- rest;
-    b.count <- b.count - 1;
-    t
-  | [] -> (
-    match List.rev b.back with
-    | [] -> Err.raise_error ~loc "functional sim: read from empty stream"
-    | t :: rest ->
-      b.front <- rest;
-      b.back <- [];
-      b.count <- b.count - 1;
-      t)
-
-let buf_length b = b.count
-let buf_is_empty b = b.count = 0
-
-type ctx = {
-  streams : (int, stream_buf) Hashtbl.t;
-  args : value array; (* kernel arguments *)
-  vals : (int, value) Hashtbl.t; (* SSA environment for interpretation *)
-}
-
-let stream_of ctx id =
-  match Hashtbl.find_opt ctx.streams id with
-  | Some b -> b
-  | None ->
-    let b = buf_create () in
-    Hashtbl.add ctx.streams id b;
-    b
-
-(* ------------------------------------------------------------------ *)
-(* Geometry helpers *)
-
-let offsets_of_halo halo =
-  (* row-major enumeration of the neighbourhood cube *)
-  let rec go = function
-    | [] -> [ [] ]
-    | h :: rest ->
-      let tails = go rest in
-      List.concat_map
-        (fun o -> List.map (fun t -> o :: t) tails)
-        (List.init ((2 * h) + 1) (fun i -> i - h))
-  in
-  go halo
-
-(* Array geometry for the per-point stage loops: extent as an array plus
-   row-major strides, and an odometer increment so positions advance
-   without re-dividing the linear index every point. *)
-let stage_geometry extent =
-  let ext = Array.of_list extent in
-  let rank = Array.length ext in
-  let strides = Array.make rank 1 in
-  for d = rank - 2 downto 0 do
-    strides.(d) <- strides.(d + 1) * ext.(d + 1)
-  done;
-  (ext, strides, Array.fold_left ( * ) 1 ext)
-
-let odometer_incr (ext : int array) (pos : int array) =
-  let d = ref (Array.length pos - 1) in
-  let carrying = ref true in
-  while !carrying && !d >= 0 do
-    pos.(!d) <- pos.(!d) + 1;
-    if pos.(!d) = ext.(!d) then begin
-      pos.(!d) <- 0;
-      decr d
-    end
-    else carrying := false
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Stage semantics (the "runtime" of the paper: load_data, shift_buffer,
-   write_data implemented natively) *)
-
-let run_load ctx (d : Design.t) ~out_streams ~ptr_args =
-  let total = Design.total_padded d in
-  List.iter2
-    (fun stream argi ->
-      let data =
-        match ctx.args.(argi) with
-        | Ptr (a, 0) -> a
-        | _ -> Err.raise_error "functional sim: load_data arg is not a pointer"
-      in
-      let buf = stream_of ctx stream in
-      for i = 0 to total - 1 do
-        buf_push buf (Scalar data.(i))
-      done)
-    out_streams ptr_args
-
-let run_shift ctx ~input ~output ~halo ~extent =
-  let ext, strides, total = stage_geometry extent in
-  let rank = Array.length ext in
-  let inbuf = stream_of ctx input in
-  let values = Array.make total 0.0 in
-  for i = 0 to total - 1 do
-    match buf_pop inbuf with
-    | Scalar v -> values.(i) <- v
-    | Vector _ -> Err.raise_error "functional sim: shift input must be scalar"
-  done;
-  let outbuf = stream_of ctx output in
-  (* offsets as arrays, with each offset's linear delta precomputed: an
-     in-range neighbour is values.(i + delta), no per-point re-division *)
-  let offsets =
-    offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
-  in
-  let deltas =
-    Array.map
-      (fun off ->
-        let s = ref 0 in
-        Array.iteri (fun d o -> s := !s + (o * strides.(d))) off;
-        !s)
-      offsets
-  in
-  let nb_n = Array.length offsets in
-  let pos = Array.make rank 0 in
-  for i = 0 to total - 1 do
-    let nb = Array.make nb_n Float.nan in
-    for k = 0 to nb_n - 1 do
-      let off = offsets.(k) in
-      let ok = ref true in
-      for d = 0 to rank - 1 do
-        let p = pos.(d) + off.(d) in
-        if p < 0 || p >= ext.(d) then ok := false
-      done;
-      if !ok then nb.(k) <- values.(i + deltas.(k))
-    done;
-    buf_push outbuf (Vector nb);
-    odometer_incr ext pos
-  done
-
-let run_dup ctx ~input ~outputs =
-  (* the producer ran to completion (topological order), so drain fully *)
-  let inbuf = stream_of ctx input in
-  let outbufs = List.map (stream_of ctx) outputs in
-  while not (buf_is_empty inbuf) do
-    let t = buf_pop inbuf in
-    List.iter (fun b -> buf_push b t) outbufs
-  done
-
-let run_write ctx (d : Design.t) ~in_streams ~ptr_args ~halo ~extent =
-  ignore d;
-  let ext, _, total = stage_geometry extent in
-  let hal = Array.of_list halo in
-  let rank = Array.length ext in
-  List.iter2
-    (fun stream argi ->
-      let data =
-        match ctx.args.(argi) with
-        | Ptr (a, 0) -> a
-        | _ -> Err.raise_error "functional sim: write_data arg is not a pointer"
-      in
-      let buf = stream_of ctx stream in
-      let pos = Array.make rank 0 in
-      for i = 0 to total - 1 do
-        (match buf_pop buf with
-        | Scalar v ->
-          let interior = ref true in
-          for d = 0 to rank - 1 do
-            if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then
-              interior := false
-          done;
-          if !interior then data.(i) <- v
-        | Vector _ ->
-          Err.raise_error "functional sim: write input must be scalar");
-        odometer_incr ext pos
-      done)
-    in_streams ptr_args
-
-(* ------------------------------------------------------------------ *)
-(* IR interpretation for compute stages *)
-
-let bind ctx v value = Hashtbl.replace ctx.vals (Ir.Value.id v) value
-
-let lookup ctx v =
-  match Hashtbl.find_opt ctx.vals (Ir.Value.id v) with
-  | Some value -> value
-  | None -> Err.raise_error "functional sim: unbound value"
-
-let as_f ctx v =
-  match lookup ctx v with
-  | F f -> f
-  | I i -> float_of_int i
-  | _ -> Err.raise_error "functional sim: expected float"
-
-let as_i ctx v =
-  match lookup ctx v with
-  | I i -> i
-  | _ -> Err.raise_error "functional sim: expected int"
-
-let rec exec_op ctx (op : Ir.op) =
-  let bin f =
-    bind ctx (Ir.Op.result op 0)
-      (F (f (as_f ctx (Ir.Op.operand op 0)) (as_f ctx (Ir.Op.operand op 1))))
-  in
-  let bini f =
-    bind ctx (Ir.Op.result op 0)
-      (I (f (as_i ctx (Ir.Op.operand op 0)) (as_i ctx (Ir.Op.operand op 1))))
-  in
-  let un f = bind ctx (Ir.Op.result op 0) (F (f (as_f ctx (Ir.Op.operand op 0)))) in
-  match Ir.Op.name op with
-  | "arith.constant" -> (
-    match Ir.Op.get_attr_exn op "value" with
-    | Attr.Float f -> bind ctx (Ir.Op.result op 0) (F f)
-    | Attr.Int i -> bind ctx (Ir.Op.result op 0) (I i)
-    | _ -> Err.raise_error "functional sim: bad constant")
-  | "arith.addf" -> bin ( +. )
-  | "arith.subf" -> bin ( -. )
-  | "arith.mulf" -> bin ( *. )
-  | "arith.divf" -> bin ( /. )
-  | "arith.maximumf" -> bin Float.max
-  | "arith.minimumf" -> bin Float.min
-  | "arith.negf" -> un (fun x -> -.x)
-  | "arith.addi" -> bini ( + )
-  | "arith.subi" -> bini ( - )
-  | "arith.muli" -> bini ( * )
-  | "arith.divsi" -> bini ( / )
-  | "arith.remsi" -> bini (fun a b -> a mod b)
-  | "math.sqrt" -> un sqrt
-  | "math.exp" -> un exp
-  | "math.log" -> un log
-  | "math.absf" -> un Float.abs
-  | "math.tanh" -> un tanh
-  | "math.powf" -> bin ( ** )
-  | "arith.cmpi" ->
-    let x = as_i ctx (Ir.Op.operand op 0) and y = as_i ctx (Ir.Op.operand op 1) in
-    let p = Attr.str_exn (Ir.Op.get_attr_exn op "predicate") in
-    let r =
-      match p with
-      | "slt" -> x < y
-      | "sle" -> x <= y
-      | "sgt" -> x > y
-      | "sge" -> x >= y
-      | "eq" -> x = y
-      | "ne" -> x <> y
-      | _ -> Err.raise_error "functional sim: cmpi predicate %s" p
-    in
-    bind ctx (Ir.Op.result op 0) (B r)
-  | "arith.select" ->
-    let c =
-      match lookup ctx (Ir.Op.operand op 0) with
-      | B b -> b
-      | I i -> i <> 0
-      | _ -> Err.raise_error "functional sim: select condition"
-    in
-    bind ctx (Ir.Op.result op 0) (lookup ctx (Ir.Op.operand op (if c then 1 else 2)))
-  | "hls.pipeline" | "hls.unroll" | "hls.array_partition" -> ()
-  | "hls.read" -> (
-    let id = Ir.Value.id (Ir.Op.operand op 0) in
-    match buf_pop ~loc:(Ir.Op.loc op) (stream_of ctx id) with
-    | Scalar f -> bind ctx (Ir.Op.result op 0) (F f)
-    | Vector a -> bind ctx (Ir.Op.result op 0) (T (Vector a)))
-  | "hls.write" -> (
-    let id = Ir.Value.id (Ir.Op.operand op 1) in
-    let t =
-      match lookup ctx (Ir.Op.operand op 0) with
-      | F f -> Scalar f
-      | T tok -> tok
-      | _ -> Err.raise_error "functional sim: bad hls.write value"
-    in
-    buf_push (stream_of ctx id) t)
-  | "llvm.extractvalue" -> (
-    match (lookup ctx (Ir.Op.operand op 0), Ir.Op.get_attr_exn op "indices") with
-    | T (Vector a), Attr.Ints [ i ] -> bind ctx (Ir.Op.result op 0) (F a.(i))
-    | _ -> Err.raise_error "functional sim: bad extractvalue")
-  | "llvm.getelementptr" -> (
-    let base =
-      match lookup ctx (Ir.Op.operand op 0) with
-      | Ptr (a, o) -> (a, o)
-      | _ -> Err.raise_error "functional sim: gep of non-pointer"
-    in
-    let a, o = base in
-    match
-      (Attr.ints_exn (Ir.Op.get_attr_exn op "indices"), Ir.Op.num_operands op)
-    with
-    | [], 2 -> bind ctx (Ir.Op.result op 0) (Ptr (a, o + as_i ctx (Ir.Op.operand op 1)))
-    | idx, 1 ->
-      bind ctx (Ir.Op.result op 0) (Ptr (a, o + List.fold_left ( + ) 0 idx))
-    | _ -> Err.raise_error "functional sim: unsupported gep form")
-  | "llvm.load" -> (
-    match lookup ctx (Ir.Op.operand op 0) with
-    | Ptr (a, o) -> bind ctx (Ir.Op.result op 0) (F a.(o))
-    | _ -> Err.raise_error "functional sim: llvm.load of non-pointer")
-  | "llvm.store" -> (
-    let v = as_f ctx (Ir.Op.operand op 0) in
-    match lookup ctx (Ir.Op.operand op 1) with
-    | Ptr (a, o) -> a.(o) <- v
-    | _ -> Err.raise_error "functional sim: llvm.store of non-pointer")
-  | "memref.alloca" | "memref.alloc" -> (
-    match Ir.Value.ty (Ir.Op.result op 0) with
-    | Ty.Memref (shape, _) ->
-      bind ctx (Ir.Op.result op 0) (Mem (Array.make (List.fold_left ( * ) 1 shape) 0.0))
-    | _ -> Err.raise_error "functional sim: alloca result not memref")
-  | "memref.load" -> (
-    match lookup ctx (Ir.Op.operand op 0) with
-    | Mem a -> bind ctx (Ir.Op.result op 0) (F a.(as_i ctx (Ir.Op.operand op 1)))
-    | _ -> Err.raise_error "functional sim: memref.load of non-memref")
-  | "memref.store" -> (
-    let v = as_f ctx (Ir.Op.operand op 0) in
-    match lookup ctx (Ir.Op.operand op 1) with
-    | Mem a -> a.(as_i ctx (Ir.Op.operand op 2)) <- v
-    | _ -> Err.raise_error "functional sim: memref.store of non-memref")
-  | "scf.for" ->
-    let lb = as_i ctx (Ir.Op.operand op 0) in
-    let ub = as_i ctx (Ir.Op.operand op 1) in
-    let step = as_i ctx (Ir.Op.operand op 2) in
-    let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
-    let iv =
-      match Ir.Block.args block with
-      | a :: _ -> a
-      | [] -> Err.raise_error "functional sim: scf.for without args"
-    in
-    (* snapshot the body once; the loop body does not mutate the IR *)
-    let body_ops = Ir.Block.ops block in
-    let i = ref lb in
-    while !i < ub do
-      bind ctx iv (I !i);
-      List.iter
-        (fun (o : Ir.op) -> if Ir.Op.name o <> "scf.yield" then exec_op ctx o)
-        body_ops;
-      i := !i + step
-    done
-  | name -> Err.raise_error "functional sim: unsupported op %s" name
-
-let run_compute ctx (df_op : Ir.op) =
-  let body = Hls.dataflow_body df_op in
-  List.iter (exec_op ctx) (Ir.Block.ops body)
-
-(* ------------------------------------------------------------------ *)
-(* Top level *)
-
-(* Run the design on kernel arguments.  Field arguments are flat padded
-   arrays (row-major over [-h, n+h) per dim); smalls are flat padded 1D
-   arrays; scalars are floats.  Output fields are written in place. *)
-let run (d : Design.t) ~(args : value array) =
-  let ctx = { streams = Hashtbl.create 32; args; vals = Hashtbl.create 256 } in
-  (* bind pointer args into the SSA environment for compute-stage GEPs *)
-  let body = Ir.Region.entry (List.hd (Ir.Op.regions d.d_func)) in
-  List.iteri (fun i v -> bind ctx v args.(i)) (Ir.Block.args body);
-  List.iter
-    (fun stage ->
-      match stage with
-      | Design.Load { out_streams; ptr_args } ->
-        run_load ctx d ~out_streams ~ptr_args
-      | Design.Shift { input; output; halo; extent } ->
-        run_shift ctx ~input ~output ~halo ~extent
-      | Design.Dup { input; outputs } -> run_dup ctx ~input ~outputs
-      | Design.Compute c -> run_compute ctx c.df_op
-      | Design.Write { in_streams; ptr_args; halo; extent } ->
-        run_write ctx d ~in_streams ~ptr_args ~halo ~extent)
-    d.d_stages;
-  (* every stream should be fully drained: catches mis-wired designs.
-     Checked in ascending stream order so the reported stream is
-     deterministic (and matches the compiled simulator's report). *)
-  Hashtbl.fold (fun id buf acc -> (id, buf) :: acc) ctx.streams []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (id, buf) ->
-         if buf_length buf <> 0 then
-           Err.raise_error "functional sim: stream %d left %d undrained tokens"
-             id (buf_length buf))

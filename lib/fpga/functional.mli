@@ -1,38 +1,11 @@
-(** Functional simulation of an extracted design: stages run to
-    completion in topological order over unbounded stream buffers (Kahn
-    semantics), and compute stages are executed by *interpreting their
-    generated IR* — so the simulator runs the code the compiler actually
-    produced. Deterministic and, for correct designs, value-identical to
-    the hardware. *)
-
-type token = Scalar of float | Vector of float array
+(** Argument values for a functional run of an extracted design
+    ({!Stage_compiler.run}): [Ptr] for field and small-data pointers
+    (flat padded row-major arrays), [F] for scalars, in the kernel's
+    argument order. *)
 
 type value =
   | F of float
   | I of int
-  | B of bool
-  | T of token
   | Ptr of float array * int
       (** external-memory pointer: padded row-major grid + offset *)
   | Mem of float array  (** local BRAM array *)
-
-(** Run the design. [args] follow the kernel's argument order: [Ptr] for
-    field and small-data pointers (flat padded row-major arrays), [F]
-    for scalars. Output fields are written in place. Raises
-    {!Err.Error} on mis-wired designs (empty-stream reads, undrained
-    streams). *)
-val run : Design.t -> args:value array -> unit
-
-(** {2 Stage geometry}
-
-    Shared with {!Stage_compiler} so the compiled simulator enumerates
-    neighbourhoods in exactly the interpreter's order. *)
-
-(** Row-major enumeration of the neighbourhood cube of a halo. *)
-val offsets_of_halo : int list -> int list list
-
-(** [stage_geometry extent] is [(extent, row-major strides, total)]. *)
-val stage_geometry : int list -> int array * int array * int
-
-(** Advance a row-major odometer position by one element. *)
-val odometer_incr : int array -> int array -> unit

@@ -5,7 +5,7 @@
 
 let pct used total = 100.0 *. float_of_int used /. float_of_int total
 
-let render ?sim_engine ?sim_plan ?cycle_result (d : Design.t) =
+let render ~plan ?cycle_result (d : Design.t) =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let rule () = line "%s" (String.make 72 '-') in
@@ -29,8 +29,7 @@ let render ?sim_engine ?sim_plan ?cycle_result (d : Design.t) =
       if r.Cycle_sim.cycles = 0 then 0.0
       else 100.0 *. float_of_int part /. float_of_int r.Cycle_sim.cycles
     in
-    line "* Cycle simulation (%s engine)"
-      (Cycle_sim.engine_to_string r.Cycle_sim.engine);
+    line "* Cycle simulation";
     line "    measured cycles     : %d%s" r.Cycle_sim.cycles
       (if r.Cycle_sim.deadlocked then "  [DEADLOCKED]" else "");
     line "    cycles simulated    : %d (%.1f%%)" r.Cycle_sim.cycles_simulated
@@ -108,25 +107,12 @@ let render ?sim_engine ?sim_plan ?cycle_result (d : Design.t) =
            Printf.sprintf "HBM[%d]" iface.if_hbm_bank
          else "HBM[30:31] (shared small-data)"))
     d.d_interfaces;
-  (* the functional-simulation section renders uniformly for every
-     engine: the engine name, then the plan shape when a plan exists
-     (the interpreter runs plan-free) *)
-  (match (sim_engine, sim_plan) with
-  | None, None -> ()
-  | engine, plan ->
-    rule ();
-    line "* Functional simulation";
-    (match engine with
-    | Some e -> line "    engine              : %s" e
-    | None -> ());
-    (match plan with
-    | None -> line "    plan                : none (reference interpreter)"
-    | Some plan ->
-      let s = Stage_compiler.stats plan in
-      line "    register slots      : %d float, %d int, %d pointer, %d vector"
-        s.cs_fregs s.cs_iregs s.cs_pregs s.cs_vregs;
-      line "    compiled steps      : %d closure(s) across compute stages"
-        s.cs_steps;
-      line "    batched loops       : %d whole-stream loop(s)" s.cs_batched;
-      line "    folded constants    : %d" s.cs_folded));
+  let s = Stage_compiler.stats plan in
+  rule ();
+  line "* Functional simulation (plan)";
+  line "    register slots      : %d float, %d int, %d pointer, %d vector"
+    s.cs_fregs s.cs_iregs s.cs_pregs s.cs_vregs;
+  line "    compiled steps      : %d closure(s) across compute stages" s.cs_steps;
+  line "    batched loops       : %d whole-stream loop(s)" s.cs_batched;
+  line "    folded constants    : %d" s.cs_folded;
   Buffer.contents buf

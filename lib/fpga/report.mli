@@ -1,14 +1,11 @@
 (** A Vitis-HLS-style synthesis report for a compiled design:
     performance, stage and stream tables, utilisation, interface map.
-    [sim_engine] appends a functional-simulation section naming the
-    engine; [sim_plan] adds that engine's plan shape (register slots,
-    step closures, batched loops, folded constants). The section
-    renders uniformly for every engine — the interpreter prints
-    "plan : none". *)
+    It ends with the functional-simulation [plan]'s shape (register
+    slots, step closures, batched loops, folded constants);
+    [cycle_result] adds a cycle-simulation section. *)
 
 val render :
-  ?sim_engine:string ->
-  ?sim_plan:Stage_compiler.t ->
+  plan:Stage_compiler.t ->
   ?cycle_result:Cycle_sim.result ->
   Design.t ->
   string

@@ -1,8 +1,16 @@
-(* Stage compiler for the functional simulator.
+(* Stage compiler: the functional simulator.
 
-   A one-time pre-pass per extracted design that turns the per-element
-   IR interpretation of {!Functional} into a specialized closure
-   pipeline:
+   Executes an extracted design with Kahn-network semantics — stages run
+   to completion one at a time in topological order over unbounded
+   stream buffers, and compute stages run the region IR the compiler
+   generated (the pipelined scf.for with hls.read/hls.write,
+   llvm.extractvalue neighbourhood picks, BRAM small-data copies and the
+   cloned arithmetic), not a re-derivation of the original stencil.  For
+   correct designs the values are exactly those the dataflow hardware
+   would produce; cycle behaviour is {!Cycle_sim}'s business.
+
+   A one-time pre-pass per design turns that IR into a specialized
+   closure pipeline:
 
      - every SSA value is resolved at compile time to a dense slot in an
        unboxed [float array] (floats), an [int array] (ints and i1s), a
@@ -30,11 +38,15 @@
        across runs, and cached per (domain, plan) so repeated runs on
        the same worker reuse one allocation ({!run}).
 
-   The interpreter in {!Functional} stays the reference oracle: the
-   differential suite (test_functional_compiled) asserts bit-identical
-   outputs and error parity (same message, same {!Loc}) on the paper
-   kernels and the zoo — including one shared plan driven concurrently
-   from several domains with independent run states. *)
+   Two plan flavours share all of this: the whole-stream batched plan
+   ([compile_batched]) is the engine the product runs; the per-element
+   plan ([compile]) is its fallback for non-batchable loops and the
+   design-level oracle of the differential suite
+   (test_functional_compiled), which asserts bit-identical outputs and
+   error parity (same message, same {!Loc}) between the two, and both
+   against the reference stencil interpreter — including one shared plan
+   driven concurrently from several domains with independent run
+   states. *)
 
 open Shmls_ir
 open Shmls_dialects
@@ -298,7 +310,7 @@ let pslot c v =
   | KP i -> i
   | _ -> Err.raise_error "functional sim: expected pointer"
 
-(* A float getter that mirrors the interpreter's [as_f] int coercion. *)
+(* A float getter; an int operand is coerced to float. *)
 let getf c v =
   match slot_exn c v with
   | KF i -> fun rs -> Array.unsafe_get rs.rs_fregs i
@@ -331,7 +343,7 @@ let ring_idx c v =
    so no partial-block state is observable.  Starved reads are detected
    before a block touches anything; the remainder then re-runs through
    the per-element body so the raised error (message, [Loc], which read
-   fires first) matches the interpreter exactly. *)
+   fires first) matches the per-element plan exactly. *)
 
 let batch_width = 64
 
@@ -373,7 +385,7 @@ let bind_pcol c v =
   Hashtbl.replace c.cols (Ir.Value.id v) (KP i);
   i
 
-(* Resolve a float operand, mirroring the interpreter's int coercion; a
+(* Resolve a float operand, coercing ints as [getf] does; a
    coerced int column converts through a prep step once per block. *)
 let bfsrc c preps v =
   match Hashtbl.find_opt c.cols (Ir.Value.id v) with
@@ -1094,7 +1106,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
    loop: the fallback when the body is not batchable, and the exact
    replay path when a block's input rings are starved (so the raised
    error — message, [Loc], which read fires first — matches the
-   interpreter). *)
+   per-element plan). *)
 let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
   let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
   let iv =
@@ -1149,7 +1161,7 @@ let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
           end
           else
             (* a starved block: replay the remainder per-element so the
-               error surfaces exactly like the interpreter *)
+               error surfaces exactly like the per-element plan *)
             while !i < ub do
               Array.unsafe_set ir iv_slot !i;
               for k = 0 to nscal - 1 do
@@ -1338,9 +1350,9 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
     | Ty.Memref (shape, _) ->
       let size = List.fold_left ( * ) 1 shape in
       let d = pslot c (Ir.Op.result op 0) in
-      (* executing the alloca yields a fresh zeroed array, as in the
-         interpreter; the array lives in the run state's pointer file,
-         never in the shared plan *)
+      (* executing the alloca yields a fresh zeroed array on every run;
+         the array lives in the run state's pointer file, never in the
+         shared plan *)
       Some
         (fun rs ->
           rs.rs_pbase.(d) <- Array.make size 0.0;
@@ -1408,6 +1420,43 @@ let design_ring_idx ring_index id =
   | Some i -> i
   | None -> Err.raise_error "design: unknown stream %d" id
 
+(* Row-major enumeration of the neighbourhood cube of a halo: the lane
+   order of a shift stage's vector tokens. *)
+let offsets_of_halo halo =
+  let rec go = function
+    | [] -> [ [] ]
+    | h :: rest ->
+      let tails = go rest in
+      List.concat_map
+        (fun o -> List.map (fun t -> o :: t) tails)
+        (List.init ((2 * h) + 1) (fun i -> i - h))
+  in
+  go halo
+
+(* Array geometry for the per-point stage loops: extent as an array plus
+   row-major strides, and an odometer increment so positions advance
+   without re-dividing the linear index every point. *)
+let stage_geometry extent =
+  let ext = Array.of_list extent in
+  let rank = Array.length ext in
+  let strides = Array.make rank 1 in
+  for d = rank - 2 downto 0 do
+    strides.(d) <- strides.(d + 1) * ext.(d + 1)
+  done;
+  (ext, strides, Array.fold_left ( * ) 1 ext)
+
+let odometer_incr (ext : int array) (pos : int array) =
+  let d = ref (Array.length pos - 1) in
+  let carrying = ref true in
+  while !carrying && !d >= 0 do
+    pos.(!d) <- pos.(!d) + 1;
+    if pos.(!d) = ext.(!d) then begin
+      pos.(!d) <- 0;
+      decr d
+    end
+    else carrying := false
+  done
+
 let compile_load ring_index (d : Design.t) ~out_streams ~ptr_args =
   let total = Design.total_padded d in
   let pairs =
@@ -1427,12 +1476,12 @@ let compile_load ring_index (d : Design.t) ~out_streams ~ptr_args =
       pairs
 
 let compile_shift ring_index ~input ~output ~halo ~extent =
-  let ext, strides, total = Functional.stage_geometry extent in
+  let ext, strides, total = stage_geometry extent in
   let rank = Array.length ext in
   let in_ri = design_ring_idx ring_index input in
   let out_ri = design_ring_idx ring_index output in
   let offsets =
-    Functional.offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
+    offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
   in
   let deltas =
     Array.map
@@ -1472,7 +1521,7 @@ let compile_shift ring_index ~input ~output ~halo ~extent =
            else Float.nan);
         incr ob
       done;
-      Functional.odometer_incr ext pos
+      odometer_incr ext pos
     done;
     outring.rg_len <- outring.rg_len + (total * nb_n);
     ring_drop inring total
@@ -1523,12 +1572,12 @@ let compile_dup_batched ring_index ~input ~outputs =
    strided copy with the per-point bounds checks hoisted to the row's
    halo edges (and to non-interior rows). *)
 let compile_shift_batched ring_index ~input ~output ~halo ~extent =
-  let ext, strides, total = Functional.stage_geometry extent in
+  let ext, strides, total = stage_geometry extent in
   let rank = Array.length ext in
   let in_ri = design_ring_idx ring_index input in
   let out_ri = design_ring_idx ring_index output in
   let offsets =
-    Functional.offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
+    offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
   in
   let deltas =
     Array.map
@@ -1629,7 +1678,7 @@ let compile_shift_batched ring_index ~input ~output ~halo ~extent =
     ring_drop inring total
 
 let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
-  let ext, _, total = Functional.stage_geometry extent in
+  let ext, _, total = stage_geometry extent in
   let hal = Array.of_list halo in
   let rank = Array.length ext in
   let pairs =
@@ -1649,7 +1698,7 @@ let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
           inside := false
       done;
       if !inside then acc := i :: !acc;
-      Functional.odometer_incr ext pos
+      odometer_incr ext pos
     done;
     Array.of_list (List.rev !acc)
   in
@@ -1664,8 +1713,8 @@ let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
           | _ ->
             Err.raise_error "functional sim: write_data arg is not a pointer"
         in
-        (* halo tokens are popped and discarded, exactly like the
-           interpreter: consume all [total], store the interior ones *)
+        (* halo tokens are popped and discarded: consume all [total],
+           store the interior ones *)
         ring_require ring total;
         let src = ring.rg_data and h = ring.rg_head in
         for k = 0 to n_int - 1 do
@@ -1678,9 +1727,9 @@ let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
 (* Batched write: the interior of each interior row is one contiguous
    run of linear indices, so the per-point gather becomes one
    [Array.blit] per interior row (halo tokens are discarded by the
-   final bulk drop, exactly like the interpreter's discard-pop). *)
+   final bulk drop, exactly like the per-element discard-pop). *)
 let compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent =
-  let ext, _, total = Functional.stage_geometry extent in
+  let ext, _, total = stage_geometry extent in
   let hal = Array.of_list halo in
   let rank = Array.length ext in
   let pairs =
@@ -1751,7 +1800,7 @@ let plan_id_counter = Atomic.make 0
 let compile_design ~batched (d : Design.t) : t =
   Atomic.incr compile_counter;
   (* ring descriptors: one per design stream, ascending stream id (the
-     drain check reports in that order, like the interpreter) *)
+     drain check reports in that order) *)
   let ring_descs =
     List.map
       (fun (s : Design.stream) ->
@@ -1903,16 +1952,26 @@ let compile_batched (d : Design.t) : t = compile_design ~batched:true d
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
+(* Drop every reference a run took to its arguments, so a cached state
+   never keeps the caller's grids alive after the run. *)
+let release_args rs =
+  rs.rs_args <- [||];
+  Array.fill rs.rs_pbase 0 (Array.length rs.rs_pbase) [||];
+  Array.fill rs.rs_pcols_base 0 (Array.length rs.rs_pcols_base) [||]
+
 let run_with (t : t) (rs : run_state) ~(args : Functional.value array) =
   (* a failed previous run may have left tokens queued *)
   Array.iter ring_reset rs.rs_rings;
-  t.pl_bind args rs;
-  let steps = t.pl_steps in
-  for k = 0 to Array.length steps - 1 do
-    (Array.unsafe_get steps k) rs
-  done;
+  Fun.protect
+    ~finally:(fun () -> release_args rs)
+    (fun () ->
+      t.pl_bind args rs;
+      let steps = t.pl_steps in
+      for k = 0 to Array.length steps - 1 do
+        (Array.unsafe_get steps k) rs
+      done);
   (* every stream should be fully drained: catches mis-wired designs
-     (checked in ascending stream order, like the interpreter) *)
+     (checked in ascending stream order) *)
   Array.iter
     (fun r ->
       if r.rg_len <> 0 then
@@ -1922,18 +1981,26 @@ let run_with (t : t) (rs : run_state) ~(args : Functional.value array) =
 
 (* The per-domain state cache: one run state per (domain, plan), so a
    worker reuses its allocation across every run it executes on that
-   plan, and two domains never share mutable state.  Keyed by plan
-   identity; lives exactly as long as its domain. *)
-let domain_states : (int, run_state) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+   plan, and two domains never share mutable state.  The plan is an
+   ephemeron key: a cached state lives exactly as long as its plan (and
+   its domain). *)
+module Plan_states = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash t = Hashtbl.hash t.pl_id
+end)
+
+let domain_states : run_state Plan_states.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Plan_states.create 8)
 
 let domain_state (t : t) =
   let tbl = Domain.DLS.get domain_states in
-  match Hashtbl.find_opt tbl t.pl_id with
+  match Plan_states.find_opt tbl t with
   | Some rs -> rs
   | None ->
     let rs = create_state t in
-    Hashtbl.add tbl t.pl_id rs;
+    Plan_states.add tbl t rs;
     rs
 
 let run (t : t) ~(args : Functional.value array) =

@@ -1,4 +1,8 @@
-(** Compiled functional simulation.
+(** Functional simulation of an extracted design: stages run to
+    completion in topological order over unbounded stream buffers (Kahn
+    semantics), and compute stages run the IR the compiler generated —
+    deterministic and, for correct designs, value-identical to the
+    hardware.
 
     [compile] is a one-time pre-pass over an extracted design that
     resolves every SSA value in the compute-stage IR to a dense slot in
@@ -19,9 +23,11 @@
       neighbourhood scratch. States are cheap to allocate, reusable
       across runs, but must never be shared between two domains.
 
-    The interpreter in {!Functional} remains the reference oracle: the
-    compiled simulator produces bit-identical outputs and raises the
-    same {!Err.Error}s (message and location) on mis-wired designs. *)
+    The batched plan ({!compile_batched}) is the engine the product
+    runs. The per-element plan ({!compile}) is its fallback for
+    non-batchable loops and the design-level test oracle: both produce
+    bit-identical outputs and raise the same {!Err.Error}s (message and
+    location) on mis-wired designs. *)
 
 type t
 (** An immutable compiled plan for one design. Freely shareable across
@@ -33,8 +39,8 @@ module Run_state : sig
       buffers, scratch arrays. *)
 end
 
-(** Compile a design into an immutable plan. Raises {!Err.Error} on
-    unsupported ops (same message the interpreter would raise). *)
+(** Compile a design into an immutable per-element plan. Raises
+    {!Err.Error} on unsupported ops. *)
 val compile : Design.t -> t
 
 (** Compile a design into a {e batched} plan: compute-stage loops whose
@@ -47,25 +53,28 @@ val compile : Design.t -> t
     interior plus per-point halo edges. Loops outside that subset (e.g.
     BRAM small-copy loops) keep their per-element compilation, so the
     engine is always complete. Same plan type, same state cache, same
-    {!run}/{!run_with}; bit-exact against {!compile} and the
-    interpreter, including starved-read errors ({!Loc} and firing
-    order), NaN out-of-range shifts and undrained-stream reports. *)
+    {!run}/{!run_with}; bit-exact against {!compile}, including
+    starved-read errors ({!Loc} and firing order), NaN out-of-range
+    shifts and undrained-stream reports. *)
 val compile_batched : Design.t -> t
 
 (** A fresh run state for this plan: registers seeded from the plan's
     constant pools, empty rings. O(slot count) allocation. *)
 val create_state : t -> Run_state.t
 
-(** Execute the plan in the given state; same argument convention as
-    {!Functional.run}. Output fields are written in place. The state
-    must have been created by {!create_state} on this same plan. *)
+(** Execute the plan in the given state. [args] follow the kernel's
+    argument order ({!Functional.value}); output fields are written in
+    place. The state must have been created by {!create_state} on this
+    same plan; it keeps no reference to [args] once the run returns or
+    raises. Raises {!Err.Error} on mis-wired designs (empty-stream
+    reads, undrained streams). *)
 val run_with : t -> Run_state.t -> args:Functional.value array -> unit
 
 (** [run_with] on this domain's cached state for the plan: each domain
-    lazily creates one state per plan (keyed by plan identity in
-    domain-local storage) and reuses it for every subsequent [run] on
-    that domain. Safe to call concurrently from several domains on one
-    shared plan. *)
+    lazily creates one state per plan (in domain-local storage, with the
+    plan as an ephemeron key, so the state dies with its plan) and
+    reuses it for every subsequent [run] on that domain. Safe to call
+    concurrently from several domains on one shared plan. *)
 val run : t -> args:Functional.value array -> unit
 
 val design : t -> Design.t

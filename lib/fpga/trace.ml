@@ -9,9 +9,9 @@ type t = {
 }
 
 (* Run the cycle simulator collecting one sample every [every] cycles.
-   Works under either engine: the event engine synthesises identical
-   per-cycle occupancy records for its fast-forwarded stretches. *)
-let capture ?engine ?(every = 16) (d : Design.t) =
+   Fast-forwarded stretches synthesise their per-cycle occupancy
+   records, so every cycle is sampled as if simulated one at a time. *)
+let capture ?(every = 16) (d : Design.t) =
   let streams = List.map (fun (s : Design.stream) -> s.st_id) d.d_streams in
   let index = Hashtbl.create 32 in
   List.iteri (fun i id -> Hashtbl.replace index id i) streams;
@@ -28,7 +28,7 @@ let capture ?engine ?(every = 16) (d : Design.t) =
       samples := (cycle, row) :: !samples
     end
   in
-  let result = Cycle_sim.run ?engine ~on_cycle d in
+  let result = Cycle_sim.run ~on_cycle d in
   (result, { tr_streams = streams; tr_samples = List.rev !samples })
 
 let to_csv (t : t) =

@@ -6,11 +6,8 @@ type t = {
   tr_samples : (int * int array) list;  (** cycle, occupancy per stream *)
 }
 
-(** Run the cycle simulator, sampling every [every] cycles.  [engine]
-    selects the simulation engine (default {!Cycle_sim.Event}); sampled
-    sequences are engine-independent. *)
-val capture :
-  ?engine:Cycle_sim.engine -> ?every:int -> Design.t -> Cycle_sim.result * t
+(** Run the cycle simulator, sampling every [every] cycles. *)
+val capture : ?every:int -> Design.t -> Cycle_sim.result * t
 
 val to_csv : t -> string
 val to_ascii : ?width:int -> t -> Design.t -> string

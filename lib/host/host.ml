@@ -93,7 +93,7 @@ let read_buffer (buf : buffer) (dst : Shmls_interp.Grid.t) =
 (* Enqueue the kernel with the given arguments (in kernel-argument
    order). Runs the compiled dataflow design functionally against the
    buffers and produces a profiled event timed by the analytic model. *)
-let enqueue ?(sim = Shmls.Interp) (prog : program) (args : arg list) =
+let enqueue (prog : program) (args : arg list) =
   let design = prog.prog_compiled.c_design in
   let sim_args =
     List.map
@@ -104,7 +104,7 @@ let enqueue ?(sim = Shmls.Interp) (prog : program) (args : arg list) =
       args
     |> Array.of_list
   in
-  Shmls.run_design ~sim prog.prog_compiled ~args:sim_args;
+  Shmls.run_design prog.prog_compiled ~args:sim_args;
   let est = Shmls_fpga.Perf_model.estimate_design design in
   {
     ev_kernel = prog.prog_compiled.c_kernel.k_name;

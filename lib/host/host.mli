@@ -35,10 +35,9 @@ val alloc_small_buffer : program -> axis:int -> buffer
 val write_buffer : buffer -> Shmls_interp.Grid.t -> unit
 val read_buffer : buffer -> Shmls_interp.Grid.t -> unit
 
-(** Run the kernel on explicit arguments (kernel-argument order).
-    [sim] picks the functional-simulation engine (default the
-    reference interpreter); all three are bit-identical. *)
-val enqueue : ?sim:Shmls.sim -> program -> arg list -> event
+(** Run the kernel on explicit arguments (kernel-argument order)
+    through the design's functional engine ({!Shmls.run_design}). *)
+val enqueue : program -> arg list -> event
 
 (** Allocate and fill every argument deterministically, enqueue, and
     return the event plus the named field and small-data buffers. *)

@@ -1,17 +1,16 @@
 (* First-class multi-device designs (DESIGN.md section 16).
 
-   Promotes the slab decomposition of {!Partition} from a host-side
-   trick into a plan the rest of the stack can reason about: one
-   compiled design per slab shape, explicit halo-exchange streams
-   between neighbouring devices, and host-level Jacobi time-stepping
-   ([mp_sweeps] kernel applications with feedback + halo exchange
-   between consecutive sweeps).
+   The slab decomposition as a plan the rest of the stack can reason
+   about: one compiled design per slab shape, explicit halo-exchange
+   streams between neighbouring devices, and host-level Jacobi
+   time-stepping ([mp_sweeps] kernel applications with feedback + halo
+   exchange between consecutive sweeps).
 
    Correctness argument (the induction the tests enforce bit-exactly):
    at every sweep start each slab's padded memory mirrors the global
    memory of the single-device reference on the slab's padded region.
    Seeding establishes it; a design run preserves it on interiors
-   (the single-sweep slab property {!Partition} already relied on);
+   (a slab's interior only reads within its halo-padded region);
    the feedback copy is applied identically on both sides; and the
    exchange then refreshes every dim-0 halo plane that lies inside the
    global interior from the owning neighbour's freshly-computed
@@ -212,7 +211,7 @@ type run_result = {
   rr_exchanged_bytes : int;
 }
 
-let run ?(seed = 7) ?(sim = Shmls.Interp) ?(params = []) (p : plan) =
+let run ?(seed = 7) ?(params = []) (p : plan) =
   let kernel = p.mp_kernel in
   let global_c =
     Shmls.compile_cached ~variant:p.mp_variant kernel ~grid:p.mp_grid
@@ -326,7 +325,7 @@ let run ?(seed = 7) ?(sim = Shmls.Interp) ?(params = []) (p : plan) =
   let events = ref [] in
   for sweep = 1 to p.mp_sweeps do
     Array.iter
-      (fun (prog, _, args) -> events := Host.enqueue ~sim prog args :: !events)
+      (fun (prog, _, args) -> events := Host.enqueue prog args :: !events)
       devices;
     if sweep < p.mp_sweeps then begin
       feedback ();
@@ -384,9 +383,8 @@ let reference ?(seed = 7) ?(params = []) (p : plan) =
   done;
   st
 
-let verify_vs_reference ?(seed = 7) ?(sim = Shmls.Interp) ?(params = [])
-    (p : plan) =
-  let result = run ~seed ~sim ~params p in
+let verify_vs_reference ?(seed = 7) ?(params = []) (p : plan) =
+  let result = run ~seed ~params p in
   let st = reference ~seed ~params p in
   let interior =
     Shmls.Ty.make_bounds
@@ -408,8 +406,8 @@ let verify_vs_reference ?(seed = 7) ?(sim = Shmls.Interp) ?(params = [])
 (* ------------------------------------------------------------------ *)
 (* Cycle-level estimates *)
 
-let estimate ?engine (p : plan) =
-  Cycle_sim.run_multi ?engine ~sweeps:p.mp_sweeps ~link:p.mp_link
+let estimate (p : plan) =
+  Cycle_sim.run_multi ~sweeps:p.mp_sweeps ~link:p.mp_link
     (List.map
        (fun sl -> (sl.sl_compiled.Shmls.c_design, recv_bytes_per_phase sl))
        p.mp_slabs)

@@ -12,7 +12,7 @@
     old-state buffers — the classic ping-pong swap), after which the
     slabs exchange dim-0 halo planes so every device's memory again
     mirrors the global state.  With one sweep no exchange is needed
-    beyond the initial seeding (what {!Partition} has always done). *)
+    beyond the initial seeding. *)
 
 module Link = Shmls_fpga.Link
 
@@ -90,12 +90,10 @@ type run_result = {
 (** Run the plan functionally: each slab on its own simulated device
     (HBM accounted per device), seeded from the global initial state,
     [mp_sweeps] runs with feedback + halo exchange between consecutive
-    sweeps, interiors gathered back at the end.  [sim] picks the
-    functional engine for every slab run; [params] overrides the
-    deterministic default parameter values by name. *)
+    sweeps, interiors gathered back at the end.  [params] overrides
+    the deterministic default parameter values by name. *)
 val run :
   ?seed:int ->
-  ?sim:Shmls.sim ->
   ?params:(string * float) list ->
   plan ->
   run_result
@@ -113,7 +111,6 @@ val reference :
     on the global interior — the multi-device bit-exactness oracle. *)
 val verify_vs_reference :
   ?seed:int ->
-  ?sim:Shmls.sim ->
   ?params:(string * float) list ->
   plan ->
   Shmls.verification
@@ -122,7 +119,6 @@ val verify_vs_reference :
     through {!Shmls_fpga.Cycle_sim.run_multi} with its recv bytes,
     [mp_sweeps] sweeps and the plan's link. *)
 val estimate :
-  ?engine:Shmls_fpga.Cycle_sim.engine ->
   plan ->
   Shmls_fpga.Cycle_sim.multi_result
 

@@ -406,15 +406,16 @@ let free_values (df : Ir.op) =
         (Ir.Op.operands o));
   List.rev !free
 
-let stage_counter = Idgen.create ()
-
-let emit_dataflow_stage (m : Ll.modul) ~kernel_name (df : Ir.op) outer_st =
+(* [stages] numbers the outlined stage functions of one LLVM module, so
+   the names depend only on the module being emitted. *)
+let emit_dataflow_stage (m : Ll.modul) ~stages ~kernel_name (df : Ir.op)
+    outer_st =
   let stage_name = Hls.dataflow_stage df in
   let clean =
     String.map (fun c -> if c = ':' then '_' else c) stage_name
   in
   let fname =
-    Printf.sprintf "%s__%s_%d" kernel_name clean (Idgen.fresh stage_counter)
+    Printf.sprintf "%s__%s_%d" kernel_name clean (Idgen.fresh stages)
   in
   let frees = free_values df in
   let args =
@@ -451,7 +452,7 @@ let emit_dataflow_stage (m : Ll.modul) ~kernel_name (df : Ir.op) outer_st =
 
 (* ------------------------------------------------------------------ *)
 
-let emit_kernel (m : Ll.modul) (func : Ir.op) =
+let emit_kernel (m : Ll.modul) ~stages (func : Ir.op) =
   let name = Func.sym_name func in
   let body = Ir.Region.entry (List.hd (Ir.Op.regions func)) in
   let args =
@@ -484,7 +485,7 @@ let emit_kernel (m : Ll.modul) (func : Ir.op) =
         let bundle = Attr.str_exn (Ir.Op.get_attr_exn op "bundle") in
         let bank = Attr.int_exn (Ir.Op.get_attr_exn op "hbm_bank") in
         emit_marker st (marker_interface ~bundle ~bank)
-      | "hls.dataflow" -> emit_dataflow_stage m ~kernel_name:name op st
+      | "hls.dataflow" -> emit_dataflow_stage m ~stages ~kernel_name:name op st
       | "func.return" -> Ll.emit st.block (Ll.Ret (Ll.Void, None))
       | _ -> emit_op st op)
     (Ir.Block.ops body);
@@ -493,10 +494,11 @@ let emit_kernel (m : Ll.modul) (func : Ir.op) =
 (* Emit every HLS kernel function of a module into one LLVM module. *)
 let emit_module (ir_module : Ir.op) =
   let m = Ll.create_module () in
+  let stages = Idgen.create () in
   List.iter
     (fun f ->
       match Ir.Op.get_attr f "hls_kernel" with
-      | Some (Attr.Bool true) -> ignore (emit_kernel m f)
+      | Some (Attr.Bool true) -> ignore (emit_kernel m ~stages f)
       | _ -> ())
     (Ir.Module_.funcs ir_module);
   m

@@ -13,8 +13,7 @@ val marker_dataflow : string
 val marker_interface : bundle:string -> bank:int -> string
 val set_stream_depth : string
 
-(** Emit one kernel function into the LLVM module. *)
-val emit_kernel : Ll.modul -> Ir.op -> Ll.func
-
-(** Emit every function tagged [hls_kernel]. *)
+(** Emit every function tagged [hls_kernel]. Outlined stage functions
+    are numbered from 0 in module order, so the text depends only on the
+    input module, not on what the process emitted before. *)
 val emit_module : Ir.op -> Ll.modul

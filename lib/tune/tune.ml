@@ -22,10 +22,9 @@
    evaluated at [~cu:1]); points diverging beyond the tolerance are
    flagged, not hidden.  [~validate] narrows the scope back to
    [Frontier] or the [Top n] points; the frontier is always validated
-   regardless.  Each validation row records which cycle-sim engine
-   measured it, plus the fill/steady cross-check of
-   {!Perf_model.check_fill_steady} when a steady-state period was
-   detected.
+   regardless.  Each validation row records the fill/steady
+   cross-check of {!Perf_model.check_fill_steady} when a steady-state
+   period was detected.
 
    Search state is a resumable JSON Lines file: one content-keyed row
    per evaluated point and per validated frontier point, appended in
@@ -58,7 +57,6 @@ type validation = {
   va_model_cycles : float;  (** stack at [~cu:1] *)
   va_measured_cycles : int;  (** {!Cycle_sim} *)
   va_divergence : float;  (** |model - measured| / measured *)
-  va_engine : string;  (** cycle-sim engine that measured the point *)
   va_fill_divergence : float option;
       (** {!Perf_model.check_fill_steady}: |model fill - measured fill|
           over total measured cycles, when a steady period was seen *)
@@ -184,7 +182,6 @@ let validation_row ~kernel key (p : point) (v : validation) =
        ("model_cycles", Jsonl.Float v.va_model_cycles);
        ("measured_cycles", Jsonl.Int v.va_measured_cycles);
        ("divergence", Jsonl.Float v.va_divergence);
-       ("engine", Jsonl.Str v.va_engine);
      ]
     @ (match v.va_fill_divergence with
       | None -> []
@@ -232,9 +229,8 @@ let validation_of_row line =
     va_model_cycles = f "model_cycles";
     va_measured_cycles = req "measured_cycles" (Jsonl.find_int line "measured_cycles");
     va_divergence = f "divergence";
-    (* rows predating the event engine carry no engine tag; they were
-       measured by the tick loop, then the only engine *)
-    va_engine = Option.value (Jsonl.find_string line "engine") ~default:"tick";
+    (* rows written before the cycle simulator had a single engine also
+       carry an "engine" key; it is ignored *)
     va_fill_divergence = Jsonl.find_float line "fill_divergence";
     va_flagged = req "flagged" (Jsonl.find_bool line "flagged");
   }
@@ -466,10 +462,10 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
               (Cost.evaluate ~cu:1 (models_for e.ev_point c) c.Shmls.c_design)
                 .Cost.cycles
             in
-            let max_diff, measured, engine, deadlocked, fill_divergence =
+            let max_diff, measured, deadlocked, fill_divergence =
               match plan with
               | None ->
-                let verification = Shmls.verify ~sim:Shmls.Batched c in
+                let verification = Shmls.verify c in
                 let cs = Shmls_fpga.Cycle_sim.run c.Shmls.c_design in
                 let fill_divergence =
                   Option.map
@@ -479,8 +475,6 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
                 in
                 ( verification.Shmls.v_max_diff,
                   cs.Shmls_fpga.Cycle_sim.cycles,
-                  Shmls_fpga.Cycle_sim.engine_to_string
-                    cs.Shmls_fpga.Cycle_sim.engine,
                   cs.Shmls_fpga.Cycle_sim.deadlocked,
                   fill_divergence )
               | Some plan ->
@@ -489,22 +483,12 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
                    charge — the measured side of the model's own
                    slab + link prediction *)
                 let verification =
-                  Shmls_host.Multi_device.verify_vs_reference
-                    ~sim:Shmls.Batched plan
+                  Shmls_host.Multi_device.verify_vs_reference plan
                 in
                 let mr = Shmls_host.Multi_device.estimate plan in
-                let lane_engine =
-                  match mr.Shmls_fpga.Cycle_sim.mr_lanes with
-                  | lane :: _ ->
-                    Shmls_fpga.Cycle_sim.engine_to_string
-                      lane.Shmls_fpga.Cycle_sim.dl_result
-                        .Shmls_fpga.Cycle_sim.engine
-                  | [] -> "event"
-                in
                 ( verification.Shmls.v_max_diff,
                   int_of_float
                     (Float.round mr.Shmls_fpga.Cycle_sim.mr_cycles),
-                  lane_engine,
                   mr.Shmls_fpga.Cycle_sim.mr_deadlocked,
                   None )
             in
@@ -528,7 +512,6 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
                 va_model_cycles = model_cycles;
                 va_measured_cycles = measured;
                 va_divergence = divergence;
-                va_engine = engine;
                 va_fill_divergence = fill_divergence;
                 va_flagged =
                   divergence > divergence_tolerance || fill_flagged;

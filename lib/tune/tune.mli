@@ -34,9 +34,6 @@ type validation = {
   va_model_cycles : float;  (** cost-model stack evaluated at [~cu:1] *)
   va_measured_cycles : int;  (** {!Shmls_fpga.Cycle_sim} *)
   va_divergence : float;  (** |model - measured| / measured *)
-  va_engine : string;
-      (** cycle-sim engine that measured the point ("tick" | "event";
-          resumed rows predating the tag read back as "tick") *)
   va_fill_divergence : float option;
       (** {!Shmls_fpga.Perf_model.check_fill_steady}: the model's fill
           estimate vs the fill implied by the detected steady-state

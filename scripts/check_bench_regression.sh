@@ -93,8 +93,8 @@ val () { # val <file> <row-name> -> ns (empty if absent)
     }' "$1"
 }
 
-jobs1=$(val "$NEW" "shmls/sweep_verify_compiled_jobs1")
-jobsN=$(val "$NEW" "shmls/sweep_verify_compiled_jobsN")
+jobs1=$(val "$NEW" "shmls/sweep_verify_batched_jobs1")
+jobsN=$(val "$NEW" "shmls/sweep_verify_batched_jobsN")
 domains=$(val "$NEW" "domains_available")
 
 if [[ -n $jobs1 && -n $jobsN && -n $domains ]]; then
@@ -118,39 +118,6 @@ if [[ -n $jobs1 && -n $jobsN && -n $domains ]]; then
   fi
 else
   echo "sweep-scaling gate: rows missing from $NEW, skipped" >&2
-fi
-
-# ------------------------------------------------------------------
-# Batched-engine gate (within the NEW run, same machine): the
-# whole-stream batched simulator must never be slower than the
-# per-element compiled engine beyond BATCHED_TOLERANCE.  Compared on
-# the full PW pipeline rows when the full suite ran, else the small
-# smoke rows.
-BATCHED_TOLERANCE=${BATCHED_TOLERANCE:-1.05}
-
-bcomp=$(val "$NEW" "shmls/pipeline_functional_sim_compiled")
-bbat=$(val "$NEW" "shmls/pipeline_functional_sim_batched")
-brows="pipeline_functional_sim"
-if [[ -z $bcomp || -z $bbat ]]; then
-  bcomp=$(val "$NEW" "shmls/functional_sim_compiled_small")
-  bbat=$(val "$NEW" "shmls/functional_sim_batched_small")
-  brows="functional_sim_small"
-fi
-
-if [[ -n $bcomp && -n $bbat ]]; then
-  ratio=$(awk -v c="$bcomp" -v b="$bbat" 'BEGIN { printf "%.2f", c / b }')
-  if awk -v c="$bcomp" -v b="$bbat" -v t="$BATCHED_TOLERANCE" \
-      'BEGIN { exit !(b > c * t) }'; then
-    echo "BATCHED-ENGINE REGRESSION: batched ${bbat} ns vs compiled" \
-      "${bcomp} ns on ${brows} (batched slower beyond" \
-      "${BATCHED_TOLERANCE}x)" >&2
-    status=1
-  else
-    echo "batched-engine gate: compiled/batched = ${ratio}x on ${brows}" \
-      "(tolerance ${BATCHED_TOLERANCE}x)"
-  fi
-else
-  echo "batched-engine gate: rows missing from $NEW, skipped" >&2
 fi
 
 # ------------------------------------------------------------------
@@ -190,58 +157,5 @@ for slabs in 1 2 4; do
       "skipped" >&2
   fi
 done
-
-# ------------------------------------------------------------------
-# Cycle-sim engine gate: the event-driven engine with steady-state
-# fast-forward must stay at least CYCLE_MIN_SPEEDUP times faster than
-# the per-cycle tick oracle on the same design (PW 24x16x8).  Checked
-# within the NEW run (same machine) and on the committed baseline.
-CYCLE_MIN_SPEEDUP=${CYCLE_MIN_SPEEDUP:-5}
-
-check_cycle_speedup () { # <file> <label>
-  local tick event ratio
-  tick=$(val "$1" "shmls/pipeline_cycle_sim")
-  event=$(val "$1" "shmls/pipeline_cycle_sim_event")
-  if [[ -n $tick && -n $event ]]; then
-    ratio=$(awk -v t="$tick" -v e="$event" 'BEGIN { printf "%.2f", t / e }')
-    if awk -v t="$tick" -v e="$event" -v m="$CYCLE_MIN_SPEEDUP" \
-        'BEGIN { exit !(t < e * m) }'; then
-      echo "CYCLE-SIM SPEEDUP SHORTFALL: $2 tick/event = ${ratio}x" \
-        "< ${CYCLE_MIN_SPEEDUP}x on pipeline_cycle_sim" >&2
-      status=1
-    else
-      echo "cycle-sim gate: $2 tick/event = ${ratio}x" \
-        "(>= ${CYCLE_MIN_SPEEDUP}x)"
-    fi
-  else
-    echo "cycle-sim gate: rows missing from $1, skipped" >&2
-  fi
-}
-
-check_cycle_speedup "$NEW" "new run"
-check_cycle_speedup "$BASELINE" "baseline"
-
-# Acceptance ratio on the committed full-suite baseline: the batched
-# engine's headline speedup over the compiled engine on the PW
-# pipeline rows must hold at BATCHED_MIN_SPEEDUP.
-BATCHED_MIN_SPEEDUP=${BATCHED_MIN_SPEEDUP:-3.0}
-
-fcomp=$(val "$BASELINE" "shmls/pipeline_functional_sim_compiled")
-fbat=$(val "$BASELINE" "shmls/pipeline_functional_sim_batched")
-if [[ -n $fcomp && -n $fbat ]]; then
-  ratio=$(awk -v c="$fcomp" -v b="$fbat" 'BEGIN { printf "%.2f", c / b }')
-  if awk -v c="$fcomp" -v b="$fbat" -v t="$BATCHED_MIN_SPEEDUP" \
-      'BEGIN { exit !(c < b * t) }'; then
-    echo "BATCHED-SPEEDUP SHORTFALL: baseline compiled/batched =" \
-      "${ratio}x < ${BATCHED_MIN_SPEEDUP}x on pipeline_functional_sim" >&2
-    status=1
-  else
-    echo "batched-speedup gate: baseline compiled/batched = ${ratio}x" \
-      "(>= ${BATCHED_MIN_SPEEDUP}x)"
-  fi
-else
-  echo "batched-speedup gate: full pipeline rows missing from $BASELINE," \
-    "skipped" >&2
-fi
 
 exit $status

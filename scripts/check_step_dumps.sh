@@ -20,19 +20,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Tolerate (and ignore) the simulator-selection flags so callers can pass
-# one global flag set to every tool: the dumps here are IR-only and never
-# run a simulation, so --sim/--jobs cannot affect the digests.
+# Tolerate (and ignore) --jobs so callers can pass one global flag set to
+# every tool: the dumps here are IR-only, so --jobs cannot affect the
+# digests.
 UPDATE=0
 args=("$@")
 i=0
 while [[ $i -lt ${#args[@]} ]]; do
   case "${args[$i]}" in
     --update) UPDATE=1 ;;
-    --sim|--jobs|-j) i=$((i + 1)) ;; # consume the flag's value too
-    --sim=*|--jobs=*|-j[0-9]*) ;;
+    --jobs|-j) i=$((i + 1)) ;; # consume the flag's value too
+    --jobs=*|-j[0-9]*) ;;
     *)
-      echo "usage: $0 [--update] (--sim/--jobs are accepted and ignored)" >&2
+      echo "usage: $0 [--update] (--jobs is accepted and ignored)" >&2
       exit 2
       ;;
   esac

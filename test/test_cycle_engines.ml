@@ -1,5 +1,6 @@
 (* Differential suite: the event-driven cycle simulator must be
-   bit-exact against the legacy tick oracle — total cycles, deadlock
+   bit-exact against the per-cycle tick oracle ({!Test_common.Tick_oracle},
+   every stage fired every cycle) — total cycles, deadlock
    verdicts, per-stage progress, final FIFO occupancy, and the full
    tracer-visible occupancy sequence (fast-forwarded cycles synthesise
    their per-cycle records) — across both paper kernels, every ablation
@@ -12,15 +13,18 @@ module F = Shmls_fpga
 module Cs = F.Cycle_sim
 
 let run_both ?(trace = false) (d : F.Design.t) =
-  let capture engine =
+  let capture
+      (run :
+        ?on_cycle:(int -> (int * int) list -> unit) -> F.Design.t -> Cs.result)
+      =
     if trace then begin
       let log = ref [] in
-      let r = Cs.run ~engine ~on_cycle:(fun c occs -> log := (c, occs) :: !log) d in
+      let r = run ~on_cycle:(fun c occs -> log := (c, occs) :: !log) d in
       (r, List.rev !log)
     end
-    else (Cs.run ~engine d, [])
+    else (run d, [])
   in
-  (capture Cs.Tick, capture Cs.Event)
+  (capture Test_common.Tick_oracle.run, capture Cs.run)
 
 let check_same ?(trace = false) name (d : F.Design.t) =
   let (t, tlog), (e, elog) = run_both ~trace d in
@@ -106,7 +110,7 @@ let test_steady_state_detected () =
   List.iter
     (fun (k, grid) ->
       let c = Shmls.compile_cached k ~grid in
-      let r = Cs.run ~engine:Cs.Event c.c_design in
+      let r = Cs.run c.c_design in
       Alcotest.(check bool) (k.Shmls.Ast.k_name ^ ": not deadlocked") false
         r.deadlocked;
       (match r.ss_period with
@@ -135,7 +139,7 @@ let test_fill_steady_check () =
   List.iter
     (fun (k, grid) ->
       let c = Shmls.compile_cached k ~grid in
-      let r = Cs.run ~engine:Cs.Event c.c_design in
+      let r = Cs.run c.c_design in
       match F.Perf_model.check_fill_steady c.c_design r with
       | None ->
         Alcotest.failf "%s: no fill/steady cross-check (period undetected)"

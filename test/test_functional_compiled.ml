@@ -1,8 +1,10 @@
-(* Differential tests for the compiled functional simulators: both the
-   per-element and the whole-stream batched plans of {!Stage_compiler}
-   must be bit-for-bit identical to the reference IR interpreter in
-   {!Functional} — outputs on every kernel of the suites and the zoo,
-   and error behaviour (message *and* location) on mis-wired designs. *)
+(* Differential tests for the functional simulator: the whole-stream
+   batched plan of {!Stage_compiler} (the engine the product runs) must
+   be bit-for-bit identical to the per-element plan (the design-level
+   oracle) on full padded arrays, and both must match the reference
+   stencil interpreter — outputs on every kernel of the suites and the
+   zoo, and error behaviour (message *and* location) on mis-wired
+   designs. *)
 
 let () = Shmls_dialects.Register.all ()
 
@@ -20,41 +22,62 @@ let args_of_state (st : Interp.kernel_state) =
   @ List.map (fun (_, v) -> Functional.F v) st.params
   |> Array.of_list
 
-(* Run the interpreter, the compiled plan and the batched plan on
-   identical fresh inputs; compare every float of every field and small,
-   bit for bit (full padded arrays, halos included — NaNs compare equal
-   by bits). *)
+(* Run [plan] on fresh inputs for [c]; the state holds the outputs. *)
+let run_plan ?(seed = 7) (c : Shmls.compiled) plan =
+  let st = Interp.alloc_state ~seed c.c_lowered in
+  Stage_compiler.run plan ~args:(args_of_state st);
+  st
+
+(* The per-element plan against the reference interpreter, as
+   [Shmls.verify] checks the batched plan: max |diff| over the output
+   fields' interiors. *)
+let verify_per_element ?(seed = 7) (c : Shmls.compiled) =
+  let ref_state = Interp.run_lowered ~seed c.c_lowered in
+  let st = run_plan ~seed c (Lazy.force c.c_plan) in
+  let interior =
+    Shmls.Ty.make_bounds ~lb:(List.map (fun _ -> 0) c.c_grid) ~ub:c.c_grid
+  in
+  List.fold_left
+    (fun acc (fd : Shmls.Ast.field_decl) ->
+      if fd.fd_role = Shmls.Ast.Input then acc
+      else
+        Float.max acc
+          (Grid.max_abs_diff_on interior
+             (List.assoc fd.fd_name ref_state.fields)
+             (List.assoc fd.fd_name st.fields)))
+    0.0 c.c_kernel.k_fields
+
+(* Run the per-element and the batched plan on identical fresh inputs;
+   compare every float of every field and small, bit for bit (full
+   padded arrays, halos included — NaNs compare equal by bits).  The
+   batched plan is then verified against the reference interpreter, so
+   both plans match it on the interior. *)
 let check_bit_identical ?(seed = 7) ?variant (k : Shmls.Ast.kernel) ~grid =
   let c = Shmls.compile_cached ?variant k ~grid in
-  let a = Interp.alloc_state ~seed c.c_lowered in
-  Functional.run c.c_design ~args:(args_of_state a);
-  let check_against engine (b : Interp.kernel_state) =
-    let check_arrays what (xs : (string * Grid.t) list)
-        (ys : (string * Grid.t) list) =
-      List.iter2
-        (fun (na, ga) (nb, gb) ->
-          Alcotest.(check string) "same field order" na nb;
-          let da = ga.Grid.data and db = gb.Grid.data in
-          Alcotest.(check int)
-            (Printf.sprintf "%s %s/%s: same length" k.k_name what na)
-            (Array.length da) (Array.length db);
-          Array.iteri
-            (fun i x ->
-              if Int64.bits_of_float x <> Int64.bits_of_float db.(i) then
-                Alcotest.failf "%s %s %s[%d]: interp %h <> %s %h" k.k_name
-                  what na i x engine db.(i))
-            da)
-        xs ys
-    in
-    check_arrays "field" a.fields b.fields;
-    check_arrays "small" a.smalls b.smalls
+  let a = run_plan ~seed c (Lazy.force c.c_plan) in
+  let b = run_plan ~seed c (Lazy.force c.c_plan_batched) in
+  let check_arrays what (xs : (string * Grid.t) list)
+      (ys : (string * Grid.t) list) =
+    List.iter2
+      (fun (na, ga) (nb, gb) ->
+        Alcotest.(check string) "same field order" na nb;
+        let da = ga.Grid.data and db = gb.Grid.data in
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s/%s: same length" k.k_name what na)
+          (Array.length da) (Array.length db);
+        Array.iteri
+          (fun i x ->
+            if Int64.bits_of_float x <> Int64.bits_of_float db.(i) then
+              Alcotest.failf "%s %s %s[%d]: per-element %h <> batched %h"
+                k.k_name what na i x db.(i))
+          da)
+      xs ys
   in
-  let b = Interp.alloc_state ~seed c.c_lowered in
-  Stage_compiler.run (Lazy.force c.c_plan) ~args:(args_of_state b);
-  check_against "compiled" b;
-  let bb = Interp.alloc_state ~seed c.c_lowered in
-  Stage_compiler.run (Lazy.force c.c_plan_batched) ~args:(args_of_state bb);
-  check_against "batched" bb
+  check_arrays "field" a.fields b.fields;
+  check_arrays "small" a.smalls b.smalls;
+  Alcotest.(check (float 0.0))
+    (k.k_name ^ ": batched plan vs reference interpreter")
+    0.0 (Shmls.verify ~seed c).v_max_diff
 
 let test_suite_kernels_bit_identical () =
   List.iter
@@ -81,25 +104,23 @@ let qcheck_random_kernels_bit_identical =
         check_bit_identical ~seed k ~grid:(H.small_grid k.k_rank);
         true)
 
-(* The verify entry point itself, through all three engines. *)
-let test_verify_compiled_matches_interp () =
+(* Both plans against the reference interpreter: the verify entry point
+   (batched) and the same comparison on the per-element plan. *)
+let test_verify_both_plans () =
   List.iter
     (fun (k, grid) ->
       let c = Shmls.compile_cached k ~grid in
-      let vi = Shmls.verify ~sim:Shmls.Interp c in
-      let vc = Shmls.verify ~sim:Shmls.Compiled c in
-      let vb = Shmls.verify ~sim:Shmls.Batched c in
-      Alcotest.(check (float 0.0)) "interp bit-exact" 0.0 vi.v_max_diff;
-      Alcotest.(check (float 0.0)) "compiled bit-exact" 0.0 vc.v_max_diff;
-      Alcotest.(check (float 0.0)) "batched bit-exact" 0.0 vb.v_max_diff)
+      Alcotest.(check (float 0.0)) "batched bit-exact" 0.0
+        (Shmls.verify c).v_max_diff;
+      Alcotest.(check (float 0.0)) "per-element bit-exact" 0.0
+        (verify_per_element c))
     H.all_test_kernels
 
 (* -- pipeline variants ------------------------------------------------ *)
 
 (* The ablated pipelines (no-split / no-pack / cu=N) are real designs:
    every variant must stay bit-exact against the reference stencil
-   interpreter through *both* functional engines, on both paper
-   kernels.  On failure the variant is named so the diverging pipeline
+   interpreter through *both* plans, on both paper kernels.  On failure the variant is named so the diverging pipeline
    is identifiable without re-running. *)
 
 let variant_kernels =
@@ -115,21 +136,13 @@ let test_variants_bit_exact () =
       List.iter
         (fun (k, grid) ->
           let c = Shmls.compile_cached ~variant k ~grid in
-          let vi = Shmls.verify ~sim:Shmls.Interp c in
-          let vc = Shmls.verify ~sim:Shmls.Compiled c in
-          let vb = Shmls.verify ~sim:Shmls.Batched c in
+          let name = Shmls.Variant.to_string variant in
           Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s{%s} interp bit-exact" k.k_name
-               (Shmls.Variant.to_string variant))
-            0.0 vi.v_max_diff;
+            (Printf.sprintf "%s{%s} batched bit-exact" k.k_name name)
+            0.0 (Shmls.verify c).v_max_diff;
           Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s{%s} compiled bit-exact" k.k_name
-               (Shmls.Variant.to_string variant))
-            0.0 vc.v_max_diff;
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s{%s} batched bit-exact" k.k_name
-               (Shmls.Variant.to_string variant))
-            0.0 vb.v_max_diff)
+            (Printf.sprintf "%s{%s} per-element bit-exact" k.k_name name)
+            0.0 (verify_per_element c))
         variant_kernels)
     Shmls.Variant.ablation_set
 
@@ -224,47 +237,37 @@ let run_expect_error what run =
   | () -> Alcotest.failf "%s: expected an error" what
   | exception Shmls.Err.Error e -> e
 
-(* Every engine must report the same diagnostic (message and location)
-   when a design is mis-wired — the batched engine through its
-   per-element replay path. *)
-let check_error_parity what (d : Shmls.Design.t) ~args_of =
-  let ei = run_expect_error (what ^ " (interp)") (fun () ->
-      Functional.run d ~args:(args_of ())) in
-  let check_engine engine compile =
-    let e =
-      run_expect_error
-        (Printf.sprintf "%s (%s)" what engine)
-        (fun () ->
-          let plan = compile d in
-          Stage_compiler.run plan ~args:(args_of ()))
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "%s: same message (%s)" what engine)
-      ei.Shmls_support.Diagnostic.d_message e.Shmls_support.Diagnostic.d_message;
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: same location (%s)" what engine)
-      true
-      (ei.Shmls_support.Diagnostic.d_loc = e.Shmls_support.Diagnostic.d_loc)
-  in
-  check_engine "compiled" Stage_compiler.compile;
-  check_engine "batched" Stage_compiler.compile_batched
+(* A mis-wired design must fail with exactly [message] at [loc] on the
+   batched plan (through its per-element replay path) and on the
+   per-element plan alike. *)
+let check_error_parity what (d : Shmls.Design.t) ~args_of ~message ~loc =
+  List.iter
+    (fun (plan, compile) ->
+      let e =
+        run_expect_error
+          (Printf.sprintf "%s (%s)" what plan)
+          (fun () -> Stage_compiler.run (compile d) ~args:(args_of ()))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: message (%s)" what plan)
+        message e.Shmls_support.Diagnostic.d_message;
+      Alcotest.(check string)
+        (Printf.sprintf "%s: location (%s)" what plan)
+        (Shmls_support.Loc.to_string loc)
+        (Shmls_support.Loc.to_string e.Shmls_support.Diagnostic.d_loc))
+    [
+      ("batched", Stage_compiler.compile_batched);
+      ("per-element", Stage_compiler.compile);
+    ]
 
 let test_starved_read_parity () =
-  (* dropping the load stage starves the first read: the diagnostic is
-     anchored at the hls.read op in both engines.  The kernel carries a
-     real stencil location so the anchor is a *known* position. *)
-  let loc = Shmls_support.Loc.file ~file:"avg.psy" ~line:3 ~col:5 in
-  let k =
-    {
-      H.avg_1d with
-      Shmls_frontend.Ast.k_name = "avg_1d_located";
-      k_stencils =
-        List.map
-          (fun (s : Shmls_frontend.Ast.stencil_def) -> { s with sd_loc = loc })
-          H.avg_1d.k_stencils;
-    }
+  (* dropping the load and shift stages starves the first read: the
+     diagnostic is anchored at the compute stage's hls.read op, which
+     step 4 (hls-split-dataflow) creates *)
+  let loc =
+    Shmls_support.Loc.derived "hls-split-dataflow" Shmls_support.Loc.unknown
   in
-  let c = Shmls.compile_cached k ~grid:[ 16 ] in
+  let c = Shmls.compile_cached H.avg_1d ~grid:[ 16 ] in
   let d = c.c_design in
   let broken =
     (* keep only compute and write stages: the compute's own hls.read is
@@ -281,15 +284,8 @@ let test_starved_read_parity () =
     }
   in
   let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
-  let e =
-    run_expect_error "starved read" (fun () ->
-        Functional.run broken ~args:(args_of ()))
-  in
-  Alcotest.(check string) "message" "functional sim: read from empty stream"
-    e.Shmls_support.Diagnostic.d_message;
-  Alcotest.(check bool) "read location is known" true
-    (e.Shmls_support.Diagnostic.d_loc <> Shmls_support.Loc.unknown);
   check_error_parity "starved read" broken ~args_of
+    ~message:"functional sim: read from empty stream" ~loc
 
 let test_undrained_stream_parity () =
   (* dropping the write stage leaves its input stream full *)
@@ -306,35 +302,34 @@ let test_undrained_stream_parity () =
     }
   in
   let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
-  let e =
-    run_expect_error "undrained" (fun () ->
-        Functional.run broken ~args:(args_of ()))
+  (* the write stage's input stream keeps every padded point: 16 + 2 *)
+  let stream =
+    List.find_map
+      (fun s ->
+        match s with
+        | Shmls.Design.Write w -> Some (List.hd w.in_streams)
+        | _ -> None)
+      d.d_stages
+    |> Option.get
   in
-  let contains s sub =
-    let n = String.length sub in
-    let ok = ref false in
-    for i = 0 to String.length s - n do
-      if String.sub s i n = sub then ok := true
-    done;
-    !ok
-  in
-  Alcotest.(check bool) "mentions undrained tokens" true
-    (contains e.Shmls_support.Diagnostic.d_message "undrained");
   check_error_parity "undrained stream" broken ~args_of
+    ~message:
+      (Printf.sprintf "functional sim: stream %d left 18 undrained tokens"
+         stream)
+    ~loc:Shmls_support.Loc.unknown
 
 (* -- parallel sweeps and shared plans -------------------------------- *)
 
 (* One immutable plan, driven concurrently from several domains with
    independent run states: every run must stay bit-exact against the
-   interpreter oracle.  This is the core contract of the plan/run-state
+   per-element oracle.  This is the core contract of the plan/run-state
    split — the old representation carried mutable state inside the plan
    and would corrupt itself here. *)
 let test_shared_plan_across_domains () =
   let k = H.chain_3d and grid = [ 10; 8; 6 ] in
   let c = Shmls.compile_cached k ~grid in
-  let plan = Lazy.force c.c_plan in
-  let oracle = Interp.alloc_state ~seed:7 c.c_lowered in
-  Functional.run c.c_design ~args:(args_of_state oracle);
+  let plan = Lazy.force c.c_plan_batched in
+  let oracle = run_plan c (Lazy.force c.c_plan) in
   (* states allocated in the parent: each spawned domain gets its own
      disjoint set of argument arrays but shares the one plan *)
   let n_domains = 4 and runs_per_domain = 3 in
@@ -388,22 +383,16 @@ let sweep_parity_configs =
 
 let qcheck_parallel_sweep_identical =
   H.qtest ~count:15 "parallel sweep = sequential sweep for any jobs/chunk"
-    QCheck2.Gen.(triple (int_range 2 5) (int_range 1 7) (int_range 0 2))
-    (fun (jobs, chunk, which_sim) ->
-      let sim =
-        match which_sim with
-        | 0 -> Shmls.Interp
-        | 1 -> Shmls.Compiled
-        | _ -> Shmls.Batched
-      in
+    QCheck2.Gen.(pair (int_range 2 5) (int_range 1 7))
+    (fun (jobs, chunk) ->
       let expected =
-        Shmls.sweep ~jobs:1 ~sim ~verify_designs:true sweep_parity_configs
+        Shmls.sweep ~jobs:1 ~verify_designs:true sweep_parity_configs
       in
       let streamed = ref [] in
       let got =
         Shmls.sweep ~jobs ~chunk
           ~on_result:(fun i r -> streamed := (i, r) :: !streamed)
-          ~sim ~verify_designs:true sweep_parity_configs
+          ~verify_designs:true sweep_parity_configs
       in
       let streamed = List.rev !streamed in
       got = expected
@@ -432,9 +421,9 @@ let test_parallel_error_loc_parity () =
   let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
   let seq_err =
     run_expect_error "sequential" (fun () ->
-        Functional.run broken ~args:(args_of ()))
+        Stage_compiler.run (Stage_compiler.compile broken) ~args:(args_of ()))
   in
-  let plan = Stage_compiler.compile broken in
+  let plan = Stage_compiler.compile_batched broken in
   let par_err =
     run_expect_error "parallel" (fun () ->
         ignore
@@ -460,7 +449,7 @@ let () =
           Alcotest.test_case "zoo kernels" `Quick test_zoo_bit_identical;
           Alcotest.test_case "seeds" `Quick test_seeds_bit_identical;
           Alcotest.test_case "verify both engines" `Quick
-            test_verify_compiled_matches_interp;
+            test_verify_both_plans;
           qcheck_random_kernels_bit_identical;
         ] );
       ( "pipeline variants",

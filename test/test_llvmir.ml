@@ -9,11 +9,12 @@ module Ll = Shmls_llvmir.Ll
 module Emit = Shmls_llvmir.Emit
 module Fpp = Shmls_llvmir.Fplusplus
 
-let emit k grid =
+let hls_module k grid =
   let l = Shmls_frontend.Lower.lower k ~grid in
   Shmls_transforms.Shape_inference.run_on_module l.l_module;
-  let m_hls, _ = Shmls_transforms.Stencil_to_hls.run l.l_module in
-  Emit.emit_module m_hls
+  fst (Shmls_transforms.Stencil_to_hls.run l.l_module)
+
+let emit k grid = Emit.emit_module (hls_module k grid)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -85,6 +86,18 @@ let test_small_copy_emission () =
   Alcotest.(check bool) "partition marker" true
     (contains ~needle:"@_shmls_array_partition_cyclic_2()" text);
   Alcotest.(check bool) "select for clamping" true (contains ~needle:"select i1" text)
+
+(* the emitted text depends only on the module, not on what the process
+   emitted before: stage functions are numbered per module *)
+let test_emission_deterministic () =
+  ignore (emit H.chain_3d [ 8; 6; 6 ]);
+  let m = hls_module H.avg_1d [ 16 ] in
+  let first = Ll.to_string (Emit.emit_module m) in
+  ignore (emit Shmls_kernels.Pw_advection.kernel [ 12; 8; 6 ]);
+  Alcotest.(check string) "same module, same text" first
+    (Ll.to_string (Emit.emit_module m));
+  Alcotest.(check bool) "stage functions numbered from 0" true
+    (contains ~needle:"define void @avg_1d__load_data_0(" first)
 
 (* -- f++ ------------------------------------------------------------------ *)
 
@@ -158,6 +171,8 @@ let () =
             test_dataflow_stages_outlined;
           Alcotest.test_case "loop CFG shape" `Quick test_loop_cfg_shape;
           Alcotest.test_case "small-data copies" `Quick test_small_copy_emission;
+          Alcotest.test_case "deterministic per module" `Quick
+            test_emission_deterministic;
         ] );
       ( "fpp",
         [

@@ -1,6 +1,6 @@
 (* Multi-device slab decomposition: bit-exactness of the reassembled
    N-slab result against the single-device reference — for every test
-   kernel, ablation variant and functional engine, including mid-run
+   kernel and ablation variant, including mid-run
    halo exchange between sweeps for time-stepping kernels — plus the
    inter-device link model and the ensemble cycle estimate. *)
 
@@ -106,8 +106,9 @@ let test_all_kernels_bit_exact () =
           check_exact
             (Printf.sprintf "%s devices=%d" k.Shmls.Ast.k_name devices)
             (MD.verify_vs_reference p))
-        [ 1; 2; 4 ])
-    H.all_test_kernels
+        [ 1; 2; 3; 4 ])
+    (* PW advection sliced into three slabs along a longer dim 0 too *)
+    (H.all_test_kernels @ [ (Shmls_kernels.Pw_advection.kernel, [ 24; 10; 8 ]) ])
 
 let test_multi_sweep_bit_exact () =
   (* time-stepping kernels: feedback + halo exchange between sweeps *)
@@ -123,24 +124,12 @@ let test_multi_sweep_bit_exact () =
                    devices sweeps)
                 (MD.verify_vs_reference ~params p))
             [ 2; 3 ])
-        [ 1; 2; 3 ])
+        [ 1; 2; 3; 4 ])
     [
       (Shmls_kernels.Didactic.heat_3d, [ 12; 8; 6 ], [ ("alpha", 0.05) ]);
       (Shmls_kernels.Didactic.laplace_2d, [ 14; 12 ], []);
       (inout_1d, [ 24 ], []);
     ]
-
-let test_engines_bit_exact () =
-  List.iter
-    (fun sim ->
-      let p =
-        MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 12; 8; 6 ] ~devices:4
-          ~sweeps:3
-      in
-      check_exact
-        (Printf.sprintf "heat_3d %s" (Shmls.sim_to_string sim))
-        (MD.verify_vs_reference ~sim ~params:[ ("alpha", 0.05) ] p))
-    [ Shmls.Interp; Shmls.Compiled; Shmls.Batched ]
 
 let test_variants_bit_exact () =
   List.iter
@@ -171,22 +160,21 @@ let test_run_accounting () =
   Alcotest.(check int) "single device exchanges nothing" 0
     single.rr_exchanged_bytes
 
-(* qcheck: random multi-stage kernels, random slab counts, sweeps and
-   engines — the reassembled result is always bit-exact. *)
+(* qcheck: random multi-stage kernels, random slab counts and sweeps —
+   the reassembled result is always bit-exact. *)
 let prop_random_kernel_bit_exact =
   let open QCheck2.Gen in
   let gen =
     let* k = H.gen_kernel in
     let* devices = int_range 1 3 in
     let* sweeps = int_range 1 2 in
-    let* sim = oneofl [ Shmls.Interp; Shmls.Compiled; Shmls.Batched ] in
-    return (k, devices, sweeps, sim)
+    return (k, devices, sweeps)
   in
   H.qtest ~count:12 "random kernels reassemble bit-exactly" gen
-    (fun (k, devices, sweeps, sim) ->
+    (fun (k, devices, sweeps) ->
       let grid = H.small_grid k.Shmls.Ast.k_rank in
       let p = MD.plan k ~grid ~devices ~sweeps in
-      let v = MD.verify_vs_reference ~sim p in
+      let v = MD.verify_vs_reference p in
       v.v_max_diff = 0.0)
 
 (* The same, with host-level feedback: rename an output to "<in>_out"
@@ -294,26 +282,22 @@ let test_estimate_ensemble () =
     MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 96; 8; 6 ] ~devices:4
       ~sweeps:2
   in
+  let mr = MD.estimate p4 in
+  Alcotest.(check int) "four lanes" 4 (List.length mr.Cycle_sim.mr_lanes);
+  Alcotest.(check bool) "no deadlock" true (not mr.mr_deadlocked);
+  Alcotest.(check bool) "exchange charged" true (mr.mr_exchange_charged > 0.0);
   List.iter
-    (fun engine ->
-      let mr = MD.estimate ~engine p4 in
-      Alcotest.(check int) "four lanes" 4 (List.length mr.Cycle_sim.mr_lanes);
-      Alcotest.(check bool) "no deadlock" true (not mr.mr_deadlocked);
-      Alcotest.(check bool) "exchange charged" true
-        (mr.mr_exchange_charged > 0.0);
-      List.iter
-        (fun lane ->
-          Alcotest.(check bool) "lane totals consistent" true
-            (lane.Cycle_sim.dl_total
-            >= float_of_int lane.Cycle_sim.dl_result.Cycle_sim.cycles))
-        mr.mr_lanes)
-    [ Cycle_sim.Tick; Cycle_sim.Event ];
+    (fun lane ->
+      Alcotest.(check bool) "lane totals consistent" true
+        (lane.Cycle_sim.dl_total
+        >= float_of_int lane.Cycle_sim.dl_result.Cycle_sim.cycles))
+    mr.mr_lanes;
   let p1 = MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 96; 8; 6 ] ~devices:1 in
   let mr1 = MD.estimate p1 in
   Alcotest.(check (float 0.0)) "single device: nothing charged" 0.0
     mr1.mr_exchange_charged;
   let mpts1 = MD.aggregate_mpts p1 mr1 in
-  let mpts4 = MD.aggregate_mpts p4 (MD.estimate p4) in
+  let mpts4 = MD.aggregate_mpts p4 mr in
   Alcotest.(check bool) "aggregate throughput scales" true
     (mpts4 > 2.0 *. mpts1)
 
@@ -351,7 +335,6 @@ let () =
             test_all_kernels_bit_exact;
           Alcotest.test_case "multi-sweep time-stepping" `Quick
             test_multi_sweep_bit_exact;
-          Alcotest.test_case "all three engines" `Quick test_engines_bit_exact;
           Alcotest.test_case "ablation variants" `Quick test_variants_bit_exact;
           Alcotest.test_case "run accounting" `Quick test_run_accounting;
           prop_random_kernel_bit_exact;

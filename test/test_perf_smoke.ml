@@ -95,28 +95,28 @@ let test_compile_once () =
 (* Compile-once functional-sim plans *)
 
 (* The stage-compiler plan is memoised on the compiled record (a lazy
-   forced on first Compiled verify): repeated verifications — the
-   10-run bench protocol — compile the plan exactly once, and a second
-   evaluate_all recompiles nothing at either level. *)
+   forced on first verify): repeated verifications — the 10-run bench
+   protocol — compile the plan exactly once, the per-element oracle plan
+   is never built by the product, and a second evaluate_all recompiles
+   nothing at either level. *)
 let test_stage_compile_once () =
   Shmls.reset_compile_cache ();
   Shmls.Stage_compiler.reset_compile_count ();
   let c = Shmls.compile_cached PW.kernel ~grid:PW.grid_small in
   Alcotest.(check int) "compile builds no plan eagerly" 0
     (Shmls.Stage_compiler.compile_count ());
-  let v1 = Shmls.verify ~sim:Shmls.Compiled c in
-  Alcotest.(check (float 0.0)) "compiled verify is bit-exact" 0.0 v1.v_max_diff;
-  Alcotest.(check int) "first compiled verify builds one plan" 1
+  let v1 = Shmls.verify c in
+  Alcotest.(check (float 0.0)) "verify is bit-exact" 0.0 v1.v_max_diff;
+  Alcotest.(check int) "first verify builds one plan" 1
     (Shmls.Stage_compiler.compile_count ());
   for _ = 1 to 9 do
-    ignore (Shmls.verify ~sim:Shmls.Compiled c)
+    ignore (Shmls.verify c)
   done;
   Alcotest.(check int) "ten verifications share the plan" 1
     (Shmls.Stage_compiler.compile_count ());
-  (* interpreter verifications never build plans *)
-  ignore (Shmls.verify c);
-  Alcotest.(check int) "interp verify builds no plan" 1
-    (Shmls.Stage_compiler.compile_count ());
+  ignore (Shmls.report_text c);
+  Alcotest.(check bool) "the per-element plan is never built" false
+    (Lazy.is_val c.c_plan);
   (* and a second evaluate_all recompiles nothing at either level *)
   ignore (Shmls.evaluate_all PW.kernel ~grid:PW.grid_small);
   let runs = Shmls.compile_runs () in
@@ -138,12 +138,11 @@ let test_parallel_sweep_zero_recompiles () =
   Shmls.reset_compile_cache ();
   Shmls.Stage_compiler.reset_compile_count ();
   let configs = [ (PW.kernel, PW.grid_small); (TA.kernel, TA.grid_small) ] in
-  ignore (Shmls.sweep ~jobs:4 ~sim:Shmls.Compiled ~verify_designs:true configs);
+  ignore (Shmls.sweep ~jobs:4 ~verify_designs:true configs);
   let plans = Shmls.Stage_compiler.compile_count () in
   Alcotest.(check int) "one plan per distinct kernel" 2 plans;
   for _ = 1 to 3 do
-    ignore
-      (Shmls.sweep ~jobs:4 ~sim:Shmls.Compiled ~verify_designs:true configs)
+    ignore (Shmls.sweep ~jobs:4 ~verify_designs:true configs)
   done;
   Alcotest.(check int) "repeated parallel sweeps: zero plan recompiles" plans
     (Shmls.Stage_compiler.compile_count ());
@@ -157,11 +156,11 @@ let test_run_state_budget () =
   Shmls.reset_compile_cache ();
   Shmls.Stage_compiler.reset_state_count ();
   let c = Shmls.compile_cached PW.kernel ~grid:PW.grid_small in
-  ignore (Shmls.verify ~sim:Shmls.Compiled c);
+  ignore (Shmls.verify c);
   let base = Shmls.Stage_compiler.state_count () in
-  Alcotest.(check int) "first compiled verify allocates one state" 1 base;
+  Alcotest.(check int) "first verify allocates one state" 1 base;
   for _ = 1 to 5 do
-    ignore (Shmls.verify ~sim:Shmls.Compiled c)
+    ignore (Shmls.verify c)
   done;
   Alcotest.(check int) "same domain reuses its cached state" base
     (Shmls.Stage_compiler.state_count ());
@@ -169,7 +168,7 @@ let test_run_state_budget () =
     List.init 3 (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to 4 do
-              ignore (Shmls.verify ~sim:Shmls.Compiled c)
+              ignore (Shmls.verify c)
             done))
   in
   List.iter Domain.join domains;
@@ -178,24 +177,23 @@ let test_run_state_budget () =
   Shmls.reset_compile_cache ();
   Shmls.Stage_compiler.reset_state_count ()
 
-(* The batched engine shares the whole memoisation scheme: one batched
-   plan per compiled record across repeated Batched verifies and
-   repeated batched sweeps (zero plan recompiles), and run states
-   cached per domain — batching must not cost a compile or a state
-   allocation per run. *)
+(* The batched engine's memoisation scheme end to end: one plan per
+   compiled record across repeated verifies and repeated sweeps (zero
+   plan recompiles), and run states cached per domain — batching must
+   not cost a compile or a state allocation per run. *)
 let test_batched_plan_and_state_budget () =
   Shmls.reset_compile_cache ();
   Shmls.Stage_compiler.reset_compile_count ();
   Shmls.Stage_compiler.reset_state_count ();
   let c = Shmls.compile_cached PW.kernel ~grid:PW.grid_small in
-  let v = Shmls.verify ~sim:Shmls.Batched c in
+  let v = Shmls.verify c in
   Alcotest.(check (float 0.0)) "batched verify is bit-exact" 0.0 v.v_max_diff;
   Alcotest.(check int) "first batched verify builds one plan" 1
     (Shmls.Stage_compiler.compile_count ());
   let base = Shmls.Stage_compiler.state_count () in
   Alcotest.(check int) "first batched verify allocates one state" 1 base;
   for _ = 1 to 9 do
-    ignore (Shmls.verify ~sim:Shmls.Batched c)
+    ignore (Shmls.verify c)
   done;
   Alcotest.(check int) "ten batched verifications share the plan" 1
     (Shmls.Stage_compiler.compile_count ());
@@ -203,18 +201,64 @@ let test_batched_plan_and_state_budget () =
     (Shmls.Stage_compiler.state_count ());
   (* batched sweeps share the memoised plans too *)
   let configs = [ (PW.kernel, PW.grid_small); (TA.kernel, TA.grid_small) ] in
-  ignore (Shmls.sweep ~jobs:4 ~sim:Shmls.Batched ~verify_designs:true configs);
+  ignore (Shmls.sweep ~jobs:4 ~verify_designs:true configs);
   let plans = Shmls.Stage_compiler.compile_count () in
   Alcotest.(check int) "one more plan for the new kernel" 2 plans;
   for _ = 1 to 3 do
-    ignore
-      (Shmls.sweep ~jobs:4 ~sim:Shmls.Batched ~verify_designs:true configs)
+    ignore (Shmls.sweep ~jobs:4 ~verify_designs:true configs)
   done;
   Alcotest.(check int) "repeated batched sweeps: zero plan recompiles" plans
     (Shmls.Stage_compiler.compile_count ());
   Shmls.reset_compile_cache ();
   Shmls.Stage_compiler.reset_compile_count ();
   Shmls.Stage_compiler.reset_state_count ()
+
+(* A cached run state must not outlive what it serves: after a run it
+   holds no reference to the run's argument grids, and once its plan is
+   unreachable the state itself (rings sized to the whole stream) is
+   collectable — so repeated searches on one domain do not accumulate
+   states. *)
+let live_words () =
+  Gc.full_major ();
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let args_of (st : Shmls.Interp.kernel_state) =
+  List.map (fun (_, g) -> Shmls.Functional.Ptr (g.Shmls.Grid.data, 0)) st.fields
+  @ List.map (fun (_, g) -> Shmls.Functional.Ptr (g.Shmls.Grid.data, 0)) st.smalls
+  @ List.map (fun (_, v) -> Shmls.Functional.F v) st.params
+  |> Array.of_list
+
+(* Run [plan] on fresh inputs; [weak] is pointed at one input grid. *)
+let[@inline never] run_on_fresh_inputs (c : Shmls.compiled) plan weak =
+  let st = Shmls.Interp.alloc_state c.c_lowered in
+  Weak.set weak 0 (Some (snd (List.hd st.fields)).Shmls.Grid.data);
+  Shmls.Stage_compiler.run plan ~args:(args_of st)
+
+let[@inline never] run_on_fresh_plan (c : Shmls.compiled) =
+  run_on_fresh_inputs c
+    (Shmls.Stage_compiler.compile_batched c.c_design)
+    (Weak.create 1)
+
+let test_state_releases_args_and_plan () =
+  let c =
+    Shmls.compile Shmls_kernels.Didactic.heat_3d ~grid:[ 24; 20; 16 ]
+  in
+  let plan = Shmls.Stage_compiler.compile_batched c.c_design in
+  let weak = Weak.create 1 in
+  run_on_fresh_inputs c plan weak;
+  ignore (live_words ());
+  Alcotest.(check bool) "argument grids collectable after the run" false
+    (Weak.check weak 0);
+  (* the run state of a dropped plan: its 27-lane neighbourhood ring
+     alone holds 27 words per padded point *)
+  let before = live_words () in
+  run_on_fresh_plan c;
+  let retained = live_words () - before in
+  let ring_words = 27 * Shmls.Design.total_padded c.c_design in
+  if retained > ring_words / 4 then
+    Alcotest.failf "a dropped plan's run state is still live (%d words)"
+      retained
 
 (* ------------------------------------------------------------------ *)
 (* Pass-result memo *)
@@ -271,6 +315,8 @@ let () =
             test_run_state_budget;
           Alcotest.test_case "batched plan and state budget" `Quick
             test_batched_plan_and_state_budget;
+          Alcotest.test_case "run state releases arguments and plan" `Quick
+            test_state_releases_args_and_plan;
         ] );
       ( "pass manager",
         [
