@@ -143,6 +143,44 @@ let test_host_event_consistency () =
   let mpts = Host.mpts_of_event prog event in
   Alcotest.(check (float 0.01)) "MPt/s consistent" est.e_mpts mpts
 
+(* -- domain decomposition ---------------------------------------------- *)
+
+module MD = Shmls_host.Multi_device
+
+let test_partition_bit_exact () =
+  List.iter
+    (fun slabs ->
+      let p =
+        MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 16; 8; 6 ] ~devices:slabs
+      in
+      let v = MD.verify_vs_reference ~params:[ ("alpha", 0.05) ] p in
+      if v.v_max_diff <> 0.0 then
+        Alcotest.failf "%d slabs: diff %g" slabs v.v_max_diff)
+    [ 1; 2; 3; 4 ]
+
+let test_partition_pw_advection () =
+  let p =
+    MD.plan Shmls_kernels.Pw_advection.kernel ~grid:[ 24; 10; 8 ] ~devices:3
+  in
+  let v = MD.verify_vs_reference ~params:[ ("tcx", 0.12); ("tcy", 0.09) ] p in
+  Alcotest.(check (float 0.0)) "pw partitioned" 0.0 v.v_max_diff
+
+let test_partition_scales () =
+  (* big enough along dim 0 that compute dominates the fixed fill *)
+  let mpts slabs =
+    let p =
+      MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 96; 8; 6 ] ~devices:slabs
+    in
+    MD.aggregate_mpts p (MD.estimate p)
+  in
+  let m1 = mpts 1 and m4 = mpts 4 in
+  Alcotest.(check bool) "4 devices faster" true (m4 > 2.0 *. m1)
+
+let test_partition_rejects_oversplit () =
+  match MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 4; 6; 6 ] ~devices:8 with
+  | exception Shmls_support.Err.Error _ -> ()
+  | _ -> Alcotest.fail "more slabs than rows must be rejected"
+
 (* -- occupancy tracing ------------------------------------------------------ *)
 
 let test_trace_capture () =
@@ -192,6 +230,16 @@ let () =
           Alcotest.test_case "all kernels" `Quick test_circt_all_kernels;
           Alcotest.test_case "balanced depths survive" `Quick
             test_circt_depths_survive;
+        ] );
+      ( "partition",
+        [
+          Alcotest.test_case "bit-exact at 1-4 slabs" `Quick test_partition_bit_exact;
+          Alcotest.test_case "PW advection partitioned" `Quick
+            test_partition_pw_advection;
+          Alcotest.test_case "aggregate throughput scales" `Quick
+            test_partition_scales;
+          Alcotest.test_case "rejects oversplitting" `Quick
+            test_partition_rejects_oversplit;
         ] );
       ("report", [ Alcotest.test_case "contents" `Quick test_report_contents ]);
       ("trace", [ Alcotest.test_case "capture + export" `Quick test_trace_capture ]);

@@ -131,6 +131,51 @@ let test_multi_sweep_bit_exact () =
       (inout_1d, [ 24 ], []);
     ]
 
+(* The three functional engines left — the reference interpreter, the
+   batched plan the product runs and the per-element oracle plan — agree
+   on a 4-device, 3-sweep heat_3d: the ensemble against the interpreter,
+   and on every slab design the two plans bit for bit (padded arrays,
+   halos included) and the batched plan against the interpreter. *)
+let test_engines_bit_exact () =
+  let module Interp = Shmls_interp.Interp in
+  let module Grid = Shmls_interp.Grid in
+  let module F = Shmls_fpga.Functional in
+  let p =
+    MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 12; 8; 6 ] ~devices:4
+      ~sweeps:3
+  in
+  check_exact "heat_3d ensemble vs interpreter"
+    (MD.verify_vs_reference ~params:[ ("alpha", 0.05) ] p);
+  List.iter
+    (fun (sl : MD.slab) ->
+      let c = sl.sl_compiled in
+      let run plan =
+        let st = Interp.alloc_state ~seed:7 c.c_lowered in
+        let ptr (_, g) = F.Ptr (g.Grid.data, 0) in
+        Shmls_fpga.Stage_compiler.run plan
+          ~args:
+            (Array.of_list
+               (List.map ptr st.fields @ List.map ptr st.smalls
+               @ List.map (fun (_, v) -> F.F v) st.params));
+        st
+      in
+      let a = run (Lazy.force c.c_plan)
+      and b = run (Lazy.force c.c_plan_batched) in
+      List.iter2
+        (fun (n, ga) (_, gb) ->
+          Array.iteri
+            (fun i x ->
+              if Int64.bits_of_float x <> Int64.bits_of_float gb.Grid.data.(i)
+              then
+                Alcotest.failf "slab %d %s[%d]: per-element %h <> batched %h"
+                  sl.sl_device n i x gb.Grid.data.(i))
+            ga.Grid.data)
+        a.fields b.fields;
+      check_exact
+        (Printf.sprintf "slab %d batched vs interpreter" sl.sl_device)
+        (Shmls.verify c))
+    p.mp_slabs
+
 let test_variants_bit_exact () =
   List.iter
     (fun variant ->
@@ -335,6 +380,7 @@ let () =
             test_all_kernels_bit_exact;
           Alcotest.test_case "multi-sweep time-stepping" `Quick
             test_multi_sweep_bit_exact;
+          Alcotest.test_case "all three engines" `Quick test_engines_bit_exact;
           Alcotest.test_case "ablation variants" `Quick test_variants_bit_exact;
           Alcotest.test_case "run accounting" `Quick test_run_accounting;
           prop_random_kernel_bit_exact;
