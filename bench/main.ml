@@ -366,8 +366,10 @@ let ablation () =
     ]
   in
   (* bit-exactness of each variant pipeline vs the reference interpreter,
-     on both paper kernels, through the sweep driver (small grids; the
-     estimate grids below would take the interpreter hours) *)
+     on both paper kernels, through the sweep driver (small grids: the
+     8.4M-point estimate grids below would cost the interpreter, at about
+     1 MPt/s on the paper kernels, seconds per kernel and variant, and
+     hundreds of MB of temporaries) *)
   let exact variant =
     Shmls.sweep ~jobs:!jobs ~verify_designs:true ~variant
       [ (PW.kernel, PW.grid_small); (TA.kernel, TA.grid_small) ]

@@ -385,20 +385,31 @@ let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
     ~grid =
   let flows =
     [
-      (fun () ->
-        try
-          let c = compile_cached ~variant kernel ~grid in
-          evaluate_hmls c
-        with Err.Error e ->
-          Flow.Failure { f_flow = "Stencil-HMLS"; f_reason = Err.to_string e });
-      (fun () -> Shmls_baselines.Dace.evaluate kernel ~grid);
-      (fun () -> Shmls_baselines.Soda.evaluate kernel ~grid);
-      (fun () -> Shmls_baselines.Vitis.evaluate kernel ~grid);
-      (fun () -> Shmls_baselines.Stencilflow.evaluate kernel ~grid);
+      ( "Stencil-HMLS",
+        fun () ->
+          try
+            let c = compile_cached ~variant kernel ~grid in
+            evaluate_hmls c
+          with Err.Error e ->
+            Flow.Failure { f_flow = "Stencil-HMLS"; f_reason = Err.to_string e } );
+      ("DaCe", fun () -> Shmls_baselines.Dace.evaluate kernel ~grid);
+      ("SODA-opt", fun () -> Shmls_baselines.Soda.evaluate kernel ~grid);
+      ("Vitis HLS", fun () -> Shmls_baselines.Vitis.evaluate kernel ~grid);
+      ("StencilFlow", fun () -> Shmls_baselines.Stencilflow.evaluate kernel ~grid);
     ]
   in
-  if jobs = 1 then List.map (fun f -> f ()) flows
-  else Pool.with_pool ~jobs (fun p -> Pool.map_list p (fun f -> f ()) flows)
+  if List.length grid <> kernel.k_rank then
+    (* every flow sizes its design from the grid, so none can run *)
+    let reason =
+      Printf.sprintf "kernel %s has rank %d but the grid %s has rank %d"
+        kernel.k_name kernel.k_rank
+        (String.concat "x" (List.map string_of_int grid))
+        (List.length grid)
+    in
+    List.map (fun (f_flow, _) -> Flow.Failure { f_flow; f_reason = reason }) flows
+  else if jobs = 1 then List.map (fun (_, f) -> f ()) flows
+  else
+    Pool.with_pool ~jobs (fun p -> Pool.map_list p (fun (_, f) -> f ()) flows)
 
 (* ------------------------------------------------------------------ *)
 (* Grid sweeps: many (kernel, grid) configurations, optionally across

@@ -68,14 +68,16 @@ let unsafe_linear t (pos : int array) =
   done;
   !lin
 
+(* A plain loop: this runs per point on every access not proven in
+   range, so it must not allocate. *)
 let check_index_arr t (pos : int array) =
   if Array.length pos <> Array.length t.lb then
     Err.raise_error "Grid: index rank mismatch";
-  Array.iteri
-    (fun d i ->
-      if i < t.lb.(d) || i >= t.ub.(d) then
-        Err.raise_error "Grid: index %d outside [%d,%d)" i t.lb.(d) t.ub.(d))
-    pos
+  for d = 0 to Array.length pos - 1 do
+    let i = pos.(d) in
+    if i < t.lb.(d) || i >= t.ub.(d) then
+      Err.raise_error "Grid: index %d outside [%d,%d)" i t.lb.(d) t.ub.(d)
+  done
 
 (* Whether every point of [bounds] lies inside [t]: checking the two
    corners of the (rectangular) region subsumes the per-point checks, so

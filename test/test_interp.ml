@@ -139,6 +139,114 @@ let test_interp_inout_gather_semantics () =
       (Grid.get a [ i ])
   done
 
+(* -- golden output digests ----------------------------------------------- *)
+
+(* The bench corpus: the two paper kernels, the Zoo and Didactic kernels
+   and every examples/kernels/*.psy file. *)
+let digest_corpus () =
+  let module Ast = Shmls_frontend.Ast in
+  let psy_dir = "../examples/kernels" in
+  let psy =
+    Sys.readdir psy_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".psy")
+    |> List.sort String.compare
+    |> List.map (fun f ->
+           ( "psy/" ^ Filename.chop_suffix f ".psy",
+             Shmls_frontend.Psy_parser.parse_file (Filename.concat psy_dir f) ))
+  in
+  [
+    ("pw_advection", Shmls_kernels.Pw_advection.kernel);
+    ("tracer_advection", Shmls_kernels.Tracer_advection.kernel);
+  ]
+  @ List.map
+      (fun ((k : Ast.kernel), _) -> ("zoo/" ^ k.k_name, k))
+      Shmls_kernels.Zoo.all
+  @ List.map
+      (fun (k : Ast.kernel) -> ("didactic/" ^ k.k_name, k))
+      Shmls_kernels.Didactic.all
+  @ psy
+
+let digest_grid = function 1 -> [ 32 ] | 2 -> [ 16; 12 ] | _ -> [ 10; 8; 6 ]
+
+(* MD5 of a grid's raw float data: IEEE-754 bits, little-endian. *)
+let grid_md5 (g : Grid.t) =
+  let b = Bytes.create (8 * Array.length g.data) in
+  Array.iteri
+    (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x))
+    g.data;
+  Digest.to_hex (Digest.bytes b)
+
+(* One row per output field: kernel, grid, field and the digest of the
+   reference result at seed 7, on the shape-inferred, apply-split module
+   that --verify interprets. *)
+let digest_rows () =
+  let module Ast = Shmls_frontend.Ast in
+  List.concat_map
+    (fun (id, (k : Ast.kernel)) ->
+      let grid = digest_grid k.k_rank in
+      let l = prepared k grid in
+      ignore (Shmls_transforms.Apply_split.run_on_module l.l_module);
+      let st = Interp.run_lowered ~seed:7 l in
+      List.filter_map
+        (fun (fd : Ast.field_decl) ->
+          if fd.fd_role = Ast.Input then None
+          else
+            Some
+              (String.concat "\t"
+                 [
+                   id;
+                   String.concat "x" (List.map string_of_int grid);
+                   fd.fd_name;
+                   grid_md5 (List.assoc fd.fd_name st.fields);
+                 ]))
+        k.k_fields)
+    (digest_corpus ())
+
+(* The digests were recorded before the interpreter was last rewritten:
+   the reference's output bits must not drift. *)
+let test_golden_digests () =
+  let ic = open_in "golden/interp_digests.tsv" in
+  let expected =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "corpus size" 23 (List.length (digest_corpus ()));
+  Alcotest.(check (list string)) "interp digests" expected (digest_rows ())
+
+(* -- error parity ------------------------------------------------------- *)
+
+(* The first op named [name] in the kernel function, apply bodies
+   included. *)
+let first_op_named (l : Lower.lowered) name =
+  let found = ref None in
+  Shmls_ir.Ir.Op.walk l.l_func (fun o ->
+      if Option.is_none !found && Shmls_ir.Ir.Op.name o = name then
+        found := Some o);
+  Option.get !found
+
+let raises_on_run msg (l : Lower.lowered) =
+  let st = Interp.alloc_state l in
+  Alcotest.check_raises msg
+    (Shmls_support.Err.Error (Shmls_support.Err.make msg))
+    (fun () -> ignore (Interp.run_func l.l_func ~args:(Interp.state_args st)))
+
+(* An offset past the halo fails the access's corner check, so the
+   access is checked at every point and the first point raises. *)
+let test_error_out_of_range_access () =
+  let l = prepared H.avg_1d [ 16 ] in
+  Shmls_ir.Ir.Op.set_attr
+    (first_op_named l "stencil.access")
+    "offset" (Shmls_ir.Attr.Ints [ 100 ]);
+  raises_on_run "Grid: index 100 outside [-1,17)" l
+
+let test_error_unsupported_body_op () =
+  let l = prepared H.avg_1d [ 16 ] in
+  (first_op_named l "arith.addf").o_name <- "arith.frobf";
+  raises_on_run "interp: unsupported op arith.frobf in stencil body" l
+
 (* -- CPU lowering cross-check ------------------------------------------- *)
 
 let cpu_matches_reference (k : Shmls_frontend.Ast.kernel) grid =
@@ -240,6 +348,31 @@ let test_generic_scf_if () =
   H.check_close "negative clamps" 0.0 (run (-2.5));
   H.check_close "positive passes" 1.5 (run 1.5)
 
+let test_generic_select () =
+  let open Shmls_dialects in
+  let m = Shmls_ir.Ir.Module_.create () in
+  let _ =
+    Func.build_func m ~name:"relu" ~arg_tys:[ Ty.F64; Ty.Memref ([ 1 ], Ty.F64) ]
+      ~result_tys:[] (fun b args ->
+        match args with
+        | [ x; mr ] ->
+          let zero = Arith.constant_f b 0.0 in
+          let c = Arith.cmpf b ~predicate:"olt" x zero in
+          let r = Arith.select b c zero x in
+          Memref.store b r mr [ Arith.constant_index b 0 ];
+          Func.return_ b []
+        | _ -> assert false)
+  in
+  H.check_verifies "relu" m;
+  let f = Shmls_ir.Ir.Module_.find_func_exn m "relu" in
+  let run x =
+    let g = Grid.create (Ty.make_bounds ~lb:[ 0 ] ~ub:[ 1 ]) in
+    ignore (Interp.run_generic_func f ~args:[ Interp.F x; Interp.G g ]);
+    Grid.get g [ 0 ]
+  in
+  H.check_close "negative selects zero" 0.0 (run (-2.5));
+  H.check_close "positive selects x" 1.5 (run 1.5)
+
 let () =
   Alcotest.run "interp"
     [
@@ -262,6 +395,11 @@ let () =
             test_interp_chain_smalls_params;
           Alcotest.test_case "inout gather semantics" `Quick
             test_interp_inout_gather_semantics;
+          Alcotest.test_case "golden output digests" `Quick test_golden_digests;
+          Alcotest.test_case "out-of-range access error" `Quick
+            test_error_out_of_range_access;
+          Alcotest.test_case "unsupported body op error" `Quick
+            test_error_unsupported_body_op;
         ] );
       ( "cpu-lowering",
         [
@@ -272,6 +410,7 @@ let () =
         [
           Alcotest.test_case "scf loop with iter args" `Quick test_generic_scf_loop;
           Alcotest.test_case "scf.if" `Quick test_generic_scf_if;
+          Alcotest.test_case "cmpf + select" `Quick test_generic_select;
         ]
       );
     ]

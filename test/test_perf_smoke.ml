@@ -261,6 +261,39 @@ let test_state_releases_args_and_plan () =
       retained
 
 (* ------------------------------------------------------------------ *)
+(* Reference interpreter allocation *)
+
+(* Minor words a warm [Interp.run_func] allocates per interior point, on
+   the shape-inferred, apply-split module --verify interprets.  Decoding
+   each apply body is paid once per run; the point loop itself must not
+   allocate. *)
+let interp_words_per_point (kernel : Shmls_frontend.Ast.kernel) ~grid =
+  let l = Shmls_frontend.Lower.lower kernel ~grid in
+  Shmls_transforms.Shape_inference.run_on_module l.l_module;
+  ignore (Shmls_transforms.Apply_split.run_on_module l.l_module);
+  let args = Shmls.Interp.state_args (Shmls.Interp.alloc_state l) in
+  let run () = ignore (Shmls.Interp.run_func l.l_func ~args) in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  (Gc.minor_words () -. before) /. float_of_int (List.fold_left ( * ) 1 grid)
+
+let test_interp_allocation () =
+  List.iter
+    (fun (name, kernel, grid) ->
+      let words = interp_words_per_point kernel ~grid in
+      if words > 1.0 then
+        Alcotest.failf
+          "%s: the reference interpreter allocates %.1f minor words per \
+           point (budget 1)"
+          name words)
+    [
+      ("heat_3d 48x32x24", Shmls_kernels.Didactic.heat_3d, [ 48; 32; 24 ]);
+      ("pw_advection 32x24x16", PW.kernel, [ 32; 24; 16 ]);
+      ("tracer_advection 32x24x16", TA.kernel, [ 32; 24; 16 ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Pass-result memo *)
 
 let test_pass_memo () =
@@ -317,6 +350,11 @@ let () =
             test_batched_plan_and_state_budget;
           Alcotest.test_case "run state releases arguments and plan" `Quick
             test_state_releases_args_and_plan;
+        ] );
+      ( "interp allocation",
+        [
+          Alcotest.test_case "point loop allocation" `Quick
+            test_interp_allocation;
         ] );
       ( "pass manager",
         [

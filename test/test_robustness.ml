@@ -148,6 +148,32 @@ let test_depth_balance_idempotent () =
   let d2 = F.Extract.extract d.d_func in
   Alcotest.(check int) "second pass is a no-op" 0 (F.Depth_balance.balance d2)
 
+(* -- kernel/grid rank mismatch --------------------------------------------- *)
+
+(* A sweep row whose grid rank differs from the kernel's fails every flow
+   with a reason naming the mismatch, instead of escaping as an
+   Invalid_argument from a baseline's halo arithmetic. *)
+let test_sweep_rank_mismatch () =
+  match
+    Shmls.sweep ~jobs:1 ~verify_designs:true
+      [ (Shmls_kernels.Didactic.heat_3d, [ 32; 16 ]) ]
+  with
+  | [ (outcomes, verification) ] ->
+    Alcotest.(check (list string))
+      "every flow reported"
+      [ "Stencil-HMLS"; "DaCe"; "SODA-opt"; "Vitis HLS"; "StencilFlow" ]
+      (List.map Shmls.Flow.flow_name outcomes);
+    List.iter
+      (function
+        | Shmls.Flow.Failure f ->
+          Alcotest.(check string)
+            (f.f_flow ^ " reason")
+            "kernel heat_3d has rank 3 but the grid 32x16 has rank 2" f.f_reason
+        | Shmls.Flow.Success s -> Alcotest.failf "%s succeeded" s.s_flow)
+      outcomes;
+    Alcotest.(check bool) "no verification" true (Option.is_none verification)
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
 (* -- power model sanity --------------------------------------------------- *)
 
 let test_power_bounds () =
@@ -188,6 +214,11 @@ let () =
           qcheck_more_cus_never_slower;
           Alcotest.test_case "depth balance idempotent" `Quick
             test_depth_balance_idempotent;
+        ] );
+      ( "rank-mismatch",
+        [
+          Alcotest.test_case "sweep fails every flow" `Quick
+            test_sweep_rank_mismatch;
         ] );
       ("power", [ Alcotest.test_case "envelope bounds" `Quick test_power_bounds ]);
     ]
