@@ -224,6 +224,131 @@ let test_power_energy_is_power_times_time () =
   let r = F.Power.report ~usage ~activity:0.5 ~bytes_per_second:1e9 ~seconds:2.5 in
   Alcotest.(check (float 1e-9)) "E = P t" (r.p_total_w *. 2.5) r.p_energy_j
 
+(* -- cost records ----------------------------------------------------------- *)
+
+(* Every built-in kernel at a fixed grid: the paper kernels at their
+   8M-point sizes, the zoo at its own grids, the didactic kernels at a
+   small grid of their rank. *)
+let cost_kernels () =
+  let small rank = List.filteri (fun i _ -> i < rank) [ 24; 16; 12 ] in
+  [
+    (Shmls_kernels.Pw_advection.kernel, Shmls_kernels.Pw_advection.grid_8m);
+    (Shmls_kernels.Tracer_advection.kernel, Shmls_kernels.Tracer_advection.grid_8m);
+  ]
+  @ Shmls_kernels.Zoo.all
+  @ List.map
+      (fun (k : Shmls.Ast.kernel) -> (k, small k.k_rank))
+      Shmls_kernels.Didactic.all
+
+let cost_variants = [ "full"; "no-split"; "no-pack"; "cu=1" ]
+
+let show_grid g = String.concat "x" (List.map string_of_int g)
+
+let cost_row ~kernel ~grid ~variant ~devices (c : Shmls.Cost_model.t) =
+  Printf.sprintf "%s\t%s\t%s\t%d\t%h\t%h\t%d\t%d\t%d\t%d\t%d\t%h" kernel
+    (show_grid grid) variant devices c.cycles c.mpts c.lut c.ff c.bram c.uram
+    c.dsp c.watts
+
+(* One row per kernel x variant on one device, then heat_3d's slab
+   designs priced at 2 and 4 devices through the default link. *)
+let cost_rows () =
+  let single =
+    List.concat_map
+      (fun ((k : Shmls.Ast.kernel), grid) ->
+        List.map
+          (fun v ->
+            let c =
+              Shmls.compile_cached ~variant:(Shmls.Variant.of_string_exn v) k
+                ~grid
+            in
+            cost_row ~kernel:k.k_name ~grid ~variant:v ~devices:1
+              (Shmls.Cost_model.evaluate_design c.c_design))
+          cost_variants)
+      (cost_kernels ())
+  in
+  let heat = Shmls_kernels.Didactic.heat_3d in
+  let global_grid = [ 32; 12; 8 ] in
+  let multi =
+    List.concat_map
+      (fun devices ->
+        List.map
+          (fun v ->
+            let slab = ((32 + devices - 1) / devices) :: List.tl global_grid in
+            let c =
+              Shmls.compile_cached ~variant:(Shmls.Variant.of_string_exn v)
+                heat ~grid:slab
+            in
+            cost_row ~kernel:heat.k_name ~grid:global_grid ~variant:v ~devices
+              (Shmls.Cost_model.evaluate_multi_device ~devices ~global_grid
+                 ~fields:(Shmls.Cost_model.loaded_fields heat)
+                 c.c_design))
+          cost_variants)
+      [ 2; 4 ]
+  in
+  single @ multi
+
+(* The records were generated before the cost models were folded into
+   one evaluation function: every cost figure must stay bit for bit. *)
+let test_golden_cost_records () =
+  let ic = open_in "golden/cost_records.tsv" in
+  let expected =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "cost records" expected (cost_rows ())
+
+(* The Stencil-HMLS flow outcome reports exactly the cost record's
+   numbers, at the plan's CU count and at one CU. *)
+let test_flow_matches_cost () =
+  List.iter
+    (fun ((k : Shmls.Ast.kernel), grid) ->
+      let c = Shmls.compile_cached k ~grid in
+      List.iter
+        (fun cu ->
+          let cost = Shmls.Cost_model.evaluate_design ?cu c.c_design in
+          match Shmls.evaluate_hmls ?cu c with
+          | Shmls.Flow.Failure { f_reason; _ } ->
+            Alcotest.failf "%s: %s" k.k_name f_reason
+          | Shmls.Flow.Success s ->
+            let exact what a b =
+              if Int64.bits_of_float a <> Int64.bits_of_float b then
+                Alcotest.failf "%s %s: flow %h, cost %h" k.k_name what a b
+            in
+            exact "cycles" s.s_est.e_cycles cost.cycles;
+            exact "mpts" s.s_est.e_mpts cost.mpts;
+            exact "watts" s.s_power.p_total_w cost.watts;
+            Alcotest.(check (list int))
+              (k.k_name ^ " usage")
+              [ cost.lut; cost.ff; cost.bram; cost.uram; cost.dsp ]
+              [
+                s.s_usage.r_luts;
+                s.s_usage.r_ffs;
+                s.s_usage.r_bram;
+                s.s_usage.r_uram;
+                s.s_usage.r_dsps;
+              ])
+        [ None; Some 1 ])
+    (cost_kernels ())
+
+let test_infeasible_reason () =
+  let c =
+    Shmls.compile_cached
+      ~variant:(Shmls.Variant.of_string_exn "cu=32")
+      Shmls_kernels.Pw_advection.kernel ~grid:[ 32; 16; 12 ]
+  in
+  match Shmls.evaluate_hmls c with
+  | Shmls.Flow.Success _ -> Alcotest.fail "32 CUs fit the U280"
+  | Shmls.Flow.Failure { f_reason; _ } ->
+    Alcotest.(check string)
+      "reason"
+      "design exceeds the Alveo U280's resources (%LUT 55.55  %FF 44.68  \
+       %BRAM 161.90  %URAM 0.00  %DSP 11.70; binding: bram at 162% of the \
+       budget)"
+      f_reason
+
 let () =
   Alcotest.run "fpga"
     [
@@ -264,5 +389,13 @@ let () =
           Alcotest.test_case "URAM placement" `Quick test_resources_big_buffers_in_uram;
           Alcotest.test_case "activity model" `Quick test_power_activity;
           Alcotest.test_case "energy identity" `Quick test_power_energy_is_power_times_time;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "golden cost records" `Quick test_golden_cost_records;
+          Alcotest.test_case "flow outcome matches cost" `Quick
+            test_flow_matches_cost;
+          Alcotest.test_case "infeasible design reason" `Quick
+            test_infeasible_reason;
         ] );
     ]
