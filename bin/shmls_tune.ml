@@ -1,7 +1,7 @@
 (* shmls-tune: the design-space autotuner CLI.
 
    Enumerates variant x cu x grid points for one kernel, prunes and
-   evaluates them through the unified cost-model stack (model-only),
+   prices them with one cost evaluation each (model-only),
    prints the Pareto frontier of MPt/s against the tightest resource
    fraction, and validates every feasible point (--validate narrows
    the scope) with the batched functional simulator and the

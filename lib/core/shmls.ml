@@ -44,24 +44,15 @@ module Err = Shmls_support.Err
 module Pool = Shmls_support.Pool
 module Variant = Shmls_transforms.Variant
 
-(* The unified cost-model stack (DESIGN.md section 14).  Perf_model,
-   Resources and Power each implement the Cost.MODEL interface; this
-   facade owns the canonical stack (the implementations sit below the
-   interface module in the dependency order, so the stack cannot live
-   in Shmls_fpga.Cost itself).  Contribution order matters and is part
-   of the contract: perf fills cycles/mpts, resources the fabric
-   columns, and power reads both off the accumulated record. *)
+(* The cost evaluation (DESIGN.md section 14) and its projections:
+   [Shmls_fpga.Cost] prices a design once; this facade adds the
+   kernel-level input of a multi-device evaluation (the loaded field
+   count) and the flat-record entry points the tuner, tests and
+   benchmark call. *)
 module Cost_model = struct
   include Shmls_fpga.Cost
 
-  let stack =
-    [
-      Shmls_fpga.Perf_model.cost_model;
-      Shmls_fpga.Resources.cost_model;
-      Shmls_fpga.Power.cost_model;
-    ]
-
-  let evaluate_design ?cu d = evaluate ?cu stack d
+  let evaluate_design ?cu d = project (evaluate ?cu d)
 
   (* Distinct declared fields the kernel reads — the planes a slab
      device must receive from its neighbours before each run.  Derived
@@ -80,31 +71,9 @@ module Cost_model = struct
          (fun (fd : Ast.field_decl) -> List.mem fd.Ast.fd_name read)
          k.Ast.k_fields)
 
-  (* Insert the inter-device link model into a stack, directly after
-     the head (performance) model, so the later models (power) read
-     the exchange-adjusted cycle count.  Identity for one device: a
-     single chip exchanges nothing and its interior is the global
-     interior, so the stack's own throughput stands. *)
-  let with_link_model ~devices ~link ~global_grid ~fields
-      (d : Shmls_fpga.Design.t) models =
-    if devices <= 1 then models
-    else begin
-      let exchange_bytes =
-        Shmls_fpga.Link.exchange_bytes ~grid:d.Shmls_fpga.Design.d_grid
-          ~halo:d.Shmls_fpga.Design.d_halo ~fields
-          ~neighbours:(min (devices - 1) 2)
-      in
-      let lm =
-        Shmls_fpga.Link.cost_model ~link ~exchange_bytes
-          ~global_interior:(List.fold_left ( * ) 1 global_grid)
-          ~fill:(Shmls_fpga.Perf_model.design_fill d)
-      in
-      match models with [] -> [ lm ] | perf :: rest -> perf :: lm :: rest
-    end
-
   let evaluate_multi_device ?cu ?(link = Shmls_fpga.Link.default) ~devices
       ~global_grid ~fields d =
-    evaluate ?cu (with_link_model ~devices ~link ~global_grid ~fields d stack) d
+    project (evaluate ?cu ~slabs:{ devices; link; global_grid; fields } d)
 end
 
 let () = Shmls_transforms.Register.all ()
@@ -339,11 +308,8 @@ let verify ?(seed = 7) (c : compiled) =
 
 let evaluate_hmls ?(cu = -1) (c : compiled) : Flow.outcome =
   let cu = if cu > 0 then Some cu else None in
-  (* feasibility goes through the unified cost-model stack; the Flow
-     record below keeps the detailed per-model reports *)
-  let cost = Cost_model.evaluate_design ?cu c.c_design in
-  let est = Perf_model.estimate_design ?cu c.c_design in
-  let usage = Resources.of_design ?cu c.c_design in
+  let e = Cost_model.evaluate ?cu c.c_design in
+  let cost = Cost_model.project e in
   if not (Cost_model.feasible cost) then
     Flow.Failure
       {
@@ -352,27 +318,22 @@ let evaluate_hmls ?(cu = -1) (c : compiled) : Flow.outcome =
           Format.asprintf
             "design exceeds the %s's resources (%a; binding: %s at %.0f%% of \
              the budget)"
-            U280.name Resources.pp usage
+            U280.name Resources.pp e.usage
             (Cost_model.binding_resource cost)
             (100.0 *. Cost_model.max_fraction cost);
       }
   else
-  let bytes = Perf_model.design_bytes_per_point c.c_design in
-  let power =
-    Power.of_estimate ~usage ~est ~bytes_per_point:bytes
-      ~interior:(Design.interior_points c.c_design)
-  in
-  Flow.Success
-    {
-      s_flow = "Stencil-HMLS";
-      s_est = est;
-      s_usage = usage;
-      s_power = power;
-      s_note =
-        Printf.sprintf "II=%d, %d CU(s) x %d ports, %d dataflow stages" est.e_ii
-          est.e_cu c.c_ports_per_cu
-          (List.length c.c_design.d_stages);
-    }
+    Flow.Success
+      {
+        s_flow = "Stencil-HMLS";
+        s_est = e.estimate;
+        s_usage = e.usage;
+        s_power = e.power;
+        s_note =
+          Printf.sprintf "II=%d, %d CU(s) x %d ports, %d dataflow stages"
+            e.estimate.e_ii e.estimate.e_cu c.c_ports_per_cu
+            (List.length c.c_design.d_stages);
+      }
 
 (* All five flows on one kernel/size, in the paper's order.  The flows
    are independent, so they may run on a domain pool; [Pool.map_list]

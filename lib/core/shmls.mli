@@ -38,23 +38,20 @@ module Pool = Shmls_support.Pool
     (no-split / no-pack / cu=N, composable with '+'). *)
 module Variant = Shmls_transforms.Variant
 
-(** The unified cost-model stack (DESIGN.md section 14): the
-    {!Shmls_fpga.Cost} interface plus the canonical
-    perf -> resources -> power stack. [evaluate_design] is the one call
-    the design-space tuner (and any other search driver) needs: a
-    configuration in, the full [{cycles; mpts; lut; ff; bram; uram;
-    dsp; watts}] record out, with {!Shmls_fpga.Cost.feasible} against a
-    {!U280.budget} as the feasibility predicate. *)
+(** The cost evaluation (DESIGN.md section 14): {!Shmls_fpga.Cost}
+    prices a design once — performance, the optional multi-device link
+    charge, resources, power — and [evaluate_design] is its flat
+    projection, the one call the design-space tuner (and any other
+    search driver) needs: a configuration in, the
+    [{cycles; mpts; lut; ff; bram; uram; dsp; watts}] record out, with
+    {!Shmls_fpga.Cost.feasible} against a {!U280.budget} as the
+    feasibility predicate. *)
 module Cost_model : sig
   include module type of struct
     include Shmls_fpga.Cost
   end
 
-  (** The canonical stack, in contribution order:
-      perf, resources, power. *)
-  val stack : Shmls_fpga.Cost.model list
-
-  (** Evaluate a design through the canonical stack. *)
+  (** [project (evaluate ?cu d)]. *)
   val evaluate_design : ?cu:int -> Shmls_fpga.Design.t -> Shmls_fpga.Cost.t
 
   (** Distinct declared fields the kernel reads — the per-run halo
@@ -64,26 +61,12 @@ module Cost_model : sig
       external reads. *)
   val loaded_fields : Ast.kernel -> int
 
-  (** Insert the {!Shmls_fpga.Link} cost model for a [devices]-slab
-      decomposition of [global_grid] into a stack, directly after the
-      head (performance) model; identity when [devices <= 1].  The
-      design is the (largest) slab design; [fields] is the loaded-field
-      count ({!loaded_fields}); exchange bytes follow from it plus the
-      design's halo and the neighbour count. *)
-  val with_link_model :
-    devices:int ->
-    link:Shmls_fpga.Link.t ->
-    global_grid:int list ->
-    fields:int ->
-    Shmls_fpga.Design.t ->
-    Shmls_fpga.Cost.model list ->
-    Shmls_fpga.Cost.model list
-
-  (** Evaluate a slab design through the canonical stack with the link
-      model inserted: cycles include the charged halo exchange, and the
-      throughput counts the {e global} interior completed jointly by
-      the [devices] slabs per run.  [devices = 1] is exactly
-      {!evaluate_design}. *)
+  (** Evaluate a slab design of a [devices]-slab decomposition of
+      [global_grid] with the link charge: cycles include the charged
+      halo exchange, and the throughput counts the {e global} interior
+      completed jointly by the [devices] slabs per run.  [fields] is
+      the loaded-field count ({!loaded_fields}).  [devices = 1] is
+      exactly {!evaluate_design}. *)
   val evaluate_multi_device :
     ?cu:int ->
     ?link:Shmls_fpga.Link.t ->

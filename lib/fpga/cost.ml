@@ -1,25 +1,18 @@
-(* The unified cost-model interface (DESIGN.md section 14).
+(* One cost evaluation per design (DESIGN.md section 14).
 
-   Before this module the estimation layer was three silos with ad-hoc
-   shapes: Perf_model (cycles/MPt/s), Resources (LUT/FF/BRAM/URAM/DSP)
-   and Power (watts), each with its own entry point and record.  A
-   design-space search driver wants one question answered uniformly:
-   "what does this configuration cost?".  [Cost.t] is that answer — one
-   flat record a stack of models fills in cooperatively — and [MODEL] is
-   the interface each model implements.
+   [evaluate] prices a design with each model once, in dependency
+   order: the performance estimate, the halo-exchange charge of a
+   multi-device decomposition (which moves the estimate's cycles,
+   seconds and throughput), the resource usage, and the power report
+   derived from the (charged) estimate and that usage.  Everything that
+   reports a design's cost — the Stencil-HMLS flow outcome, the tuner,
+   the benchmark — reads this one evaluation, so the numbers cannot
+   drift apart.
 
-   Models contribute in stack order, each reading what earlier models
-   wrote: the performance model fills [cycles]/[mpts], the resource
-   model fills the fabric columns, and the power model derives [watts]
-   from the *accumulated* record (seconds from [cycles], active
-   resources from the fabric columns) — the composition is the point,
-   not an accident.  The canonical stack lives in [Shmls.Cost_model]
-   (the facade cannot live here: this module is below the three model
-   implementations in the dependency order).
-
-   Feasibility is a predicate over the record against a {!U280.budget}
-   envelope; the search driver prunes and the Pareto frontier ranks by
-   [max_fraction], the tightest resource column. *)
+   [t] is the flat projection a design-space search ranks and prunes:
+   feasibility is a predicate over it against a {!U280.budget}
+   envelope, and the Pareto frontier ranks by [max_fraction], the
+   tightest resource column. *)
 
 type t = {
   cycles : float;  (* per run; the perf model's e_cycles *)
@@ -44,29 +37,60 @@ let zero =
     watts = 0.0;
   }
 
-(* The interface every cost model implements: fold one configuration's
-   contribution into the accumulated record.  [cu] overrides the
-   design's compute-unit count the way Perf_model.estimate_design and
-   Resources.of_design always allowed; models that depend on earlier
-   contributions (power) document their stack position. *)
-module type MODEL = sig
-  val name : string
-  val contribute : ?cu:int -> Design.t -> t -> t
-end
+type slabs = {
+  devices : int;
+  link : Link.t;
+  global_grid : int list;
+  fields : int;
+}
 
-type model = (module MODEL)
+type evaluation = {
+  estimate : Perf_model.estimate;
+  usage : Resources.usage;
+  power : Power.report;
+}
 
-let model_name (m : model) =
-  let module M = (val m) in
-  M.name
+(* The design under evaluation is the largest slab: the makespan lane.
+   Its neighbours (at most two) each send [fields] dim-0 halo planes
+   per run, and the N slabs complete the global interior together. *)
+let charge_link s (d : Design.t) (est : Perf_model.estimate) =
+  let exchange_bytes =
+    Link.exchange_bytes ~grid:d.d_grid ~halo:d.d_halo ~fields:s.fields
+      ~neighbours:(min (s.devices - 1) 2)
+  in
+  let cycles, seconds, mpts =
+    Link.charge s.link ~exchange_bytes
+      ~global_interior:(List.fold_left ( * ) 1 s.global_grid)
+      ~fill:(Perf_model.design_fill d) ~cycles:est.e_cycles
+  in
+  { est with e_cycles = cycles; e_seconds = seconds; e_mpts = mpts }
 
-(* Evaluate a configuration through a model stack, in order. *)
-let evaluate ?cu (models : model list) (d : Design.t) =
-  List.fold_left
-    (fun acc m ->
-      let module M = (val m : MODEL) in
-      M.contribute ?cu d acc)
-    zero models
+let evaluate ?cu ?slabs (d : Design.t) =
+  let est = Perf_model.estimate_design ?cu d in
+  let est =
+    match slabs with
+    | Some s when s.devices > 1 -> charge_link s d est
+    | _ -> est
+  in
+  let usage = Resources.of_design ?cu d in
+  let power =
+    Power.of_estimate ~usage ~est
+      ~bytes_per_point:(Perf_model.design_bytes_per_point d)
+      ~interior:(Design.interior_points d)
+  in
+  { estimate = est; usage; power }
+
+let project e =
+  {
+    cycles = e.estimate.e_cycles;
+    mpts = e.estimate.e_mpts;
+    lut = e.usage.r_luts;
+    ff = e.usage.r_ffs;
+    bram = e.usage.r_bram;
+    uram = e.usage.r_uram;
+    dsp = e.usage.r_dsps;
+    watts = e.power.p_total_w;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Feasibility against a device budget *)

@@ -1,9 +1,8 @@
-(** The unified cost-model interface (DESIGN.md section 14): one flat
-    record a stack of models ({!Perf_model.Cost_model},
-    {!Resources.Cost_model}, {!Power.Cost_model}) fills in
-    cooperatively, with feasibility as a predicate against a
-    {!U280.budget} envelope. The canonical stack lives in
-    [Shmls.Cost_model]. *)
+(** One cost evaluation per design (DESIGN.md section 14): the
+    performance estimate, the optional multi-device link charge, the
+    resource usage and the power report, each computed once, plus the
+    flat record {!t} a search ranks, with feasibility as a predicate
+    against a {!U280.budget} envelope. *)
 
 type t = {
   cycles : float;  (** per run *)
@@ -18,20 +17,30 @@ type t = {
 
 val zero : t
 
-(** The interface every cost model implements: fold one configuration's
-    contribution into the accumulated record. Models that read earlier
-    contributions (power) document their stack position. *)
-module type MODEL = sig
-  val name : string
-  val contribute : ?cu:int -> Design.t -> t -> t
-end
+(** A [devices]-slab decomposition of [global_grid] whose neighbours
+    exchange [fields] halo planes per run over [link]. *)
+type slabs = {
+  devices : int;
+  link : Link.t;
+  global_grid : int list;
+  fields : int;
+}
 
-type model = (module MODEL)
+type evaluation = {
+  estimate : Perf_model.estimate;
+  usage : Resources.usage;
+  power : Power.report;
+}
 
-val model_name : model -> string
+(** Price a design: {!Perf_model.estimate_design}, then (with [slabs]
+    of more than one device, the design being the largest slab) the
+    {!Link.charge} of the halo exchange over the global interior, then
+    {!Resources.of_design}, then {!Power.of_estimate} on the charged
+    estimate — each once. [cu] overrides the plan's CU count. *)
+val evaluate : ?cu:int -> ?slabs:slabs -> Design.t -> evaluation
 
-(** Evaluate a configuration through a model stack, in order. *)
-val evaluate : ?cu:int -> model list -> Design.t -> t
+(** The flat record of an evaluation. *)
+val project : evaluation -> t
 
 (** Per-resource budget fractions, [(name, used/available)]. *)
 val fractions : ?budget:U280.budget -> t -> (string * float) list

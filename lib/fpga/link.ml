@@ -24,11 +24,24 @@ let to_string l =
     Printf.sprintf "%.0f@%d" l.lk_gbps l.lk_latency
   else Printf.sprintf "%g@%d" l.lk_gbps l.lk_latency
 
+let bytes_per_cycle l = l.lk_gbps *. 1e9 /. 8.0 /. U280.clock_hz
+
 let of_string s =
+  (* the bandwidth divides every transfer: a subnormal or infinite
+     bytes-per-cycle rate would turn exchange times into inf or nan *)
   let parse_gbps g =
     match float_of_string_opt (String.trim g) with
-    | Some v when v > 0.0 -> Ok v
-    | _ -> Error (Printf.sprintf "bad link bandwidth %S (want gbps > 0)" g)
+    | Some v
+      when v > 0.0
+           && Float.classify_float (bytes_per_cycle { default with lk_gbps = v })
+              = FP_normal ->
+      Ok v
+    | _ ->
+      Error
+        (Printf.sprintf
+           "bad link bandwidth %S (want gbps > 0 with a normal bytes-per-cycle \
+            rate)"
+           g)
   in
   match String.index_opt s '@' with
   | None ->
@@ -42,8 +55,6 @@ let of_string s =
         | _ ->
           Error
             (Printf.sprintf "bad link latency %S (want cycles >= 0)" lat))
-
-let bytes_per_cycle l = l.lk_gbps *. 1e9 /. 8.0 /. U280.clock_hz
 
 let transfer_cycles l ~bytes =
   float_of_int l.lk_latency +. (float_of_int bytes /. bytes_per_cycle l)
@@ -68,25 +79,12 @@ let exchange_bytes ~grid ~halo ~fields ~neighbours =
   let h0 = match halo with h :: _ -> h | [] -> 0 in
   fields * h0 * halo_plane_bytes ~grid ~halo * neighbours
 
-(* The link as a cost model: stacked directly after the performance
-   model, it reads the accumulated per-run cycle count, adds the
-   charged exchange cycles, and re-derives throughput over the global
-   interior — the N slabs complete the whole grid together, and the
-   makespan is the slowest (= largest) slab, which is the one the
-   design under evaluation was compiled for. *)
-let cost_model ~link ~exchange_bytes ~global_interior ~fill : Cost.model =
-  let module M = struct
-    let name = "link"
-
-    let contribute ?cu (_ : Design.t) (c : Cost.t) =
-      ignore cu;
-      let charged = charged_cycles link ~bytes:exchange_bytes ~fill in
-      let cycles = c.Cost.cycles +. charged in
-      let seconds = cycles /. U280.clock_hz in
-      {
-        c with
-        Cost.cycles;
-        mpts = float_of_int global_interior /. seconds /. 1e6;
-      }
-  end in
-  (module M)
+(* A slab design's per-run cycles, seconds and throughput once its
+   exchange is charged: the charged cycles extend the run, and the
+   throughput counts [global_interior] points — the N slabs complete
+   the whole grid together, and the makespan is the slowest (= largest)
+   slab, which is the design being priced. *)
+let charge l ~exchange_bytes ~global_interior ~fill ~cycles =
+  let cycles = cycles +. charged_cycles l ~bytes:exchange_bytes ~fill in
+  let seconds = cycles /. U280.clock_hz in
+  (cycles, seconds, float_of_int global_interior /. seconds /. 1e6)

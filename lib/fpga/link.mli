@@ -2,8 +2,8 @@
     a point-to-point connection between neighbouring devices — an Aurora
     / QSFP-style serial link — characterised by payload bandwidth and a
     fixed per-message latency.  Used by {!Cycle_sim.run_multi} to charge
-    halo-exchange cycles and by the cost-model stack (through
-    {!cost_model}) so the tuner can price multi-chip points. *)
+    halo-exchange cycles and by {!Cost.evaluate} (through {!charge}) so
+    the tuner can price multi-chip points. *)
 
 type t = {
   lk_gbps : float;  (** payload bandwidth, gigabits per second *)
@@ -14,7 +14,8 @@ type t = {
 val default : t
 
 (** Parse a [--link] CLI argument: ["GBPS@LATENCY"] (e.g. "100@250"),
-    or just ["GBPS"] with the default latency. *)
+    or just ["GBPS"] with the default latency.  A bandwidth whose
+    {!bytes_per_cycle} is not a positive normal float is rejected. *)
 val of_string : string -> (t, string) result
 
 val to_string : t -> string
@@ -46,17 +47,17 @@ val halo_plane_bytes : grid:int list -> halo:int list -> int
 val exchange_bytes :
   grid:int list -> halo:int list -> fields:int -> neighbours:int -> int
 
-(** The link as a cost model, to be stacked after the performance model:
-    adds the charged exchange cycles of [exchange_bytes] (hidden under
-    [fill] where the serialisation overlaps) to the accumulated cycle
-    count and re-derives throughput as [global_interior] points — the
-    whole grid, completed jointly by all devices per run — over the
-    adjusted per-run time.  With one device (no neighbours, zero bytes,
-    global interior = design interior) it adds nothing and reproduces
-    the single-chip throughput. *)
-val cost_model :
-  link:t ->
+(** [(cycles, seconds, mpts)] of a slab design whose single-device run
+    takes [cycles]: the charged exchange cycles of [exchange_bytes]
+    (hidden under [fill] where the serialisation overlaps) extend the
+    run, and the throughput counts [global_interior] points — the whole
+    grid, completed jointly by all devices per run — over the charged
+    time.  With zero bytes and the design's own interior it reproduces
+    the single-chip figures. *)
+val charge :
+  t ->
   exchange_bytes:int ->
   global_interior:int ->
   fill:int ->
-  Cost.model
+  cycles:float ->
+  float * float * float

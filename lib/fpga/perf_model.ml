@@ -159,19 +159,6 @@ let check_fill_steady (d : Design.t) (r : Cycle_sim.result) =
         }
     end
 
-(* The performance model as a cost model: fills the cycle/throughput
-   columns of the unified record.  Stack position: first — later models
-   (power) read [cycles] off the accumulated record. *)
-module Cost_model : Cost.MODEL = struct
-  let name = "perf"
-
-  let contribute ?cu d (c : Cost.t) =
-    let est = estimate_design ?cu d in
-    { c with Cost.cycles = est.e_cycles; mpts = est.e_mpts }
-end
-
-let cost_model : Cost.model = (module Cost_model)
-
 let pp_estimate ppf e =
   Format.fprintf ppf
     "%.2f MPt/s (%.0f cycles, %.4f s, II=%d, serial=%d, %d CU%s%s)" e.e_mpts

@@ -59,14 +59,8 @@ type fill_steady_check = {
 }
 
 (** [None] when the run deadlocked or no steady-state period was
-    detected (e.g. under the Tick engine). *)
+    detected. *)
 val check_fill_steady :
   Design.t -> Cycle_sim.result -> fill_steady_check option
-
-(** The performance model behind the unified {!Cost.MODEL} interface:
-    fills [cycles]/[mpts]. Stack position: first. *)
-module Cost_model : Cost.MODEL
-
-val cost_model : Cost.model
 
 val pp_estimate : Format.formatter -> estimate -> unit

@@ -57,43 +57,6 @@ let of_estimate ~usage ~(est : Perf_model.estimate) ~bytes_per_point ~interior =
   let activity = 1.0 /. float_of_int (est.e_ii * est.e_serial) in
   report ~usage ~activity ~bytes_per_second ~seconds:est.e_seconds
 
-(* The power model as a cost model.  Stack position: LAST — it reads
-   the *accumulated* record rather than recomputing its inputs: run
-   time comes from [cycles] (seconds = cycles / clock) and the active
-   resources come from the fabric columns the resource model filled.
-   Only the activity factor (1 / (II * serial)) and the per-point
-   traffic are read off the design itself. *)
-module Cost_model : Cost.MODEL = struct
-  let name = "power"
-
-  let contribute ?cu:_ d (c : Cost.t) =
-    let usage =
-      {
-        Resources.r_luts = c.Cost.lut;
-        r_ffs = c.Cost.ff;
-        r_bram = c.Cost.bram;
-        r_uram = c.Cost.uram;
-        r_dsps = c.Cost.dsp;
-      }
-    in
-    let seconds = c.Cost.cycles /. U280.clock_hz in
-    let summary = Design.summarise d in
-    let activity =
-      1.0 /. float_of_int (max 1 (summary.max_ii * Perf_model.design_serial d))
-    in
-    let bytes_per_second =
-      if seconds > 0.0 then
-        float_of_int
-          (Perf_model.design_bytes_per_point d * Design.interior_points d)
-        /. seconds
-      else 0.0
-    in
-    let r = report ~usage ~activity ~bytes_per_second ~seconds in
-    { c with Cost.watts = r.p_total_w }
-end
-
-let cost_model : Cost.model = (module Cost_model)
-
 let pp ppf r =
   Format.fprintf ppf "%.1f W avg (%.1f static + %.1f dynamic), %.1f J"
     r.p_total_w r.p_static_w r.p_dynamic_w r.p_energy_j

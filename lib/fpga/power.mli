@@ -30,11 +30,4 @@ val of_estimate :
   interior:int ->
   report
 
-(** The power model behind the unified {!Cost.MODEL} interface: derives
-    [watts] from the accumulated record (seconds from [cycles], active
-    resources from the fabric columns). Stack position: LAST. *)
-module Cost_model : Cost.MODEL
-
-val cost_model : Cost.model
-
 val pp : Format.formatter -> report -> unit

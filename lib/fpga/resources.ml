@@ -149,26 +149,6 @@ let fits u =
   u.r_luts <= U280.luts && u.r_ffs <= U280.ffs && u.r_bram <= U280.bram36
   && u.r_uram <= U280.uram && u.r_dsps <= U280.dsps
 
-(* The resource model as a cost model: fills the fabric columns of the
-   unified record.  Stack position: after perf, before power (power
-   derives switching draw from these columns). *)
-module Cost_model : Cost.MODEL = struct
-  let name = "resources"
-
-  let contribute ?cu d (c : Cost.t) =
-    let u = of_design ?cu d in
-    {
-      c with
-      Cost.lut = u.r_luts;
-      ff = u.r_ffs;
-      bram = u.r_bram;
-      uram = u.r_uram;
-      dsp = u.r_dsps;
-    }
-end
-
-let cost_model : Cost.model = (module Cost_model)
-
 let pp ppf u =
   let p = to_percentages u in
   Format.fprintf ppf

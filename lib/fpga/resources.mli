@@ -43,11 +43,4 @@ val to_percentages : usage -> percentages
 (** Does the usage fit the U280? *)
 val fits : usage -> bool
 
-(** The resource model behind the unified {!Cost.MODEL} interface:
-    fills the fabric columns. Stack position: after perf, before
-    power. *)
-module Cost_model : Cost.MODEL
-
-val cost_model : Cost.model
-
 val pp : Format.formatter -> usage -> unit

@@ -4,9 +4,9 @@
    {!Variant.search_space}, prunes the ones the U280 shell can never
    host (cu x ports_per_cu beyond the AXI port budget) and the
    duplicates (an explicit cu equal to the derived one compiles to the
-   same design), evaluates the survivors through the unified cost-model
-   stack — model-only: a point costs one cached compile and a fold over
-   the stack, never a simulation — and maintains the 2-D Pareto
+   same design), prices the survivors with {!Cost.evaluate} —
+   model-only: a point costs one cached compile and one cost
+   evaluation, never a simulation — and maintains the 2-D Pareto
    frontier of throughput (MPt/s, up) against the tightest resource
    fraction (down).
 
@@ -18,8 +18,8 @@
    functional simulator and cycle-counted by {!Cycle_sim} on the
    work-stealing pool, and the measured cycles are compared against the
    model's per-CU prediction (the cycle simulator executes one CU over
-   the whole padded grid, so the comparison point is the stack
-   evaluated at [~cu:1]); points diverging beyond the tolerance are
+   the whole padded grid, so the comparison point is the cost
+   evaluation at [~cu:1]); points diverging beyond the tolerance are
    flagged, not hidden.  [~validate] narrows the scope back to
    [Frontier] or the [Top n] points; the frontier is always validated
    regardless.  Each validation row records the fill/steady
@@ -54,7 +54,7 @@ type eval = {
 
 type validation = {
   va_max_diff : float;  (** batched functional sim vs reference interp *)
-  va_model_cycles : float;  (** stack at [~cu:1] *)
+  va_model_cycles : float;  (** the cost evaluation at [~cu:1] *)
   va_measured_cycles : int;  (** {!Cycle_sim} *)
   va_divergence : float;  (** |model - measured| / measured *)
   va_fill_divergence : float option;
@@ -254,7 +254,36 @@ let load_state path =
 
 let default_divergence_tolerance = 0.10
 
-let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
+(* The model/measured judgement of one validation: the cycle divergence
+   is normalised by the measured count, and either it or the fill
+   divergence beyond the tolerance flags the point. *)
+let judge ?(divergence_tolerance = default_divergence_tolerance) ~max_diff
+    ~model_cycles ~measured_cycles ~fill_divergence () =
+  let divergence =
+    Float.abs (model_cycles -. float_of_int measured_cycles)
+    /. float_of_int (max 1 measured_cycles)
+  in
+  let fill_flagged =
+    match fill_divergence with
+    | Some f -> f > divergence_tolerance
+    | None -> false
+  in
+  {
+    va_max_diff = max_diff;
+    va_model_cycles = model_cycles;
+    va_measured_cycles = measured_cycles;
+    va_divergence = divergence;
+    va_fill_divergence = fill_divergence;
+    va_flagged = divergence > divergence_tolerance || fill_flagged;
+  }
+
+let show_point (p : point) =
+  Printf.sprintf "%s on %s at %d device(s)"
+    (Variant.to_string p.pt_variant)
+    (String.concat "x" (List.map string_of_int p.pt_grid))
+    p.pt_devices
+
+let run ?(budget = U280.budget)
     ?(max_cu = 8) ?(jobs = 0) ?state ?(resume = false)
     ?(divergence_tolerance = default_divergence_tolerance)
     ?(validate = All) ?(devices = [ 1 ]) ?(link = Shmls_fpga.Link.default)
@@ -309,9 +338,9 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
     Shmls.compile_cached ~variant:p.pt_variant kernel ~grid:(slab_grid_of p)
   in
   let loaded_fields = Shmls.Cost_model.loaded_fields kernel in
-  let models_for (p : point) (c : Shmls.compiled) =
-    Shmls.Cost_model.with_link_model ~devices:p.pt_devices ~link
-      ~global_grid:p.pt_grid ~fields:loaded_fields c.Shmls.c_design models
+  let cost_of ?cu (p : point) (c : Shmls.compiled) =
+    Shmls.Cost_model.evaluate_multi_device ?cu ~link ~devices:p.pt_devices
+      ~global_grid:p.pt_grid ~fields:loaded_fields c.Shmls.c_design
   in
   let evaluate_point key (p : point) =
     match Hashtbl.find_opt known_points key with
@@ -321,7 +350,7 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
     | None ->
       let c = compile_point p in
       Hashtbl.replace compiled_designs key c;
-      let cost = Cost.evaluate (models_for p c) c.Shmls.c_design in
+      let cost = cost_of p c in
       let e =
         {
           ev_point = p;
@@ -458,10 +487,7 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
     Pool.with_pool ~jobs (fun pool ->
         Pool.map_list pool
           (fun ((key, e, c), plan) ->
-            let model_cycles =
-              (Cost.evaluate ~cu:1 (models_for e.ev_point c) c.Shmls.c_design)
-                .Cost.cycles
-            in
+            let model_cycles = (cost_of ~cu:1 e.ev_point c).Cost.cycles in
             let max_diff, measured, deadlocked, fill_divergence =
               match plan with
               | None ->
@@ -486,38 +512,27 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
                   Shmls_host.Multi_device.verify_vs_reference plan
                 in
                 let mr = Shmls_host.Multi_device.estimate plan in
+                let makespan = Float.round mr.Shmls_fpga.Cycle_sim.mr_cycles in
+                (* [int_of_float] is unspecified on nan, inf and values
+                   beyond the int range *)
+                if not (Float.abs makespan < float_of_int max_int) then
+                  Err.raise_error ~loc:kernel.Ast.k_loc
+                    "tune: design %s has an ensemble makespan of %g cycles, \
+                     beyond the cycle counter (link %s)"
+                    (show_point e.ev_point) makespan
+                    (Shmls_fpga.Link.to_string link);
                 ( verification.Shmls.v_max_diff,
-                  int_of_float
-                    (Float.round mr.Shmls_fpga.Cycle_sim.mr_cycles),
+                  int_of_float makespan,
                   mr.Shmls_fpga.Cycle_sim.mr_deadlocked,
                   None )
             in
             if deadlocked then
-              Err.raise_error
-                "tune: design %s on %s deadlocked in the cycle simulator"
-                (Variant.to_string e.ev_point.pt_variant)
-                (String.concat "x" (List.map string_of_int e.ev_point.pt_grid));
-            let divergence =
-              Float.abs (model_cycles -. float_of_int measured)
-              /. float_of_int (max 1 measured)
-            in
-            let fill_flagged =
-              match fill_divergence with
-              | Some f -> f > divergence_tolerance
-              | None -> false
-            in
-            let v =
-              {
-                va_max_diff = max_diff;
-                va_model_cycles = model_cycles;
-                va_measured_cycles = measured;
-                va_divergence = divergence;
-                va_fill_divergence = fill_divergence;
-                va_flagged =
-                  divergence > divergence_tolerance || fill_flagged;
-              }
-            in
-            (key, e.ev_point, v))
+              Err.raise_error "tune: design %s deadlocked in the cycle simulator"
+                (show_point e.ev_point);
+            ( key,
+              e.ev_point,
+              judge ~divergence_tolerance ~max_diff ~model_cycles
+                ~measured_cycles:measured ~fill_divergence () ))
           todo)
   in
   List.iter

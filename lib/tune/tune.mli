@@ -1,7 +1,7 @@
 (** The design-space autotuner (DESIGN.md section 14.2): enumerates
     variant x cu x grid points, prunes against the U280 shell's AXI
-    port budget, evaluates survivors through the unified cost-model
-    stack (model-only — no simulation), keeps the 2-D Pareto frontier
+    port budget, prices survivors with one cost evaluation each
+    (model-only — no simulation), keeps the 2-D Pareto frontier
     of MPt/s against the tightest resource fraction, and validates
     points with the batched functional simulator and the cycle
     simulator, flagging model/measured divergence beyond the tolerance.
@@ -31,7 +31,7 @@ type eval = {
 
 type validation = {
   va_max_diff : float;  (** batched functional sim vs reference interp *)
-  va_model_cycles : float;  (** cost-model stack evaluated at [~cu:1] *)
+  va_model_cycles : float;  (** the cost evaluation at [~cu:1] *)
   va_measured_cycles : int;  (** {!Shmls_fpga.Cycle_sim} *)
   va_divergence : float;  (** |model - measured| / measured *)
   va_fill_divergence : float option;
@@ -91,25 +91,38 @@ val point_key :
 
 val default_divergence_tolerance : float
 
+(** The validation of one point from its measurements: the cycle
+    divergence [|model - measured| / measured] and the flag, raised when
+    it or [fill_divergence] exceeds [divergence_tolerance] (default
+    {!default_divergence_tolerance}). *)
+val judge :
+  ?divergence_tolerance:float ->
+  max_diff:float ->
+  model_cycles:float ->
+  measured_cycles:int ->
+  fill_divergence:float option ->
+  unit ->
+  validation
+
 (** Run the search. [state] names the JSONL search-state file; with
     [resume] set, rows already present are reloaded instead of
     re-evaluated (a finished search re-runs with zero recompiles and
-    zero re-simulations and leaves the file byte-identical). [models]
-    overrides the cost-model stack (for differential tests); [jobs]
+    zero re-simulations and leaves the file byte-identical). [jobs]
     sizes the validation pool ([0] adaptive, [1] sequential);
     [validate] narrows the validation scope (default [All] — the
     frontier is validated in every scope).
 
     [devices] adds a slab-count axis to the search (default [[1]]):
     each listed count prices the kernel decomposed over that many
-    devices — the largest slab's design through the stack with the
-    {!Shmls_fpga.Link} model charging the halo exchange over [link] —
-    and multi-device points are validated by the reassembled
+    devices — the largest slab's design through {!Shmls_fpga.Cost.evaluate}
+    with the {!Shmls_fpga.Link} charge for the halo exchange over
+    [link] — and multi-device points are validated by the reassembled
     {!Shmls_host.Multi_device} run against the global reference plus
     the ensemble cycle estimate.  Counts exceeding a grid's dim-0 rows
-    are pruned ([r_pruned_devices]). *)
+    are pruned ([r_pruned_devices]); an ensemble makespan that is not
+    finite or does not fit an [int] raises {!Shmls_support.Err.Error}
+    naming the point. *)
 val run :
-  ?models:Cost.model list ->
   ?budget:U280.budget ->
   ?max_cu:int ->
   ?jobs:int ->

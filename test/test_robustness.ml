@@ -174,6 +174,38 @@ let test_sweep_rank_mismatch () =
     Alcotest.(check bool) "no verification" true (Option.is_none verification)
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+(* -- out-of-range link bandwidths ------------------------------------------- *)
+
+(* A bandwidth whose bytes-per-cycle rate is subnormal (or infinite)
+   would make every exchange time inf or nan: the parser rejects it. *)
+let test_link_rejects_subnormal_rate () =
+  List.iter
+    (fun spec ->
+      match F.Link.of_string spec with
+      | Error _ -> ()
+      | Ok l -> Alcotest.failf "%S parsed as %s" spec (F.Link.to_string l))
+    [ "1e-320"; "1e-320@10"; "inf"; "nan"; "0"; "-5" ];
+  Alcotest.(check bool) "tiny but normal rate accepted" true
+    (Result.is_ok (F.Link.of_string "1e-300"))
+
+(* A link slow enough to push the ensemble makespan past the int range
+   fails the search with an error naming the point, instead of writing
+   an overflowed measured cycle count. *)
+let test_tune_rejects_overflowing_makespan () =
+  let link = Result.get_ok (F.Link.of_string "1e-300") in
+  match
+    Shmls_tune.Tune.run ~max_cu:1 ~jobs:1 ~devices:[ 1; 2 ] ~link
+      Shmls_kernels.Didactic.heat_3d ~grids:[ [ 48; 8; 6 ] ]
+  with
+  | _ -> Alcotest.fail "tune accepted an overflowing makespan"
+  | exception Shmls_support.Err.Error e ->
+    Alcotest.(check string)
+      "located, names the point"
+      "lib/kernels/didactic.ml:53:24: error: tune: design full on 48x8x6 at \
+       2 device(s) has an ensemble makespan of 1.536e+303 cycles, beyond the \
+       cycle counter (link 1e-300@250)"
+      (Shmls_support.Err.to_string e)
+
 (* -- power model sanity --------------------------------------------------- *)
 
 let test_power_bounds () =
@@ -219,6 +251,13 @@ let () =
         [
           Alcotest.test_case "sweep fails every flow" `Quick
             test_sweep_rank_mismatch;
+        ] );
+      ( "link-bandwidth",
+        [
+          Alcotest.test_case "subnormal rates rejected" `Quick
+            test_link_rejects_subnormal_rate;
+          Alcotest.test_case "tune: makespan beyond int" `Quick
+            test_tune_rejects_overflowing_makespan;
         ] );
       ("power", [ Alcotest.test_case "envelope bounds" `Quick test_power_bounds ]);
     ]

@@ -287,34 +287,30 @@ let test_resume_zero_work () =
 (* Divergence flagging: a model that triples the predicted cycles must
    trip the >10% model/measured comparison on every frontier point. *)
 
-module Bad_perf = struct
-  let name = "bad-perf"
-
-  let contribute ?cu d c =
-    let module P = (val Shmls.Perf_model.cost_model : Cost.MODEL) in
-    let c = P.contribute ?cu d c in
-    { c with Cost.cycles = c.Cost.cycles *. 3.0 }
-end
-
 let test_bad_model_flagged () =
-  let bad_stack =
-    [
-      (module Bad_perf : Cost.MODEL);
-      Shmls.Resources.cost_model;
-      Shmls.Power.cost_model;
-    ]
-  in
   let kernel = Shmls_kernels.Didactic.laplace_2d in
-  let r = T.run ~models:bad_stack ~max_cu:2 ~jobs:1 kernel ~grids:[ [ 12; 12 ] ] in
-  Alcotest.(check bool) "frontier non-empty" true (r.T.r_frontier <> []);
+  let ok = T.run ~max_cu:2 ~jobs:1 kernel ~grids:[ [ 12; 12 ] ] in
+  Alcotest.(check bool) "frontier non-empty" true (ok.T.r_frontier <> []);
   List.iter
     (fun (fp : T.frontier_point) ->
+      let p = fp.T.fp_eval.T.ev_point and v = fp.T.fp_validation in
+      (* the model side of a validation is the cost evaluation at one CU *)
+      let c =
+        Shmls.compile_cached ~variant:p.T.pt_variant kernel ~grid:p.T.pt_grid
+      in
+      Alcotest.(check (float 0.0))
+        "model cycles are the one-CU cost" v.T.va_model_cycles
+        (Shmls.Cost_model.evaluate_design ~cu:1 c.Shmls.c_design).Cost.cycles;
+      let bad =
+        T.judge ~max_diff:v.T.va_max_diff
+          ~model_cycles:(3.0 *. v.T.va_model_cycles)
+          ~measured_cycles:v.T.va_measured_cycles
+          ~fill_divergence:v.T.va_fill_divergence ()
+      in
       Alcotest.(check bool)
-        "seeded bad model trips the divergence flag" true
-        fp.T.fp_validation.T.va_flagged)
-    r.T.r_frontier;
-  (* the honest stack on the same configurations does not *)
-  let ok = T.run ~max_cu:2 ~jobs:1 kernel ~grids:[ [ 12; 12 ] ] in
+        "seeded bad model trips the divergence flag" true bad.T.va_flagged)
+    ok.T.r_frontier;
+  (* the honest model on the same configurations does not *)
   List.iter
     (fun (fp : T.frontier_point) ->
       Alcotest.(check bool)
