@@ -20,15 +20,15 @@ module TA = Shmls_kernels.Tracer_advection
 
 let runs = 10
 
-(* Concurrent streams of work for the experiments ([--jobs N]; 0 = the
-   adaptive default, all available cores; 1 = sequential.  Results are
-   order-preserving, so the tables are byte-identical either way). *)
+(* Concurrent streams of work for the ablation sweep ([--jobs N]; 0 =
+   the adaptive default, all available cores; 1 = sequential.  Results
+   are order-preserving, so the tables are byte-identical either way). *)
 let jobs = ref 0
 
 let flows_of k grid =
   (* average of [runs] evaluations, per the paper's protocol *)
   let samples =
-    List.init runs (fun _ -> Shmls.evaluate_all ~jobs:!jobs k ~grid)
+    List.init runs (fun _ -> Shmls.evaluate_all k ~grid)
   in
   let first = List.hd samples in
   List.mapi
@@ -681,7 +681,7 @@ let micro_tests () =
              (Shmls_tune.Tune.run ~max_cu:2 ~jobs:1
                 Shmls_kernels.Didactic.laplace_2d ~grids:[ [ 12; 12 ] ])));
     (* --jobs scaling: the sweep driver with design verification,
-       sequential vs the adaptive work-stealing pool (one shared plan
+       sequential vs the adaptive domain pool (one shared plan
        per config, per-domain run states) *)
     Test.make ~name:"sweep_verify_batched_jobs1"
       (Staged.stage (fun () ->
@@ -945,7 +945,7 @@ let rec extract_json acc = function
   | x :: rest -> extract_json (x :: acc) rest
 
 (* Pull "--jobs N" out likewise (concurrent streams of work for the
-   experiment evaluations; 0 = adaptive, 1 = sequential — the tables are
+   ablation sweep; 0 = adaptive, 1 = sequential — the tables are
    byte-identical either way). *)
 let rec extract_jobs acc = function
   | [] -> (List.rev acc, None)

@@ -8,7 +8,7 @@
      shmls-compile my_kernel.psy --grid 32x32x16 --verify --evaluate
 
    The [sweep] subcommand evaluates the cross product of kernels and
-   grids on the work-stealing pool, streaming one JSON Lines row per
+   grids on the domain pool, streaming one JSON Lines row per
    configuration as it completes:
 
      shmls-compile sweep heat_3d laplace_2d --grids 32x32x16,64x64x32 \
@@ -68,7 +68,7 @@ let dump_interiors path grid (outputs : (string * Shmls_interp.Grid.t) list) =
   Printf.printf "wrote %s\n" path
 
 let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
-    report trace pass_stats jobs devices link_spec sweeps dump_grids =
+    report trace pass_stats devices link_spec sweeps dump_grids =
   try
     let kernel = load_kernel kernel_spec in
     let grid = parse_grid grid_spec in
@@ -84,7 +84,8 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
       | Ok l -> l
       | Error m -> failwith m
     in
-    let c = Shmls.compile ~variant kernel ~grid in
+    (* cached, so --evaluate and the multi-device plan reuse this compile *)
+    let c = Shmls.compile_cached ~variant kernel ~grid in
     Printf.printf
       "kernel %s on %s (variant %s): %d CU(s) x %d AXI ports, %d dataflow \
        stages, %d streams\n"
@@ -189,7 +190,7 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
               s.s_usage Shmls.Power.pp s.s_power
           | Shmls.Flow.Failure f ->
             Printf.printf "  %-14s FAILED: %s\n" f.f_flow f.f_reason)
-        (Shmls.evaluate_all ~jobs ~variant kernel ~grid)
+        (Shmls.evaluate_all ~variant kernel ~grid)
     end;
     `Ok ()
   with
@@ -199,8 +200,8 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
   | Failure msg -> `Error (false, msg)
 
 (* ------------------------------------------------------------------ *)
-(* The sweep subcommand: kernels x grids on the work-stealing pool,
-   streamed as JSON Lines. *)
+(* The sweep subcommand: kernels x grids on the domain pool, streamed
+   as JSON Lines. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -275,7 +276,7 @@ let swept_keys path =
       | Some k, Some g, Some v ->
         Some (k ^ "|" ^ String.concat "x" (List.map string_of_int g) ^ "|" ^ v)
       | _ -> None)
-    (J.lines_of_file path)
+    (J.resume_lines path)
 
 let config_key ~variant (k : Shmls.Ast.kernel) grid =
   k.k_name ^ "|"
@@ -283,10 +284,11 @@ let config_key ~variant (k : Shmls.Ast.kernel) grid =
   ^ "|"
   ^ Shmls.Variant.to_string variant
 
-let run_sweep kernel_specs grids_spec variant_spec verify seed jobs chunk out
-    resume devices =
+let run_sweep kernel_specs grids_spec variant_spec verify seed jobs out resume
+    devices =
   try
     if devices < 1 then failwith "bad --devices (want >= 1)";
+    if jobs < 0 then failwith "bad --jobs (want >= 0)";
     let kernels = List.map load_kernel kernel_specs in
     let grids =
       String.split_on_char ',' grids_spec
@@ -383,9 +385,8 @@ let run_sweep kernel_specs grids_spec variant_spec verify seed jobs chunk out
     in
     let finally () = Option.iter close_out out_channel in
     Fun.protect ~finally (fun () ->
-        let chunk = if chunk > 0 then Some chunk else None in
         let results =
-          Shmls.sweep ~jobs ?chunk ~on_result:emit
+          Shmls.sweep ~jobs ~on_result:emit
             ~verify_designs:(verify && devices = 1)
             ~seed ~variant configs
         in
@@ -482,16 +483,6 @@ let pass_stats_arg =
     & info [ "pass-stats" ]
         ~doc:"Print per-step timing of the nine-pass HLS lowering.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Concurrent streams of work. 0 (the default) is adaptive: all \
-           available cores, degrading to the plain sequential path on a \
-           one-core machine. 1 forces sequential execution; results are \
-           byte-identical either way.")
-
 let devices_arg =
   Arg.(
     value & opt int 1
@@ -535,7 +526,7 @@ let compile_term =
     ret
       (const run_tool $ kernel_arg $ grid_arg $ variant_arg $ emit_arg
      $ outdir_arg $ verify_arg $ evaluate_arg $ report_arg $ trace_arg
-     $ pass_stats_arg $ jobs_arg $ devices_arg $ link_arg $ sweeps_arg
+     $ pass_stats_arg $ devices_arg $ link_arg $ sweeps_arg
      $ dump_grids_arg))
 
 let sweep_kernels_arg =
@@ -555,14 +546,15 @@ let seed_arg =
     value & opt int 7
     & info [ "seed" ] ~docv:"N" ~doc:"Seed for the verification inputs.")
 
-let chunk_arg =
+let jobs_arg =
   Arg.(
     value & opt int 0
-    & info [ "chunk" ] ~docv:"N"
+    & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Scheduling granularity of the work-stealing pool (configurations \
-           claimed per scheduler interaction). 0 picks an adaptive size; \
-           results are identical for every setting.")
+          "Configurations evaluated concurrently. 0 (the default) is \
+           adaptive: all available cores, degrading to the plain \
+           sequential path on a one-core machine. 1 forces sequential \
+           execution; results are byte-identical either way.")
 
 let out_arg =
   Arg.(
@@ -595,15 +587,15 @@ let sweep_devices_arg =
 
 let sweep_cmd =
   let doc =
-    "evaluate the cross product of kernels and grids on the work-stealing \
-     pool, streaming JSON Lines rows"
+    "evaluate the cross product of kernels and grids on a pool of domains, \
+     streaming JSON Lines rows"
   in
   Cmd.v
     (Cmd.info "shmls-compile sweep" ~doc)
     Term.(
       ret
         (const run_sweep $ sweep_kernels_arg $ grids_arg $ variant_arg
-       $ verify_arg $ seed_arg $ jobs_arg $ chunk_arg $ out_arg $ resume_arg
+       $ verify_arg $ seed_arg $ jobs_arg $ out_arg $ resume_arg
        $ sweep_devices_arg))
 
 let cmd =

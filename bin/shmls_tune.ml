@@ -58,6 +58,7 @@ let run_tune kernel_spec grids_spec budget_spec max_cu tolerance validate_spec
              | _ -> failwith ("bad --devices count: " ^ s))
     in
     if devices = [] then failwith "empty --devices";
+    if jobs < 0 then failwith "bad --jobs (want >= 0)";
     let link =
       match Shmls.Link.of_string link_spec with
       | Ok l -> l

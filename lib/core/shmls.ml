@@ -109,14 +109,12 @@ let compile_runs_counter = Atomic.make 0
 let compile_runs () = Atomic.get compile_runs_counter
 
 (* Run the full Stencil-HMLS compilation pipeline on one kernel. *)
-let compile_raw ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
-    ~grid =
+let compile_raw ~variant (kernel : Ast.kernel) ~grid =
   Atomic.incr compile_runs_counter;
   Shmls_transforms.Register.all ();
   let lowered = Lower.lower kernel ~grid in
   Shmls_transforms.Shape_inference.run_on_module lowered.l_module;
-  if split_applies then
-    ignore (Shmls_transforms.Apply_split.run_on_module lowered.l_module);
+  ignore (Shmls_transforms.Apply_split.run_on_module lowered.l_module);
   Verifier.verify_exn lowered.l_module;
   let hls_module, plans, pass_stats =
     Shmls_transforms.Stencil_to_hls.run_with_stats ~variant lowered.l_module
@@ -127,10 +125,9 @@ let compile_raw ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
     | [ p ] -> p
     | _ -> Err.raise_error "compile: expected exactly one kernel function"
   in
-  let design = Shmls_fpga.Extract.extract func in
   let design =
-    if balance_depths then Shmls_fpga.Depth_balance.balance_and_reextract design
-    else design
+    Shmls_fpga.Depth_balance.balance_and_reextract
+      (Shmls_fpga.Extract.extract func)
   in
   let llvm = Shmls_llvmir.Emit.emit_module hls_module in
   let fpp = Shmls_llvmir.Fplusplus.run llvm in
@@ -157,9 +154,8 @@ let compile_raw ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
 (* Any pipeline failure is attributed to the kernel being compiled and,
    when the error itself carries no position, anchored at the kernel's
    own source location. *)
-let compile ?(balance_depths = true) ?(split_applies = true)
-    ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
-  try compile_raw ~balance_depths ~split_applies ~variant kernel ~grid
+let compile ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
+  try compile_raw ~variant kernel ~grid
   with Err.Error e ->
     raise
       (Err.Error
@@ -171,16 +167,14 @@ let compile ?(balance_depths = true) ?(split_applies = true)
 (* Compile-once cache.
 
    [Ast.kernel] and the grid are pure data, so a Marshal digest of
-   (kernel, grid, flags) is a complete key for the whole pipeline: same
+   (kernel, grid, variant) is a complete key for the whole pipeline: same
    key, same [compiled] record.  The record is cached whole and shared —
    every downstream consumer (verify, evaluate, the emitters) only reads
    it.  Repeated evaluations (the 10-run protocol in bench/main.ml) pay
-   for compilation once per distinct kernel/grid/flag combination. *)
+   for compilation once per distinct kernel/grid/variant combination. *)
 
-let compile_key ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
-    ~grid =
-  Digest.string
-    (Marshal.to_string (kernel, grid, balance_depths, split_applies, variant) [])
+let compile_key ~variant (kernel : Ast.kernel) ~grid =
+  Digest.string (Marshal.to_string (kernel, grid, variant) [])
 
 let compile_cache : (Digest.t, compiled) Hashtbl.t = Hashtbl.create 16
 
@@ -196,9 +190,8 @@ let compile_cache_misses = Atomic.make 0
 let compile_cache_stats () =
   (Atomic.get compile_cache_hits, Atomic.get compile_cache_misses)
 
-let compile_cached ?(balance_depths = true) ?(split_applies = true)
-    ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
-  let key = compile_key ~balance_depths ~split_applies ~variant kernel ~grid in
+let compile_cached ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
+  let key = compile_key ~variant kernel ~grid in
   match
     Mutex.protect compile_cache_mutex (fun () ->
         Hashtbl.find_opt compile_cache key)
@@ -207,7 +200,7 @@ let compile_cached ?(balance_depths = true) ?(split_applies = true)
     Atomic.incr compile_cache_hits;
     c
   | None ->
-    let c = compile ~balance_depths ~split_applies ~variant kernel ~grid in
+    let c = compile ~variant kernel ~grid in
     Mutex.protect compile_cache_mutex (fun () ->
         match Hashtbl.find_opt compile_cache key with
         | Some winner -> winner (* another domain raced us to it *)
@@ -335,15 +328,10 @@ let evaluate_hmls ?(cu = -1) (c : compiled) : Flow.outcome =
             (List.length c.c_design.d_stages);
       }
 
-(* All five flows on one kernel/size, in the paper's order.  The flows
-   are independent, so they may run on a domain pool; [Pool.map_list]
-   preserves order, so the result is byte-identical to a sequential run.
-   [jobs] follows the global convention: [0] (the default) is adaptive —
-   the shared machine-sized pool, which on a one-domain box degrades to
-   the plain sequential path; [1] forces sequential; [n > 1] uses a
-   dedicated pool of [n] streams. *)
-let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
-    ~grid =
+(* All five flows on one kernel/size, in the paper's order, run one
+   after another on the caller: StencilFlow's cost dominates the five,
+   so spreading them over domains buys nothing. *)
+let evaluate_all ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
   let flows =
     [
       ( "Stencil-HMLS",
@@ -368,9 +356,7 @@ let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
         (List.length grid)
     in
     List.map (fun (f_flow, _) -> Flow.Failure { f_flow; f_reason = reason }) flows
-  else if jobs = 1 then List.map (fun (_, f) -> f ()) flows
-  else
-    Pool.with_pool ~jobs (fun p -> Pool.map_list p (fun (_, f) -> f ()) flows)
+  else List.map (fun (_, f) -> f ()) flows
 
 (* ------------------------------------------------------------------ *)
 (* Grid sweeps: many (kernel, grid) configurations, optionally across
@@ -389,7 +375,7 @@ let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
    configuration raises, rows after it are withheld and the error
    re-raises for the smallest failing index, as a sequential loop would
    report first. *)
-let sweep ?(jobs = 0) ?chunk ?on_result ?(verify_designs = false) ?(seed = 7)
+let sweep ?(jobs = 0) ?on_result ?(verify_designs = false) ?(seed = 7)
     ?(variant = Variant.default)
     (configs : (Ast.kernel * int list) list) =
   let prepared =
@@ -406,9 +392,7 @@ let sweep ?(jobs = 0) ?chunk ?on_result ?(verify_designs = false) ?(seed = 7)
       configs
   in
   let eval (kernel, grid, c) =
-    (* the sweep itself is the parallel axis, so the per-config flow
-       evaluation stays sequential inside its job (no nested pools) *)
-    let outcomes = evaluate_all ~jobs:1 ~variant kernel ~grid in
+    let outcomes = evaluate_all ~variant kernel ~grid in
     let verification =
       match (verify_designs, c) with
       | true, Ok c -> Some (verify ~seed c)
@@ -437,9 +421,7 @@ let sweep ?(jobs = 0) ?chunk ?on_result ?(verify_designs = false) ?(seed = 7)
         r
   in
   let indexed = List.mapi (fun i item -> (i, item)) prepared in
-  if jobs = 1 then List.map eval_one indexed
-  else
-    Pool.with_pool ~jobs (fun p -> Pool.map_list ?chunk p eval_one indexed)
+  Pool.with_pool ~jobs (fun p -> Pool.map_list p eval_one indexed)
 
 (* ------------------------------------------------------------------ *)
 (* Artefact output *)

@@ -106,21 +106,17 @@ type compiled = {
           once is not safe. *)
 }
 
-(** Run the full Stencil-HMLS compilation pipeline. [balance_depths]
-    and [split_applies] exist for ablations and tests; leave them on.
+(** Run the full Stencil-HMLS compilation pipeline.
     [variant] (default {!Variant.default}) compiles an ablated pipeline
     for real — no-split / no-pack / cu=N designs all flow through the
     same extraction, simulators and models. *)
-val compile :
-  ?balance_depths:bool -> ?split_applies:bool -> ?variant:Variant.t ->
-  Ast.kernel -> grid:int list -> compiled
+val compile : ?variant:Variant.t -> Ast.kernel -> grid:int list -> compiled
 
-(** Like {!compile}, but memoised on a digest of (kernel, grid, flags,
+(** Like {!compile}, but memoised on a digest of (kernel, grid,
     variant): repeated evaluations of the same configuration compile once
     and share the (read-only) [compiled] record. *)
 val compile_cached :
-  ?balance_depths:bool -> ?split_applies:bool -> ?variant:Variant.t ->
-  Ast.kernel -> grid:int list -> compiled
+  ?variant:Variant.t -> Ast.kernel -> grid:int list -> compiled
 
 (** [(hits, misses)] of the {!compile_cached} memo since the last
     {!reset_compile_cache}. *)
@@ -154,29 +150,24 @@ val verify : ?seed:int -> compiled -> verification
 val evaluate_hmls : ?cu:int -> compiled -> Flow.outcome
 
 (** All five flows (Stencil-HMLS, DaCe, SODA-opt, Vitis HLS,
-    StencilFlow), in the paper's order. The independent flows may run on
-    a domain pool; results are order-preserving, so the output is
-    byte-identical regardless of [jobs]. [jobs] follows the global
-    convention: [0] (the default) is adaptive — the shared pool sized to
-    [Pool.default_jobs ()], a no-op on a one-domain machine; [1] forces
-    sequential; [n > 1] uses a dedicated pool of [n] streams. *)
+    StencilFlow), in the paper's order, evaluated one after another on
+    the calling domain. *)
 val evaluate_all :
-  ?jobs:int -> ?variant:Variant.t -> Ast.kernel -> grid:int list ->
-  Flow.outcome list
+  ?variant:Variant.t -> Ast.kernel -> grid:int list -> Flow.outcome list
 
 (** Evaluate many (kernel, grid) configurations — the grid-sweep
     experiment driver. Compilation runs sequentially up front (cached,
     and with [verify_designs] the shared plan is forced up front too);
     the per-configuration evaluations (and optional design
-    verifications) then run on a chunked work-stealing domain pool, all
+    verifications) then run on a shared-cursor domain pool ({!Pool}), all
     sharing one immutable plan per configuration with per-domain run
     states — zero plan compiles in the parallel phase.
 
     Results are order-preserving and byte-identical to a sequential
-    loop for every [jobs]/[chunk] setting, including error semantics
-    (the smallest failing index re-raises). [jobs] follows the global
+    loop for every [jobs] setting, including error semantics (the
+    smallest failing index re-raises). [jobs] follows the global
     convention ([0] = adaptive, [1] = sequential, [n > 1] = dedicated
-    pool); [chunk] tunes scheduling granularity only.
+    pool).
 
     [on_result] streams each configuration's row as it completes, in
     index order: [on_result i row] is called after rows [0..i-1] have
@@ -185,7 +176,7 @@ val evaluate_all :
     after the smallest failing index are withheld.
     [verify_designs] adds a {!verify} per configuration. *)
 val sweep :
-  ?jobs:int -> ?chunk:int ->
+  ?jobs:int ->
   ?on_result:(int -> Flow.outcome list * verification option -> unit) ->
   ?verify_designs:bool -> ?seed:int ->
   ?variant:Variant.t ->

@@ -166,17 +166,25 @@ let find_ints line name =
 (* ------------------------------------------------------------------ *)
 (* File helpers *)
 
-let lines_of_file path =
+(* The rows a resumed run starts from.  A final line with no trailing
+   newline is an interrupted write: it is cut from the file, so the
+   resumed run appends on a fresh line, and left out of the rows, so
+   the work it recorded is done again. *)
+let resume_lines path =
   if not (Sys.file_exists path) then []
   else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (if String.trim line = "" then acc else line :: acc)
-          | exception End_of_file -> List.rev acc
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let n = String.length text in
+    let keep =
+      if n = 0 || text.[n - 1] = '\n' then n
+      else
+        let keep =
+          match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0
         in
-        go [])
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (String.sub text 0 keep));
+        keep
+    in
+    String.split_on_char '\n' (String.sub text 0 keep)
+    |> List.filter (fun line -> String.trim line <> "")
   end

@@ -30,5 +30,8 @@ val find_int : string -> string -> int option
 val find_bool : string -> string -> bool option
 val find_ints : string -> string -> int list option
 
-(** Non-blank lines of [path]; [[]] if the file does not exist. *)
-val lines_of_file : string -> string list
+(** Non-blank lines of [path] for a resumed run; [[]] if the file does
+    not exist. A final line with no trailing newline is an interrupted
+    write: it is removed from the file and left out of the result, so
+    the resumed run does that row's work again. *)
+val resume_lines : string -> string list

@@ -1,4 +1,4 @@
-(* An adaptive, chunked, work-stealing pool of worker domains (OCaml 5,
+(* A pool of worker domains for embarrassingly parallel maps (OCaml 5,
    no dependencies).
 
    Sizing is adaptive: [with_pool ~jobs:0] resolves to
@@ -7,24 +7,23 @@
    no mutex, no task queue, just [Array.map].  The adaptive default is
    served by one process-global pool, spawned lazily on first use and
    reused by every subsequent map, so repeated small maps (the bench's
-   10-run protocol, `evaluate_all` inside a sweep driver) never pay
-   domain-spawn cost per call.
+   10-run protocol, a sweep driver) never pay domain-spawn cost per
+   call.
 
-   [map] schedules contiguous chunks, not single items: each of the [w]
-   participants (the caller plus the workers) starts with a contiguous
-   slice of the input and serves itself [chunk]-sized blocks from the
-   bottom of its own range; an idle participant steals the *upper half*
-   of a victim's remaining range and continues chunking from that.  A
-   range is a (lo, hi) pair behind its own tiny mutex, taken once per
-   chunk / steal rather than once per item, so the scheduler costs
-   O(n / chunk) lock operations instead of one atomic RMW per item.
+   [map] is a shared-cursor scheduler: every participant (the caller
+   plus the workers) claims the next unclaimed index with one atomic
+   fetch-and-add and runs that item.  Each item is a compile, a
+   verification or a cycle simulation, so one atomic per item is never
+   measurable.  The caller waits for every item to complete, not for
+   every worker to run: a worker that starts after the last index was
+   claimed finds nothing to do, so a map never waits on a queued task.
 
    Determinism: each item's result is written into the slot of its input
    index, so the output order — and everything downstream of a parallel
-   sweep — is identical to a sequential run regardless of how chunks
-   were scheduled or stolen.  Per-item exceptions are caught and
-   re-raised in the caller for the smallest failing index, again
-   matching what a sequential loop would report first. *)
+   sweep — is identical to a sequential run regardless of which domain
+   ran which item.  Per-item exceptions are caught and re-raised in the
+   caller for the smallest failing index, again matching what a
+   sequential loop would report first. *)
 
 (* ------------------------------------------------------------------ *)
 (* The worker-domain substrate: a task queue drained by [n] domains. *)
@@ -76,153 +75,58 @@ let create n =
     Par p
   end
 
-let submit t task =
-  match t with
-  | Seq -> task () (* detached semantics degenerate to "run it now" *)
-  | Par p ->
-    Mutex.lock p.m;
-    if p.closed then begin
-      Mutex.unlock p.m;
-      invalid_arg "Pool.submit: pool is shut down"
-    end;
-    Queue.push task p.tasks;
-    Condition.signal p.work;
-    Mutex.unlock p.m
+let submit p task =
+  Mutex.protect p.m (fun () ->
+      if p.closed then invalid_arg "Pool.map: pool is shut down";
+      Queue.push task p.tasks;
+      Condition.signal p.work)
 
 let shutdown t =
   match t with
   | Seq -> ()
   | Par p ->
-    Mutex.lock p.m;
-    p.closed <- true;
-    Condition.broadcast p.work;
-    Mutex.unlock p.m;
+    Mutex.protect p.m (fun () ->
+        p.closed <- true;
+        Condition.broadcast p.work);
     List.iter Domain.join p.domains;
     p.domains <- []
 
 (* ------------------------------------------------------------------ *)
-(* Chunked work-stealing map *)
+(* Shared-cursor map *)
 
-(* A participant's index range [lo, hi).  The owner takes chunks from
-   the bottom; thieves take the upper half of whatever remains.  The
-   mutex is held only for the pointer swap, never while items run. *)
-type range = { rm : Mutex.t; mutable lo : int; mutable hi : int }
-
-let range_take r chunk =
-  Mutex.lock r.rm;
-  let lo = r.lo and hi = r.hi in
-  if lo >= hi then begin
-    Mutex.unlock r.rm;
-    None
-  end
-  else begin
-    let b = min hi (lo + chunk) in
-    r.lo <- b;
-    Mutex.unlock r.rm;
-    Some (lo, b)
-  end
-
-let range_steal r =
-  Mutex.lock r.rm;
-  let lo = r.lo and hi = r.hi in
-  let n = hi - lo in
-  if n <= 0 then begin
-    Mutex.unlock r.rm;
-    None
-  end
-  else begin
-    (* the victim keeps the lower half it is already walking; the thief
-       takes the upper half (all of it when only one item remains) *)
-    let mid = lo + (n / 2) in
-    r.hi <- mid;
-    Mutex.unlock r.rm;
-    Some (mid, hi)
-  end
-
-let seq_map f arr =
-  (* plain sequential map: exceptions propagate from the smallest index
-     naturally, and there is no per-item wrapping at all *)
-  Array.map f arr
-
-let map ?chunk t f arr =
-  let n = Array.length arr in
+let map t f arr =
   match t with
-  | Seq -> seq_map f arr
-  | Par _ when n <= 1 -> seq_map f arr
+  | Seq -> Array.map f arr
   | Par p ->
-    let w = min (p.n_workers + 1) n in
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | _ ->
-        (* adaptive granularity: ~8 chunks per participant bounds both
-           the scheduling overhead and the load-imbalance tail *)
-        max 1 (n / (8 * w))
-    in
+    let n = Array.length arr in
     let results : ('b, exn) result option array = Array.make n None in
-    let ranges =
-      Array.init w (fun i ->
-          { rm = Mutex.create (); lo = n * i / w; hi = n * (i + 1) / w })
-    in
+    let next = Atomic.make 0 in
     let remaining = Atomic.make n in
     let done_m = Mutex.create () in
     let done_c = Condition.create () in
-    let process lo hi =
-      for i = lo to hi - 1 do
-        results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e)
-      done;
-      if Atomic.fetch_and_add remaining (lo - hi) = hi - lo then begin
-        Mutex.lock done_m;
-        Condition.broadcast done_c;
-        Mutex.unlock done_m
+    let rec grind () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e);
+        if Atomic.fetch_and_add remaining (-1) = 1 then
+          Mutex.protect done_m (fun () -> Condition.broadcast done_c);
+        grind ()
       end
     in
-    let grind wid =
-      let my = ranges.(wid) in
-      let rec local () =
-        match range_take my chunk with
-        | Some (lo, hi) ->
-          process lo hi;
-          local ()
-        | None -> steal 1
-      and steal k =
-        if k < w then
-          let victim = ranges.((wid + k) mod w) in
-          match range_steal victim with
-          | Some (lo, hi) ->
-            (* adopt the stolen slice as my own range (it is empty, and
-               further thieves may in turn split the adopted slice) *)
-            Mutex.lock my.rm;
-            my.lo <- lo;
-            my.hi <- hi;
-            Mutex.unlock my.rm;
-            local ()
-          | None -> steal (k + 1)
-        (* a full scan found no work anywhere: every item is claimed *)
-      in
-      local ()
-    in
-    for i = 1 to w - 1 do
-      submit t (fun () -> grind i)
+    for _ = 1 to min p.n_workers (n - 1) do
+      submit p grind
     done;
-    grind 0;
-    Mutex.lock done_m;
-    while Atomic.get remaining > 0 do
-      Condition.wait done_c done_m
-    done;
-    Mutex.unlock done_m;
+    grind ();
+    Mutex.protect done_m (fun () ->
+        while Atomic.get remaining > 0 do
+          Condition.wait done_c done_m
+        done);
     (* sequential error semantics: the smallest failing index re-raises *)
-    Array.iter
-      (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
-      results;
     Array.map
-      (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
+      (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
       results
 
-let map_list ?chunk t f items =
-  match t with
-  | Seq -> List.map f items (* identical code path to a sequential loop *)
-  | Par _ -> Array.to_list (map ?chunk t f (Array.of_list items))
+let map_list t f items = Array.to_list (map t f (Array.of_list items))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive sizing and the shared global pool *)

@@ -1,12 +1,13 @@
-(** An adaptive, chunked, work-stealing pool of worker domains for
-    embarrassingly parallel sweeps (OCaml 5 [Domain]s, no dependencies).
+(** A pool of worker domains for embarrassingly parallel sweeps
+    (OCaml 5 [Domain]s, no dependencies).
 
-    [map] schedules contiguous chunks over per-participant ranges with
-    half-range stealing, and writes each result into the slot of its
-    input index — so the output order is identical to a sequential run
-    regardless of scheduling, and per-item exceptions are re-raised in
-    the caller for the smallest failing index, matching what a
-    sequential loop would report first.
+    [map] is a shared-cursor scheduler: the caller and the workers each
+    claim the next unclaimed index with one atomic fetch-and-add, and
+    write each result into the slot of its input index — so the output
+    order is identical to a sequential run regardless of scheduling, and
+    per-item exceptions are re-raised in the caller for the smallest
+    failing index, matching what a sequential loop would report first.
+    The caller waits for the items, never for a queued worker task.
 
     Sizing is adaptive: [jobs <= 0] resolves to
     [Domain.recommended_domain_count ()], served by a process-global
@@ -27,18 +28,11 @@ val size : t -> int
     this pool uses (workers plus the calling domain). *)
 val effective_jobs : t -> int
 
-(** Parallel, order-preserving map. [chunk] fixes the scheduling
-    granularity (contiguous items claimed per scheduler interaction);
-    the default is adaptive (~8 chunks per participant).  Results and
-    error behaviour are independent of [chunk] and of the pool size —
-    only wall-clock changes. *)
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+(** Parallel, order-preserving map. Results and error behaviour are
+    independent of the pool size — only wall-clock changes. *)
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Run a detached thunk on the pool (no completion tracking). On the
-    sequential pool the thunk runs synchronously. *)
-val submit : t -> (unit -> unit) -> unit
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Close the queue and join all worker domains (no-op on the
     sequential pool). Never call on the shared adaptive pool handed out

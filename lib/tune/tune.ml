@@ -16,7 +16,7 @@
    cost roughly fill + drain, so the default scope is now [All]: every
    feasible point is validated bit-exact by the whole-stream batched
    functional simulator and cycle-counted by {!Cycle_sim} on the
-   work-stealing pool, and the measured cycles are compared against the
+   domain pool, and the measured cycles are compared against the
    model's per-CU prediction (the cycle simulator executes one CU over
    the whole padded grid, so the comparison point is the cost
    evaluation at [~cu:1]); points diverging beyond the tolerance are
@@ -246,7 +246,7 @@ let load_state path =
       | Some "validation", Some key ->
         Hashtbl.replace validations key (validation_of_row line)
       | _ -> Err.raise_error "tune: unrecognised resume state row: %s" line)
-    (Jsonl.lines_of_file path);
+    (Jsonl.resume_lines path);
   (points, validations)
 
 (* ------------------------------------------------------------------ *)

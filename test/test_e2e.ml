@@ -52,10 +52,27 @@ let test_grid_sizes_match_paper () =
       Alcotest.(check bool) "fits HBM" true (bytes < Shmls.U280.hbm_bytes))
     [ (PW.kernel, PW.grid_134m); (TA.kernel, TA.grid_33m) ]
 
+(* The design [Shmls.compile] builds, minus [Depth_balance]: the same
+   lowering, shape inference, apply split and nine HLS steps, then a
+   bare extraction. *)
+let unbalanced_design (kernel : Shmls.Ast.kernel) ~grid =
+  let lowered = Shmls.Lower.lower kernel ~grid in
+  Shmls_transforms.Shape_inference.run_on_module lowered.l_module;
+  ignore (Shmls_transforms.Apply_split.run_on_module lowered.l_module);
+  Shmls.Verifier.verify_exn lowered.l_module;
+  let hls_module, plans, _ =
+    Shmls_transforms.Stencil_to_hls.run_with_stats
+      ~variant:Shmls.Variant.default lowered.l_module
+  in
+  Shmls.Verifier.verify_exn hls_module;
+  match plans with
+  | [ (_, func) ] -> Shmls_fpga.Extract.extract func
+  | _ -> Alcotest.fail "expected exactly one kernel function"
+
 let test_compile_without_balancing_flag () =
-  let c = Shmls.compile ~balance_depths:false H.avg_1d ~grid:[ 16 ] in
+  let design = unbalanced_design H.avg_1d ~grid:[ 16 ] in
   (* skew-free kernels work even without balancing *)
-  let r = Shmls.Cycle_sim.run c.c_design in
+  let r = Shmls.Cycle_sim.run design in
   Alcotest.(check bool) "no deadlock on skew-free kernel" true (not r.deadlocked)
 
 let test_artefacts_nonempty () =

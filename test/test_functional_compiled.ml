@@ -367,8 +367,8 @@ let test_shared_plan_across_domains () =
         oracle.fields st.fields)
     states
 
-(* The sweep driver is deterministic under any jobs/chunk combination:
-   outcomes, verifications and streamed row order all match the
+(* The sweep driver is deterministic for any jobs setting and sweep
+   length: outcomes, verifications and streamed row order all match the
    sequential run (which is the historical behaviour). *)
 let sweep_parity_configs =
   [
@@ -383,21 +383,19 @@ let sweep_parity_configs =
 
 let qcheck_parallel_sweep_identical =
   H.qtest ~count:15 "parallel sweep = sequential sweep for any jobs/chunk"
-    QCheck2.Gen.(pair (int_range 2 5) (int_range 1 7))
-    (fun (jobs, chunk) ->
-      let expected =
-        Shmls.sweep ~jobs:1 ~verify_designs:true sweep_parity_configs
-      in
+    QCheck2.Gen.(pair (int_range 2 5) (int_range 0 (List.length sweep_parity_configs)))
+    (fun (jobs, n) ->
+      let configs = List.filteri (fun i _ -> i < n) sweep_parity_configs in
+      let expected = Shmls.sweep ~jobs:1 ~verify_designs:true configs in
       let streamed = ref [] in
       let got =
-        Shmls.sweep ~jobs ~chunk
+        Shmls.sweep ~jobs
           ~on_result:(fun i r -> streamed := (i, r) :: !streamed)
-          ~verify_designs:true sweep_parity_configs
+          ~verify_designs:true configs
       in
       let streamed = List.rev !streamed in
       got = expected
-      && List.map fst streamed
-         = List.init (List.length sweep_parity_configs) (fun i -> i)
+      && List.map fst streamed = List.init n (fun i -> i)
       && List.map snd streamed = expected)
 
 (* Error parity under parallelism: a mis-wired design raises the same
@@ -428,7 +426,7 @@ let test_parallel_error_loc_parity () =
     run_expect_error "parallel" (fun () ->
         ignore
           (Shmls.Pool.with_pool ~jobs:4 (fun p ->
-               Shmls.Pool.map ~chunk:1 p
+               Shmls.Pool.map p
                  (fun _ -> Stage_compiler.run plan ~args:(args_of ()))
                  (Array.init 8 (fun i -> i)))))
   in

@@ -92,7 +92,7 @@ let test_table_arity () =
     (fun () -> Table.add_row t [ "only-one" ])
 
 (* ------------------------------------------------------------------ *)
-(* Pool: the adaptive chunked work-stealing pool *)
+(* Pool: the adaptive shared-cursor pool *)
 
 let test_pool_seq_noop () =
   let p = Pool.create 0 in
@@ -108,7 +108,7 @@ let test_pool_map_order () =
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
       let input = Array.init 1000 (fun i -> i) in
-      let r = Pool.map ~chunk:7 p (fun x -> x * x) input in
+      let r = Pool.map p (fun x -> x * x) input in
       Alcotest.(check bool)
         "order-preserving" true
         (r = Array.map (fun x -> x * x) input);
@@ -126,13 +126,28 @@ let test_pool_error_smallest_index () =
     (fun () ->
       let input = Array.init 100 (fun i -> i) in
       match
-        Pool.map ~chunk:3 p
-          (fun x -> if x mod 10 = 7 then raise (Boom x) else x)
-          input
+        Pool.map p (fun x -> if x mod 10 = 7 then raise (Boom x) else x) input
       with
       | exception Boom i ->
         Alcotest.(check int) "smallest failing index" 7 i
       | _ -> Alcotest.fail "expected Boom")
+
+(* A map issued from inside a map item, on the same one-worker pool: the
+   inner map's queued task cannot start while the worker runs the outer
+   item, so the inner caller must finish every item itself rather than
+   wait for the queued task. *)
+let test_pool_nested_map () =
+  let p = Pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () ->
+      let r =
+        Pool.map p
+          (fun x ->
+            Array.fold_left ( + ) 0 (Pool.map p (fun y -> x * y) [| 1; 2; 3 |]))
+          [| 1; 2; 3; 4 |]
+      in
+      Alcotest.(check (array int)) "nested sums" [| 6; 12; 18; 24 |] r)
 
 let test_pool_resolve_jobs () =
   Alcotest.(check int) "positive is literal" 3 (Pool.resolve_jobs 3);
@@ -164,15 +179,13 @@ let test_pool_with_pool () =
 let qcheck_pool_map_matches_sequential =
   Test_common.Helpers.qtest ~count:30
     "parallel map = Array.map for any jobs/chunk"
-    QCheck2.Gen.(
-      triple (int_range 1 5) (int_range 1 17)
-        (list_size (int_range 0 200) small_int))
-    (fun (jobs, chunk, items) ->
+    QCheck2.Gen.(pair (int_range 1 5) (list_size (int_range 0 200) small_int))
+    (fun (jobs, items) ->
       let input = Array.of_list items in
       let expect = Array.map (fun x -> (x * 31) lxor 7) input in
       let got =
         Pool.with_pool ~jobs (fun p ->
-            Pool.map ~chunk p (fun x -> (x * 31) lxor 7) input)
+            Pool.map p (fun x -> (x * 31) lxor 7) input)
       in
       got = expect)
 
@@ -222,6 +235,33 @@ let test_jsonl_float_repr () =
   Alcotest.(check (float 0.0))
     "non-integral round-trips" f
     (float_of_string (Jsonl.float_repr f))
+
+(* A resume file whose last row was cut mid-write: the cut row is dropped
+   from the file and from the rows, and complete rows are kept as is. *)
+let test_jsonl_resume_lines () =
+  let path = Filename.temp_file "jsonl_resume" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let write text =
+        Out_channel.with_open_bin path (fun oc -> output_string oc text)
+      in
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let rows = {|{"a":1}|} ^ "\n" ^ {|{"a":2}|} ^ "\n" in
+      write rows;
+      Alcotest.(check (list string))
+        "complete file" [ {|{"a":1}|}; {|{"a":2}|} ] (Jsonl.resume_lines path);
+      Alcotest.(check string) "complete file untouched" rows (read ());
+      write (rows ^ {|{"a":3,"b"|});
+      Alcotest.(check (list string))
+        "cut row dropped" [ {|{"a":1}|}; {|{"a":2}|} ] (Jsonl.resume_lines path);
+      Alcotest.(check string) "cut row removed from the file" rows (read ());
+      write {|{"a":1|};
+      Alcotest.(check (list string)) "only row cut" [] (Jsonl.resume_lines path);
+      Alcotest.(check string) "file emptied" "" (read ());
+      Alcotest.(check (list string))
+        "missing file" []
+        (Jsonl.resume_lines (path ^ ".missing")))
 
 let qcheck_mean_bounds =
   Test_common.Helpers.qtest "mean lies within min/max"
@@ -278,6 +318,8 @@ let () =
           Alcotest.test_case "escape round-trips" `Quick
             test_jsonl_escape_roundtrip;
           Alcotest.test_case "float repr" `Quick test_jsonl_float_repr;
+          Alcotest.test_case "resume drops a cut last row" `Quick
+            test_jsonl_resume_lines;
         ] );
       ( "pool",
         [
@@ -286,6 +328,7 @@ let () =
           Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
           Alcotest.test_case "smallest failing index re-raises" `Quick
             test_pool_error_smallest_index;
+          Alcotest.test_case "nested map completes" `Quick test_pool_nested_map;
           Alcotest.test_case "resolve_jobs" `Quick test_pool_resolve_jobs;
           Alcotest.test_case "with_pool sizing" `Quick test_pool_with_pool;
           qcheck_pool_map_matches_sequential;

@@ -283,6 +283,31 @@ let test_resume_zero_work () =
       Alcotest.(check int) "legacy state: zero re-simulations" 0 r3.T.r_simulated;
       Alcotest.(check string) "legacy state untouched" legacy (read_file path))
 
+(* A state file cut mid-row (an interrupted write) resumes to the file
+   the uninterrupted run wrote: the cut row is dropped and redone.  One
+   cut falls inside the last (validation) row, one inside the file. *)
+let test_resume_cut_row () =
+  let path = Filename.temp_file "tune_state_cut" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let kernel = Shmls_kernels.Didactic.laplace_2d in
+      let grids = [ [ 12; 12 ] ] in
+      ignore (T.run ~max_cu:2 ~jobs:1 ~state:path kernel ~grids);
+      let full = read_file path in
+      List.iter
+        (fun cut ->
+          let oc = open_out_bin path in
+          output_string oc (String.sub full 0 cut);
+          close_out oc;
+          ignore
+            (T.run ~max_cu:2 ~jobs:1 ~state:path ~resume:true kernel ~grids);
+          Alcotest.(check string)
+            (Printf.sprintf "resumed from %d of %d bytes" cut
+               (String.length full))
+            full (read_file path))
+        [ String.length full - 10; String.length full / 2 ])
+
 (* ------------------------------------------------------------------ *)
 (* Divergence flagging: a model that triples the predicted cycles must
    trip the >10% model/measured comparison on every frontier point. *)
@@ -348,6 +373,8 @@ let () =
         [
           Alcotest.test_case "resume does zero work and keeps bytes" `Quick
             test_resume_zero_work;
+          Alcotest.test_case "resume redoes a row cut mid-write" `Quick
+            test_resume_cut_row;
         ] );
       ( "divergence",
         [
