@@ -1,17 +1,21 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (Section 4), plus the ablations DESIGN.md calls out
-   and Bechamel micro-benchmarks of the compiler pipeline itself.
+   paper's evaluation (Section 4) plus the ablations and extensions
+   DESIGN.md calls out, and gates the timings no end-to-end workload
+   covers.
 
-     dune exec bench/main.exe              -- run everything
+     dune exec bench/main.exe              -- run every experiment
      dune exec bench/main.exe -- fig4      -- one experiment
      dune exec bench/main.exe -- list      -- list experiment ids
+     dune exec bench/main.exe -- gate --baseline BENCH_pipeline.json
+                                           -- the timing gate (never
+                                              part of the full run)
 
    Experiment ids: fig4 fig5 fig6 table1 table2 analysis stencilflow
-   ports ablation vck5000 bechamel.
+   ports ablation vck5000 dynamic multi-fpga zoo.
 
    As in the paper, results are averaged over 10 runs; the simulator is
    deterministic, so the averaging is protocol parity rather than noise
-   suppression (the Bechamel benches measure real wall-clock noise). *)
+   suppression (the gate measures real wall-clock noise). *)
 
 module Table = Shmls_support.Table
 module Stats = Shmls_support.Stats
@@ -559,359 +563,196 @@ let multi_fpga () =
      linear.)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: cost of the pipeline itself *)
+(* The gate: timings no end-to-end workload covers *)
 
-(* Where [--json PATH] asked the bechamel experiments to record their
-   results machine-readably (None = stdout only). *)
-let json_out : string option ref = ref None
+(* bench/e2e times every layer a user request goes through, so only two
+   things are timed here: the parallel sweep against the sequential one
+   (bench/e2e runs its workloads on a fixed pool) and the multi-device
+   ensemble estimate.  Rows are sampled round-robin -- each iteration
+   times every row once -- so a burst of VM noise costs every row one
+   sample instead of costing one row all of its samples, and the median
+   of [samples] drops it. *)
 
-(* Run a Bechamel suite and return (name, ns/run) rows, sorted. *)
-let run_bechamel cfg tests =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"shmls" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name v ->
-      match Analyze.OLS.estimates v with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  List.sort compare !rows
+let samples = 41
 
-let print_rows rows =
-  List.iter
-    (fun (name, est) ->
-      if est >= 1e6 then Printf.printf "  %-40s %10.2f ms/run\n" name (est /. 1e6)
-      else Printf.printf "  %-40s %10.1f ns/run\n" name est)
-    rows
-
-let find_row rows suffix =
-  List.find_map
-    (fun (name, est) ->
-      let nl = String.length name and sl = String.length suffix in
-      if nl >= sl && String.sub name (nl - sl) sl = suffix then Some est
-      else None)
-    rows
-
-(* Micro-benchmarks of the compile-and-simulate hot paths this repo
-   optimises: O(1) intrusive block appends vs the seed's [b_ops <- b_ops
-   @ [op]] list representation, the worklist rewrite driver, and strided
-   vs cons-list grid indexing. *)
-let micro_tests () =
-  let open Bechamel in
-  Shmls_dialects.Register.all ();
-  let n = 10_000 in
-  let fold_chain_module n =
-    let m = Shmls.Ir.Module_.create () in
-    let _ =
-      Shmls_dialects.Func.build_func m ~name:"f" ~arg_tys:[] ~result_tys:[]
-        (fun b _ ->
-          let x = ref (Shmls_dialects.Arith.constant_f b 1.0) in
-          for _ = 1 to n do
-            x := Shmls_dialects.Arith.addf b !x !x
-          done;
-          Shmls_dialects.Func.return_ b [])
-    in
-    m
-  in
-  let g =
-    Shmls.Grid.create (Shmls.Ty.make_bounds ~lb:[ 0; 0; 0 ] ~ub:[ 64; 64; 16 ])
-  in
-  Shmls.Grid.init_hash g;
-  (* a small-grid functional-sim row, cheap enough for the smoke run *)
-  let small = Shmls.compile_cached Shmls_kernels.Didactic.heat_3d ~grid:[ 12; 10; 8 ] in
-  (* the sweep-scaling rows live in this shared subset so the CI smoke
-     json carries them too (the sweep gate reads them) *)
-  let sweep_bench_configs =
-    [
-      (Shmls_kernels.Didactic.heat_3d, [ 16; 12; 8 ]);
-      (Shmls_kernels.Didactic.laplace_2d, [ 48; 32 ]);
-      (Shmls_kernels.Didactic.gradient_smooth_3d, [ 16; 12; 8 ]);
-      (PW.kernel, [ 24; 16; 8 ]);
-    ]
-  in
-  (* warm the compile-cache, plan and reference-state memos so the jobs1
-     and jobsN rows both measure steady-state sweeps rather than the
-     first row absorbing every one-time cache fill *)
-  ignore (Shmls.sweep ~jobs:1 ~verify_designs:true sweep_bench_configs);
-  (* warm the tuner's configurations too, so its row measures the search
-     machinery (enumeration, pruning, model evaluation, Pareto
-     maintenance, frontier validation) rather than first-compile cost *)
-  ignore
-    (Shmls_tune.Tune.run ~max_cu:2 ~jobs:1 Shmls_kernels.Didactic.laplace_2d
-       ~grids:[ [ 12; 12 ] ]);
-  (* the cycle simulator runs on the full-bench PW grid even in the
-     smoke subset: it fast-forwards the steady state *)
-  let cycle_design =
-    (Shmls.compile_cached PW.kernel ~grid:[ 24; 16; 8 ]).c_design
-  in
-  (* multi-device scaling: ensemble cycle estimate of the same heat_3d
-     grid decomposed over 1/2/4 slabs (plans prebuilt, compile cache
-     hot) — the CI bench gate checks these rows stay present *)
-  let md_plan devices =
-    Shmls_host.Multi_device.plan ~sweeps:2 Shmls_kernels.Didactic.heat_3d
-      ~grid:[ 96; 8; 6 ] ~devices
-  in
-  let md1 = md_plan 1 and md2 = md_plan 2 and md4 = md_plan 4 in
+let sweep_configs =
   [
-    Test.make ~name:"multi_device_scaling_1slab"
-      (Staged.stage (fun () ->
-           ignore (Shmls_host.Multi_device.estimate md1)));
-    Test.make ~name:"multi_device_scaling_2slab"
-      (Staged.stage (fun () ->
-           ignore (Shmls_host.Multi_device.estimate md2)));
-    Test.make ~name:"multi_device_scaling_4slab"
-      (Staged.stage (fun () ->
-           ignore (Shmls_host.Multi_device.estimate md4)));
-    Test.make ~name:"pipeline_cycle_sim_event"
-      (Staged.stage (fun () -> ignore (Shmls.Cycle_sim.run cycle_design)));
-    (* the design-space autotuner end to end on a small kernel: compile
-       cache hot, so this is points-through-the-search-driver throughput *)
-    Test.make ~name:"tune_search_throughput"
-      (Staged.stage (fun () ->
-           ignore
-             (Shmls_tune.Tune.run ~max_cu:2 ~jobs:1
-                Shmls_kernels.Didactic.laplace_2d ~grids:[ [ 12; 12 ] ])));
-    (* --jobs scaling: the sweep driver with design verification,
-       sequential vs the adaptive domain pool (one shared plan
-       per config, per-domain run states) *)
-    Test.make ~name:"sweep_verify_batched_jobs1"
-      (Staged.stage (fun () ->
-           ignore
-             (Shmls.sweep ~jobs:1 ~verify_designs:true sweep_bench_configs)));
-    Test.make ~name:"sweep_verify_batched_jobsN"
-      (Staged.stage (fun () ->
-           ignore
-             (Shmls.sweep ~jobs:0 ~verify_designs:true sweep_bench_configs)));
-    Test.make ~name:"functional_sim_batched_small"
-      (Staged.stage (fun () -> ignore (Shmls.verify small)));
-    Test.make ~name:"stage_compile_once_small"
-      (Staged.stage (fun () ->
-           ignore (Shmls.Stage_compiler.compile small.c_design)));
-    Test.make ~name:"ir_block_append_10k"
-      (Staged.stage (fun () ->
-           let b = Shmls.Ir.Block.create () in
-           for i = 0 to n - 1 do
-             Shmls.Ir.Block.append b
-               (Shmls.Ir.Op.create ~name:"arith.constant"
-                  ~result_tys:[ Shmls.Ty.F64 ]
-                  ~attrs:[ ("value", Shmls.Attr.Float (float_of_int i)) ]
-                  ())
-           done));
-    (* the seed's block representation: append n elements with the list
-       concatenation the old Block.append performed *)
-    Test.make ~name:"ir_list_append_10k_seed_baseline"
-      (Staged.stage (fun () ->
-           let l = ref [] in
-           for i = 0 to n - 1 do
-             l := !l @ [ i ]
-           done;
-           ignore !l));
-    Test.make ~name:"rewrite_driver_fold_chain_256"
-      (Staged.stage (fun () ->
-           let m = fold_chain_module 256 in
-           let p = Shmls.Pass.lookup_exn "canonicalize" in
-           p.Shmls.Pass.run m));
-    Test.make ~name:"grid_sweep_strided_64x64x16"
-      (Staged.stage (fun () ->
-           let s = ref 0.0 in
-           Shmls.Grid.iter_bounds_arr g.Shmls.Grid.bounds (fun pos ->
-               s :=
-                 !s
-                 +. Array.unsafe_get g.Shmls.Grid.data
-                      (Shmls.Grid.unsafe_linear g pos));
-           ignore !s));
-    Test.make ~name:"grid_sweep_list_64x64x16"
-      (Staged.stage (fun () ->
-           let s = ref 0.0 in
-           Shmls.Grid.iter_bounds g.Shmls.Grid.bounds (fun idx ->
-               s := !s +. Shmls.Grid.get g idx);
-           ignore !s));
+    (Shmls_kernels.Didactic.heat_3d, [ 16; 12; 8 ]);
+    (Shmls_kernels.Didactic.laplace_2d, [ 48; 32 ]);
+    (Shmls_kernels.Didactic.gradient_smooth_3d, [ 16; 12; 8 ]);
+    (PW.kernel, [ 24; 16; 8 ]);
   ]
 
-(* Demonstrate compile-once evaluation: raw pipeline runs of the first
-   and second [evaluate_all] on the same kernel/grid (1 then 0). *)
+(* The jobs1/jobsN pair must stay first: odd iterations run it in the
+   other order, so neither row always follows the other. *)
+let timed_rows () =
+  let sweep jobs () =
+    ignore (Shmls.sweep ~jobs ~verify_designs:true sweep_configs)
+  in
+  let estimate devices =
+    let p =
+      Shmls_host.Multi_device.plan ~sweeps:2 Shmls_kernels.Didactic.heat_3d
+        ~grid:[ 96; 8; 6 ] ~devices
+    in
+    fun () -> ignore (Shmls_host.Multi_device.estimate p)
+  in
+  [
+    ("sweep_verify_batched_jobs1", sweep 1);
+    ("sweep_verify_batched_jobsN", sweep 0);
+    ("multi_device_scaling_1slab", estimate 1);
+    ("multi_device_scaling_2slab", estimate 2);
+    ("multi_device_scaling_4slab", estimate 4);
+  ]
+
+let time_ns f =
+  let t0 = Monotonic_clock.now () in
+  f ();
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+
+(* Median ns of each row.  One untimed round first fills the compile
+   cache, the plan and state memos and the domain pool. *)
+let medians rows =
+  let rows = Array.of_list rows in
+  Array.iter (fun (_, f) -> f ()) rows;
+  let times = Array.map (fun _ -> Array.make samples 0.0) rows in
+  for i = 0 to samples - 1 do
+    for r = 0 to Array.length rows - 1 do
+      let r = if i land 1 = 1 && r < 2 then 1 - r else r in
+      times.(r).(i) <- time_ns (snd rows.(r))
+    done
+  done;
+  Array.to_list
+    (Array.mapi
+       (fun r (name, _) -> (name, Stats.median (Array.to_list times.(r))))
+       rows)
+
+(* Raw pipeline runs of the first and second [evaluate_all] on the same
+   kernel and grid: compile-once means 1 then 0. *)
 let compile_once_counts () =
   Shmls.reset_compile_cache ();
   let grid = [ 16; 8; 4 ] in
   ignore (Shmls.evaluate_all PW.kernel ~grid);
   let first = Shmls.compile_runs () in
   ignore (Shmls.evaluate_all PW.kernel ~grid);
-  let second = Shmls.compile_runs () - first in
-  (first, second)
+  [
+    ("compile_runs_first_evaluate_all", first);
+    ("compile_runs_second_evaluate_all", Shmls.compile_runs () - first);
+  ]
 
-(* BENCH_pipeline.json: machine-readable record of the micro-benchmarks
-   plus the derived acceptance numbers (block-construction speedup,
-   sweep scaling, compile-once counts). *)
-let emit_json ~path rows =
-  let first, second = compile_once_counts () in
-  let speedup =
-    match
-      ( find_row rows "ir_block_append_10k",
-        find_row rows "ir_list_append_10k_seed_baseline" )
-    with
-    | Some fast, Some slow when fast > 0.0 -> Some (slow /. fast)
-    | _ -> None
+type op =
+  | Baseline  (** median <= threshold x the baseline's value *)
+  | Row of string  (** median <= threshold x that row's median *)
+  | Row_one_domain of string
+      (** as [Row], checked only where one domain is available *)
+  | Exactly  (** value = threshold *)
+
+let gates =
+  [
+    ("sweep_verify_batched_jobs1", Baseline, 1.25);
+    ("sweep_verify_batched_jobsN", Baseline, 1.25);
+    ("multi_device_scaling_1slab", Baseline, 1.25);
+    ("multi_device_scaling_2slab", Baseline, 1.25);
+    ("multi_device_scaling_4slab", Baseline, 1.25);
+    (* the parallel sweep must not lose to the sequential one... *)
+    ("sweep_verify_batched_jobsN", Row "sweep_verify_batched_jobs1", 1.05);
+    (* ...and on one domain the pool must be a no-op: jobs1 getting
+       slower than jobsN means the sequential path grew overhead *)
+    ( "sweep_verify_batched_jobs1",
+      Row_one_domain "sweep_verify_batched_jobsN",
+      1.05 );
+    ("compile_runs_first_evaluate_all", Exactly, 1.0);
+    ("compile_runs_second_evaluate_all", Exactly, 0.0);
+  ]
+
+let pp_ns ns =
+  if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+  else if ns >= 1e3 then Printf.sprintf "%.1f us" (ns /. 1e3)
+  else Printf.sprintf "%.0f ns" ns
+
+(* [Some (passed, detail)], or [None] where the gate does not apply. *)
+let check ~baseline ~values ~domains (row, op, t) =
+  let v = List.assoc row values in
+  let bound what w =
+    Some
+      ( v <= t *. w,
+        Printf.sprintf "%s <= %.2fx %s %s (%.2fx)" (pp_ns v) t what (pp_ns w)
+          (v /. w) )
   in
-  let grid_speedup =
-    match
-      ( find_row rows "grid_sweep_strided_64x64x16",
-        find_row rows "grid_sweep_list_64x64x16" )
-    with
-    | Some fast, Some slow when fast > 0.0 -> Some (slow /. fast)
-    | _ -> None
-  in
-  let jobs_scaling =
-    match
-      ( find_row rows "sweep_verify_batched_jobs1",
-        find_row rows "sweep_verify_batched_jobsN" )
-    with
-    | Some j1, Some jn when jn > 0.0 -> Some (j1 /. jn)
-    | _ -> None
-  in
-  (* modelled multi-device throughput scaling (deterministic, not a
-     timing): aggregate MPt/s of heat_3d 96x8x6 over 4 slabs vs 1 —
-     super-unity means the link charge does not swallow the split *)
-  let md_scaling =
-    let mpts devices =
-      let p =
-        Shmls_host.Multi_device.plan ~sweeps:2 Shmls_kernels.Didactic.heat_3d
-          ~grid:[ 96; 8; 6 ] ~devices
-      in
-      Shmls_host.Multi_device.aggregate_mpts p
-        (Shmls_host.Multi_device.estimate p)
-    in
-    let one = mpts 1 in
-    if one > 0.0 then Some (mpts 4 /. one) else None
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    "  \"generated_by\": \"bench/main.exe bechamel --json\",\n";
-  Buffer.add_string buf "  \"results_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, est) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %S: %.1f%s\n" name est
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"derived\": {\n";
-  (match speedup with
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"block_construction_speedup_at_10k_ops\": %.1f,\n" s)
-  | None -> ());
-  (match grid_speedup with
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"grid_indexing_speedup\": %.1f,\n" s)
-  | None -> ());
-  (match md_scaling with
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf "    \"multi_device_mpts_scaling_4slab\": %.2f,\n" s)
-  | None -> ());
-  (match jobs_scaling with
-  | Some s ->
-    (* interpret against the machine: on a one-domain box the adaptive
-       pool is a no-op, so the scaling must hover around 1.0; with
-       several domains it should exceed 1 (the CI gate enforces both) *)
-    Buffer.add_string buf
-      (Printf.sprintf "    \"sweep_jobsN_scaling\": %.2f,\n" s);
-    Buffer.add_string buf
-      (Printf.sprintf "    \"sweep_effective_jobs\": %d,\n"
-         (Shmls.Pool.default_jobs ()));
-    Buffer.add_string buf
-      (Printf.sprintf "    \"domains_available\": %d,\n"
-         (Domain.recommended_domain_count ()))
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "    \"compile_runs_first_evaluate_all\": %d,\n" first);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"compile_runs_second_evaluate_all\": %d\n" second);
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  match op with
+  | Baseline -> (
+    match Shmls_support.Jsonl.find_float baseline row with
+    | Some w -> bound "baseline" w
+    | None -> Some (false, "not in the baseline"))
+  | Row r -> bound r (List.assoc r values)
+  | Row_one_domain r ->
+    if domains = 1 then bound r (List.assoc r values) else None
+  | Exactly -> Some (v = t, Printf.sprintf "%g (must be %g)" v t)
+
+let write_json path ~domains medians counts =
+  let module J = Shmls_support.Jsonl in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (J.obj
+           ([
+              ("generated_by", J.Str "bench/main.exe gate --json");
+              ("unit", J.Str "ns, median of round-robin samples");
+              ("samples", J.Int samples);
+              ("domains_available", J.Int domains);
+            ]
+           @ List.map (fun (name, ns) -> (name, J.Float ns)) medians
+           @ List.map (fun (name, n) -> (name, J.Int n)) counts));
+      output_char oc '\n');
   Printf.printf "\nwrote %s\n" path
 
-(* Fast subset exercising the JSON emitter, cheap enough for the dune
-   runtest alias in bench/dune (tier-1). *)
-let bechamel_smoke () =
-  section "Bechamel smoke -- hot-path micro-benchmarks (fast subset)";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:10 ~quota:(Time.second 0.05) () in
-  let rows = run_bechamel cfg (micro_tests ()) in
-  print_rows rows;
-  let path = Option.value !json_out ~default:"BENCH_pipeline.json" in
-  emit_json ~path rows
-
-let bechamel () =
-  section "Bechamel -- wall-clock cost of the pipeline stages (this machine)";
-  let open Bechamel in
-  let grid = [ 24; 16; 8 ] in
-  let compiled = Shmls.compile PW.kernel ~grid in
-  let tests =
-    [
-      (* one Test.make per table/figure-producing pipeline, per DESIGN.md's
-         bench inventory, plus the pipeline stages themselves *)
-      Test.make ~name:"fig4_pw_evaluate_all"
-        (Staged.stage (fun () ->
-             ignore (Shmls.evaluate_all PW.kernel ~grid:PW.grid_8m)));
-      Test.make ~name:"fig4_tracer_evaluate_all"
-        (Staged.stage (fun () ->
-             ignore (Shmls.evaluate_all TA.kernel ~grid:TA.grid_8m)));
-      Test.make ~name:"fig5_fig6_power_model"
-        (Staged.stage (fun () ->
-             let u = Shmls.Resources.of_design compiled.c_design in
-             let est = Shmls.Perf_model.estimate_design compiled.c_design in
-             ignore
-               (Shmls.Power.of_estimate ~usage:u ~est ~bytes_per_point:48
-                  ~interior:(Shmls.Design.interior_points compiled.c_design))));
-      Test.make ~name:"table1_table2_resource_model"
-        (Staged.stage (fun () -> ignore (Shmls.Resources.of_design compiled.c_design)));
-      Test.make ~name:"pipeline_compile_pw"
-        (Staged.stage (fun () -> ignore (Shmls.compile PW.kernel ~grid)));
-      (* the nine-step HLS lowering alone, on a pre-lowered module (the
-         functional run leaves its input intact, so reuse is safe) *)
-      Test.make ~name:"pipeline_stencil_to_hls_9steps"
-        (Staged.stage
-           (let lowered = Shmls.Lower.lower PW.kernel ~grid in
-            Shmls_transforms.Shape_inference.run_on_module
-              lowered.Shmls.Lower.l_module;
-            fun () ->
-              ignore
-                (Shmls_transforms.Stencil_to_hls.run
-                   lowered.Shmls.Lower.l_module)));
-      Test.make ~name:"pipeline_functional_sim_batched"
-        (Staged.stage (fun () -> ignore (Shmls.verify compiled)));
-      Test.make ~name:"stage_compile_once"
-        (Staged.stage (fun () ->
-             ignore (Shmls.Stage_compiler.compile compiled.c_design)));
-      Test.make ~name:"stage_compile_once_batched"
-        (Staged.stage (fun () ->
-             ignore (Shmls.Stage_compiler.compile_batched compiled.c_design)));
-      Test.make ~name:"pipeline_llvm_emit_fpp"
-        (Staged.stage (fun () ->
-             let ll = Shmls_llvmir.Emit.emit_module compiled.c_hls_module in
-             ignore (Shmls_llvmir.Fplusplus.run ll)));
-    ]
+(* Measure; with [baseline], check every gate and exit 1 naming the
+   failed rows on stderr. *)
+let gate ?baseline ?json () =
+  let baseline =
+    Option.map
+      (fun path ->
+        try In_channel.with_open_bin path In_channel.input_all
+        with Sys_error e ->
+          Printf.eprintf "gate: %s\n" e;
+          exit 2)
+      baseline
   in
-  let tests = tests @ micro_tests () in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let rows = run_bechamel cfg tests in
-  print_rows rows;
-  let path = Option.value !json_out ~default:"BENCH_pipeline.json" in
-  emit_json ~path rows
+  section
+    (Printf.sprintf
+       "Gate -- timings no end-to-end workload covers (median of %d\n\
+        round-robin samples)"
+       samples);
+  let counts = compile_once_counts () in
+  let medians = medians (timed_rows ()) in
+  let domains = Domain.recommended_domain_count () in
+  List.iter
+    (fun (name, ns) -> Printf.printf "  %-34s %12s\n" name (pp_ns ns))
+    medians;
+  List.iter (fun (name, n) -> Printf.printf "  %-34s %12d\n" name n) counts;
+  Option.iter (fun path -> write_json path ~domains medians counts) json;
+  match baseline with
+  | None -> ()
+  | Some baseline ->
+    let values =
+      medians @ List.map (fun (name, n) -> (name, float_of_int n)) counts
+    in
+    print_newline ();
+    let failed =
+      List.filter_map
+        (fun ((row, _, _) as g) ->
+          match check ~baseline ~values ~domains g with
+          | None -> None
+          | Some (passed, detail) ->
+            Printf.printf "  %-4s %-34s %s\n"
+              (if passed then "ok" else "FAIL")
+              row detail;
+            if passed then None else Some row)
+        gates
+    in
+    if failed <> [] then begin
+      Printf.eprintf "gate FAILED: %s\n"
+        (String.concat " " (List.sort_uniq compare failed));
+      exit 1
+    end
 
 (* ------------------------------------------------------------------ *)
 
@@ -930,23 +771,19 @@ let experiments =
     ("dynamic", dynamic);
     ("multi-fpga", multi_fpga);
     ("zoo", zoo);
-    ("bechamel", bechamel);
-    ("bechamel-smoke", bechamel_smoke);
   ]
 
-(* Pull "--json PATH" out of the argument list; everything left is
-   experiment names. *)
-let rec extract_json acc = function
-  | [] -> (List.rev acc, None)
-  | [ "--json" ] ->
-    Printf.eprintf "--json requires a path argument\n";
-    exit 1
-  | "--json" :: path :: rest -> (List.rev_append acc rest, Some path)
-  | x :: rest -> extract_json (x :: acc) rest
+let rec gate_args ?baseline ?json = function
+  | [] -> gate ?baseline ?json ()
+  | "--baseline" :: path :: rest -> gate_args ~baseline:path ?json rest
+  | "--json" :: path :: rest -> gate_args ?baseline ~json:path rest
+  | _ ->
+    prerr_endline "usage: main.exe gate [--baseline PATH] [--json PATH]";
+    exit 2
 
-(* Pull "--jobs N" out likewise (concurrent streams of work for the
-   ablation sweep; 0 = adaptive, 1 = sequential — the tables are
-   byte-identical either way). *)
+(* Pull "--jobs N" out of the argument list (concurrent streams of work
+   for the ablation sweep; 0 = adaptive, 1 = sequential -- the tables
+   are byte-identical either way); everything left is experiment names. *)
 let rec extract_jobs acc = function
   | [] -> (List.rev acc, None)
   | [ "--jobs" ] ->
@@ -963,10 +800,9 @@ let rec extract_jobs acc = function
 let () =
   match Array.to_list Sys.argv with
   | [] -> ()
+  | _ :: "gate" :: args -> gate_args args
   | _ :: rest -> (
-    let args, json = extract_json [] rest in
-    let args, j = extract_jobs [] args in
-    json_out := json;
+    let args, j = extract_jobs [] rest in
     (match j with Some n -> jobs := n | None -> ());
     match args with
     | [] ->
