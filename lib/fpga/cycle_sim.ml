@@ -17,17 +17,17 @@
               and the result (after a pipeline latency) fits downstream
      write    retires 1 element per stream per cycle
 
-   The engine applies those rules on precomputed arrays, plus two
-   fast-forward mechanisms that skip whole runs of cycles in closed
-   form: an idle jump to the next time-based guard flip when a cycle
-   mutates nothing (pure pipeline-latency wait), and a steady-state
-   detector that recognises when the bounded state (FIFO occupancies,
-   in-flight offsets, II distances) repeats with period p and all
-   counters advance by a constant per-period delta, then applies n
-   periods at once.  Cycle counts, deadlock verdicts and tracer-visible
-   occupancy sequences are identical to firing every stage every cycle:
-   the differential suite (test/test_cycle_engines.ml) checks them
-   against exactly that loop, kept with the tests as the oracle. *)
+   The engine applies those rules to one integer state vector and skips
+   whole runs of cycles in closed form.  Fill, steady state, drain and
+   pipeline-latency waits are all affine phases: the same stages fire
+   the same way every p cycles, so every FIFO occupancy and counter
+   moves by a constant delta per period until some firing guard flips.
+   The engine jumps straight to the period before that flip, stepping
+   only the few cycles between phases.  Cycle counts, deadlock verdicts and
+   tracer-visible occupancy sequences are identical to firing every
+   stage every cycle: the differential suite (test/test_cycle_engines.ml)
+   checks them against exactly that loop, kept with the tests as the
+   oracle. *)
 
 type result = {
   cycles : int;
@@ -40,8 +40,6 @@ type result = {
   ss_period : (int * int) option;
       (* detected steady state: (period cycles, write retirements/period) *)
 }
-
-type fifo = { mutable occ : int; cap : int }
 
 let max_cycles_factor = 64
 
@@ -56,63 +54,64 @@ let check_has_write (d : Design.t) =
 (* ------------------------------------------------------------------ *)
 (* The engine.
 
-   The firing rules compiled to arrays with direct FIFO references (no
-   per-cycle hashtable lookups or list allocation), plus two closed-form
-   fast-forward mechanisms:
+   State vector.  Every FIFO occupancy and every monotone counter (load's
+   remaining words, shift consumed/produced, dup moved, compute
+   started/retired, write retired) is one slot of the int array [x]; its
+   last slot is always 0.  Stages hold slot indices.  What [x] leaves out
+   is each compute's time state — retirement pass, II distance (clamped
+   at ii: once the guard holds it holds until the next start) and
+   in-flight ready offsets (clamped at 0: once ready, always ready) —
+   which the *time signature* records.
 
-   Idle jump.  When a fired cycle mutates no state yet still counts as
-   progress (results draining through a compute pipeline), nothing can
-   change until a time-based guard flips: an in-flight result becomes
-   ready, or a compute's II distance elapses.  We jump straight to the
-   earliest such flip, synthesising the unchanged per-cycle tracer
-   records in between.
+   Guards.  Every comparison a stage makes while firing is normalised to
+   [v >= 0], with v affine in the state, and logged as (v, a, b): one
+   period moves v by delta.(a) - delta.(b).  Load's burst, min 8
+   (remaining, cap - occ), logs each term's distance from the burst
+   taken and the binding term's equality with it, so the burst size
+   cannot change unnoticed.  A compute's time comparisons (II distance,
+   ready <= cycle) are logged against its [tick] slot of [delta].
 
-   Steady-state skip.  After every mutating cycle we record a signature
-   of the *bounded* state: all FIFO occupancies, each shift's held
-   element count, each compute's retirement phase, in-flight ready
-   offsets (clamped at 0 — once ready <= cycle the exact value can
-   never matter again) and II distance (clamped at ii — once the guard
-   is satisfied it stays satisfied until the next start), plus the full
-   vector of monotone counters.  If the signature at cycle t equals the
-   signature at t-p, determinism makes cycles t+1..t+p replay
-   t-p+1..t exactly — provided every counter-dependent guard evaluates
-   the same, which holds as long as each moving counter stays strictly
-   inside its current regime: below [total] for the monotone-increasing
-   ones, at or above a full burst (8) for load's remaining words, and
-   inside the current serial pass for a compute's retirement phase.
-   Those thresholds bound how many whole periods n can be applied at
-   once; we add n * delta to every counter, n * p to every in-flight
-   ready time and (when the compute started during the period) to
-   last_start, and advance the clock by n * p.  FIFO occupancies are
-   periodic, so they are left untouched.  Variants break periodicity
-   only transiently: a no-split fused stage changes its retirement
-   target stream once per serial pass and cu=N designs interleave
-   phased retirement, both of which land outside the signature match or
-   the phase threshold for a few cycles, after which the detector locks
-   on again. *)
+   Affine jump.  After every stepped cycle c, for each lag p <= 8, take
+   delta = x(c) - x(c - p).  A compute that neither starts nor retires
+   in those p cycles is frozen: its time state stands still while the
+   clock runs, so its time comparisons age by p per period.  Every other
+   compute must have the same time signature at c and c - p.  Then by
+   determinism the next period replays the last one's firings, with
+   every intermediate state (within a cycle too, since the guards were
+   logged where they were evaluated) shifted by delta — as long as every
+   guard logged in the last p cycles keeps its truth value.  The k-th
+   next period sees v + k * delta_v, linear in k, so each guard bounds
+   the number of whole periods n it survives, and the jump applies the
+   smallest bound (and the cycle budget): x += n * delta, the clock and
+   the non-frozen computes' ready times and last_start move by n * p.
+   Fill, steady state and drain are such phases, and so is a pure
+   pipeline-latency wait (every delta zero, only frozen computes'
+   readiness moving).  The steady state is the case where occupancy and
+   held-count deltas are zero — the bounded state repeats — and the
+   first such period with writes moving is reported as [ss_period]. *)
 
 type estage =
-  | E_load of { outs : fifo array; remaining : int array }
+  (* every [int] below that is not a parameter is a slot of [x] *)
+  | E_load of { outs : int array; rem : int array }
   | E_shift of {
-      s_fin : fifo;
-      s_fout : fifo;
-      mutable consumed : int;
-      mutable produced : int;
+      fin : int;
+      fout : int;
+      cons : int;
+      prod : int;
       lookahead : int;
       window : int;
       total : int;
     }
-  | E_dup of {
-      d_fin : fifo;
-      d_fouts : fifo array;
-      mutable moved : int;
-      total : int;
-    }
+  | E_dup of { d_fin : int; d_fouts : int array; moved : int; total : int }
   | E_compute of {
-      c_fins : fifo array;
-      c_fouts : fifo array; (* one per serial pass *)
-      mutable started : int;
-      mutable retired : int;
+      c_fins : int array;
+      c_fouts : int array; (* one per serial pass *)
+      started : int;
+      retired : int;
+      tick : int;
+          (* its ordinal among computes; delta.(nx + tick) is p when the
+             compute neither starts nor retires in the period (its time
+             guards age by p per period), else 0 *)
       ii : int;
       latency : int;
       total : int;
@@ -129,57 +128,58 @@ type estage =
       (* bit j set iff an iteration started j cycles ago (j < latency).
          Together with q_len this encodes the in-flight ready offsets
          exactly — entries older than latency are all ready (offset
-         clamps to 0) — so the steady-state signature needs one word
-         per compute instead of a queue walk.  0 mask = latency too
-         large for a word; the signature walks the ring instead. *)
+         clamps to 0) — so the time signature needs one word per
+         compute instead of a queue walk.  0 mask = latency too large
+         for a word; the signature walks the ring instead. *)
       bits_mask : int;
       mutable start_bits : int;
     }
-  | E_write of { w_fins : fifo array; w_retired : int array; w_total : int }
-
-(* counter thresholds: how far a moving counter may advance before a
-   counter-dependent guard could change its value *)
-type cnt_kind =
-  | K_inc of int (* guard reads [v < limit] *)
-  | K_dec (* load remaining: full bursts only while >= 8 *)
-  | K_phase of int * int (* per_pass, passes: retirement stream select *)
+  | E_write of { w_fins : int array; w_ret : int array; w_total : int }
 
 let run ?on_cycle (d : Design.t) =
   check_has_write d;
   let total = Design.total_padded d in
   let nstreams = List.length d.d_streams in
+  (* stream id -> its occupancy slot, which is its position *)
   let fifos = Hashtbl.create 32 in
-  let fifo_arr = Array.make (max nstreams 1) { occ = 0; cap = 0 } in
   List.iteri
-    (fun i (s : Design.stream) ->
-      let f = { occ = 0; cap = s.st_depth } in
-      Hashtbl.replace fifos s.st_id f;
-      fifo_arr.(i) <- f)
+    (fun i (s : Design.stream) -> Hashtbl.replace fifos s.st_id i)
     d.d_streams;
+  let cap =
+    Array.of_list (List.map (fun (s : Design.stream) -> s.st_depth) d.d_streams)
+  in
   let fifo id =
     match Hashtbl.find_opt fifos id with
-    | Some f -> f
+    | Some i -> i
     | None -> Err.raise_error "cycle sim: unknown stream %d" id
   in
+  let fifos_of ids = Array.of_list (List.map fifo ids) in
+  let next_slot = ref nstreams in
+  let counter () =
+    let i = !next_slot in
+    incr next_slot;
+    i
+  in
+  let counters n = Array.init n (fun _ -> counter ()) in
+  let ncomputes = ref 0 in
   let estages =
     List.map
       (fun stage ->
         let st =
           match stage with
           | Design.Load { out_streams; _ } ->
-            E_load
-              {
-                outs = Array.of_list (List.map fifo out_streams);
-                remaining = Array.make (List.length out_streams) total;
-              }
+            let outs = fifos_of out_streams in
+            E_load { outs; rem = counters (Array.length outs) }
           | Design.Shift { input; output; halo; extent; _ } ->
             let la = Design.shift_lookahead ~halo ~extent in
+            let cons = counter () in
+            let prod = counter () in
             E_shift
               {
-                s_fin = fifo input;
-                s_fout = fifo output;
-                consumed = 0;
-                produced = 0;
+                fin = fifo input;
+                fout = fifo output;
+                cons;
+                prod;
                 lookahead = la;
                 window = (2 * la) + 1;
                 total;
@@ -188,29 +188,34 @@ let run ?on_cycle (d : Design.t) =
             E_dup
               {
                 d_fin = fifo input;
-                d_fouts = Array.of_list (List.map fifo outputs);
-                moved = 0;
+                d_fouts = fifos_of outputs;
+                moved = counter ();
                 total;
               }
           | Design.Compute c ->
             let latency = 8 + c.flops in
-            let cap = ref 1 in
-            while !cap < latency + 2 do
-              cap := !cap * 2
+            let qcap = ref 1 in
+            while !qcap < latency + 2 do
+              qcap := !qcap * 2
             done;
+            let started = counter () in
+            let retired = counter () in
+            let tick = !ncomputes in
+            incr ncomputes;
             E_compute
               {
-                c_fins = Array.of_list (List.map fifo c.in_streams);
-                c_fouts = Array.of_list (List.map fifo c.out_streams);
-                started = 0;
-                retired = 0;
+                c_fins = fifos_of c.in_streams;
+                c_fouts = fifos_of c.out_streams;
+                started;
+                retired;
+                tick;
                 ii = c.ii;
                 latency;
                 total = c.serial * total;
                 per_pass = total;
                 passes = List.length c.out_streams;
-                q_buf = Array.make !cap 0;
-                q_mask = !cap - 1;
+                q_buf = Array.make !qcap 0;
+                q_mask = !qcap - 1;
                 q_head = 0;
                 q_len = 0;
                 last_start = -1_000_000;
@@ -218,476 +223,387 @@ let run ?on_cycle (d : Design.t) =
                 start_bits = 0;
               }
           | Design.Write { in_streams; _ } ->
+            let w_fins = fifos_of in_streams in
             E_write
-              {
-                w_fins = Array.of_list (List.map fifo in_streams);
-                w_retired = Array.make (List.length in_streams) 0;
-                w_total = total;
-              }
+              { w_fins; w_ret = counters (Array.length w_fins); w_total = total }
         in
         (stage, st))
       d.d_stages
     |> Array.of_list
   in
+  let z = !next_slot (* the slot that stays 0 *) in
+  let nx = z + 1 in
+  let x = Array.make nx 0 in
+  Array.iter
+    (fun (_, st) ->
+      match st with
+      | E_load l -> Array.iter (fun r -> x.(r) <- total) l.rem
+      | _ -> ())
+    estages;
   let complete () =
     Array.for_all
       (fun (_, st) ->
         match st with
-        | E_write w -> Array.for_all (fun r -> r >= w.w_total) w.w_retired
+        | E_write w -> Array.for_all (fun r -> x.(r) >= w.w_total) w.w_ret
         | _ -> true)
       estages
   in
-  (* counter layout (stage order), mirrored by read/apply below *)
-  let kinds =
-    Array.to_list estages
-    |> List.concat_map (fun (_, st) ->
-           match st with
-           | E_load l -> Array.to_list (Array.map (fun _ -> K_dec) l.remaining)
-           | E_shift s -> [ K_inc s.total; K_inc s.total ]
-           | E_dup du -> [ K_inc du.total ]
-           | E_compute c -> [ K_inc c.total; K_phase (c.per_pass, c.passes) ]
-           | E_write w ->
-             Array.to_list (Array.map (fun _ -> K_inc w.w_total) w.w_retired))
-    |> Array.of_list
-  in
-  let ncnt = Array.length kinds in
-  let read_counters dst =
-    let i = ref 0 in
-    for k = 0 to Array.length estages - 1 do
-      match snd estages.(k) with
-      | E_load l ->
-        Array.iter (fun v -> dst.(!i) <- v; incr i) l.remaining
-      | E_shift s ->
-        dst.(!i) <- s.consumed;
-        dst.(!i + 1) <- s.produced;
-        i := !i + 2
-      | E_dup du ->
-        dst.(!i) <- du.moved;
-        incr i
-      | E_compute c ->
-        dst.(!i) <- c.started;
-        dst.(!i + 1) <- c.retired;
-        i := !i + 2
-      | E_write w ->
-        Array.iter (fun v -> dst.(!i) <- v; incr i) w.w_retired
-    done
-  in
   let cycle = ref 0 in
   let progressed = ref true in
-  let mutated = ref false in
   let stalled = ref None in
   let fast_forwarded = ref 0 in
   let ss_period = ref None in
   let budget = max_cycles_factor * (total + 1000) in
-  let occ_list () =
-    Hashtbl.fold (fun id f acc -> (id, f.occ) :: acc) fifos []
+  (* per-period change of x over the period being tried, then the aging
+     of each compute's time guards (see [tick]) *)
+  let delta = Array.make (nx + !ncomputes) 0 in
+  (* the tracer's view of occupancies: those of [y], moved by k periods *)
+  let occs_of y k =
+    Hashtbl.fold (fun id i acc -> (id, y.(i) + (k * delta.(i))) :: acc) fifos []
   in
-  (* one mutating cycle: every stage fires once, in stage order *)
+  (* history ring over the last p_max+1 stepped cycles: time, time
+     signature, state vector and guard log *)
+  let p_max = 8 in
+  let hcap = p_max + 1 in
+  let max_guards =
+    Array.fold_left
+      (fun acc (_, st) ->
+        acc
+        +
+        match st with
+        | E_load l -> 3 * Array.length l.outs
+        | E_shift _ -> 7
+        | E_dup du -> 2 + Array.length du.d_fouts
+        | E_compute cc -> 5 + Array.length cc.c_fins
+        | E_write w -> 2 * Array.length w.w_fins)
+      0 estages
+  in
+  let max_sig =
+    Array.fold_left
+      (fun acc (_, st) ->
+        match st with
+        | E_compute cc -> acc + 3 + Array.length cc.q_buf
+        | _ -> acc)
+      0 estages
+  in
+  let h_time = Array.make hcap (-1) in
+  let h_sig = Array.init hcap (fun _ -> Array.make max_sig 0) in
+  let h_x = Array.init hcap (fun _ -> Array.make nx 0) in
+  let h_guards = Array.init hcap (fun _ -> Array.make (3 * max_guards) 0) in
+  let h_nguards = Array.make hcap 0 in
+  let hlen = ref 0 in
+  (* guard log of the cycle being fired *)
+  let glog = ref h_guards.(0) in
+  let gn = ref 0 in
+  let note v a b =
+    let g = !glog and i = !gn in
+    g.(i) <- v;
+    g.(i + 1) <- a;
+    g.(i + 2) <- b;
+    gn := i + 3
+  in
+  let guard v a b =
+    note v a b;
+    v >= 0
+  in
+  (* one stepped cycle: every stage fires once, in stage order *)
   let fire () =
+    let c = !cycle in
+    glog := h_guards.(c mod hcap);
+    gn := 0;
     Array.iter
       (fun (_, st) ->
         match st with
         | E_load l ->
           Array.iteri
-            (fun i f ->
-              let burst = min 8 (min l.remaining.(i) (f.cap - f.occ)) in
+            (fun i o ->
+              let r = l.rem.(i) in
+              let left = x.(r) and room = cap.(o) - x.(o) in
+              let burst = min 8 (min left room) in
+              note (left - burst) r z;
+              note (room - burst) z o;
+              if burst < 8 then if left = burst then note 0 z r else note 0 o z;
               if burst > 0 then begin
-                f.occ <- f.occ + burst;
-                l.remaining.(i) <- l.remaining.(i) - burst;
-                progressed := true;
-                mutated := true
+                x.(o) <- x.(o) + burst;
+                x.(r) <- left - burst;
+                progressed := true
               end)
             l.outs
         | E_shift s ->
           if
-            s.consumed < s.total && s.s_fin.occ > 0
-            && s.consumed - s.produced < s.window
+            guard (s.total - 1 - x.(s.cons)) z s.cons
+            && guard (x.(s.fin) - 1) s.fin z
+            && guard (s.window - 1 - (x.(s.cons) - x.(s.prod))) s.prod s.cons
           then begin
-            s.s_fin.occ <- s.s_fin.occ - 1;
-            s.consumed <- s.consumed + 1;
-            progressed := true;
-            mutated := true
+            x.(s.fin) <- x.(s.fin) - 1;
+            x.(s.cons) <- x.(s.cons) + 1;
+            progressed := true
           end;
           if
-            s.produced < s.total
-            && (s.consumed >= s.produced + s.lookahead + 1
-               || s.consumed = s.total)
-            && s.s_fout.occ < s.s_fout.cap
+            guard (s.total - 1 - x.(s.prod)) z s.prod
+            && (guard (x.(s.cons) - x.(s.prod) - s.lookahead - 1) s.cons s.prod
+               || guard (x.(s.cons) - s.total) s.cons z)
+            && guard (cap.(s.fout) - 1 - x.(s.fout)) z s.fout
           then begin
-            s.s_fout.occ <- s.s_fout.occ + 1;
-            s.produced <- s.produced + 1;
-            progressed := true;
-            mutated := true
+            x.(s.fout) <- x.(s.fout) + 1;
+            x.(s.prod) <- x.(s.prod) + 1;
+            progressed := true
           end
         | E_dup du ->
           if
-            du.moved < du.total && du.d_fin.occ > 0
-            && Array.for_all (fun f -> f.occ < f.cap) du.d_fouts
+            guard (du.total - 1 - x.(du.moved)) z du.moved
+            && guard (x.(du.d_fin) - 1) du.d_fin z
+            && Array.for_all (fun o -> guard (cap.(o) - 1 - x.(o)) z o) du.d_fouts
           then begin
-            du.d_fin.occ <- du.d_fin.occ - 1;
-            Array.iter (fun f -> f.occ <- f.occ + 1) du.d_fouts;
-            du.moved <- du.moved + 1;
-            progressed := true;
-            mutated := true
+            x.(du.d_fin) <- x.(du.d_fin) - 1;
+            Array.iter (fun o -> x.(o) <- x.(o) + 1) du.d_fouts;
+            x.(du.moved) <- x.(du.moved) + 1;
+            progressed := true
           end
-        | E_compute c ->
+        | E_compute cc ->
           if
-            c.started < c.total
-            && !cycle - c.last_start >= c.ii
-            && Array.for_all (fun f -> f.occ > 0) c.c_fins
+            guard (cc.total - 1 - x.(cc.started)) z cc.started
+            && Array.for_all (fun o -> guard (x.(o) - 1) o z) cc.c_fins
+            && guard (c - cc.last_start - cc.ii) (nx + cc.tick) z
           then begin
-            Array.iter (fun f -> f.occ <- f.occ - 1) c.c_fins;
-            c.started <- c.started + 1;
-            c.last_start <- !cycle;
-            c.q_buf.((c.q_head + c.q_len) land c.q_mask) <- !cycle + c.latency;
-            c.q_len <- c.q_len + 1;
-            progressed := true;
-            mutated := true
+            Array.iter (fun o -> x.(o) <- x.(o) - 1) cc.c_fins;
+            x.(cc.started) <- x.(cc.started) + 1;
+            cc.last_start <- c;
+            cc.q_buf.((cc.q_head + cc.q_len) land cc.q_mask) <- c + cc.latency;
+            cc.q_len <- cc.q_len + 1;
+            progressed := true
           end;
-          if c.q_len > 0 then begin
-            let ready = c.q_buf.(c.q_head) in
-            if ready <= !cycle then begin
-              let phase = min (c.retired / c.per_pass) (c.passes - 1) in
-              let fout = c.c_fouts.(phase) in
-              if fout.occ < fout.cap then begin
-                fout.occ <- fout.occ + 1;
-                c.retired <- c.retired + 1;
-                c.q_head <- (c.q_head + 1) land c.q_mask;
-                c.q_len <- c.q_len - 1;
-                progressed := true;
-                mutated := true
+          if cc.q_len > 0 then begin
+            if guard (c - cc.q_buf.(cc.q_head)) (nx + cc.tick) z then begin
+              let pass = x.(cc.retired) / cc.per_pass in
+              let phase =
+                if pass >= cc.passes - 1 then cc.passes - 1
+                else begin
+                  (* the retirement that moves on to the next pass *)
+                  note (x.(cc.retired) - ((pass + 1) * cc.per_pass)) cc.retired z;
+                  pass
+                end
+              in
+              let o = cc.c_fouts.(phase) in
+              if guard (cap.(o) - 1 - x.(o)) z o then begin
+                x.(o) <- x.(o) + 1;
+                x.(cc.retired) <- x.(cc.retired) + 1;
+                cc.q_head <- (cc.q_head + 1) land cc.q_mask;
+                cc.q_len <- cc.q_len - 1;
+                progressed := true
               end
             end
             else progressed := true
           end;
-          c.start_bits <-
-            ((c.start_bits lsl 1)
-            lor (if c.last_start = !cycle then 1 else 0))
-            land c.bits_mask
+          cc.start_bits <-
+            ((cc.start_bits lsl 1)
+            lor (if cc.last_start = c then 1 else 0))
+            land cc.bits_mask
         | E_write w ->
           Array.iteri
-            (fun i f ->
-              if w.w_retired.(i) < w.w_total && f.occ > 0 then begin
-                f.occ <- f.occ - 1;
-                w.w_retired.(i) <- w.w_retired.(i) + 1;
-                progressed := true;
-                mutated := true
+            (fun i o ->
+              let r = w.w_ret.(i) in
+              if guard (w.w_total - 1 - x.(r)) z r && guard (x.(o) - 1) o z
+              then begin
+                x.(o) <- x.(o) - 1;
+                x.(r) <- x.(r) + 1;
+                progressed := true
               end)
-            w.w_fins
-      )
+            w.w_fins)
       estages
   in
-  (* signature of the bounded state, written into a reused scratch
-     buffer with a full accumulated hash — no allocation per cycle, and
-     hash inequality is decisive enough that deep compares only happen
-     on genuine period candidates *)
-  let max_sig =
-    nstreams
-    + Array.fold_left
-        (fun acc (_, st) ->
-          acc
-          +
-          match st with
-          | E_shift _ -> 1
-          | E_compute c -> 3 + Array.length c.q_buf
-          | _ -> 0)
-        0 estages
-  in
-  let scratch = Array.make (max max_sig 16) 0 in
-  let slen = ref 0 in
-  let shash = ref 0 in
-  (* closure-free: this runs once per mutating cycle on the hot path *)
-  let sig_of c =
-    let i = ref 0 in
-    let h = ref 0 in
-    for k = 0 to nstreams - 1 do
-      let v = fifo_arr.(k).occ in
-      scratch.(!i) <- v;
-      incr i;
-      h := (!h * 31) + v
-    done;
-    for k = 0 to Array.length estages - 1 do
-      match snd estages.(k) with
-      | E_shift s ->
-        let v = s.consumed - s.produced in
-        scratch.(!i) <- v;
-        incr i;
-        h := (!h * 31) + v
-      | E_compute cc ->
-        let phase = min (cc.retired / cc.per_pass) (cc.passes - 1) in
-        let dist = min (c - cc.last_start) cc.ii in
-        scratch.(!i) <- phase;
-        scratch.(!i + 1) <- dist;
-        scratch.(!i + 2) <- cc.q_len;
-        i := !i + 3;
-        h := (((((!h * 31) + phase) * 31) + dist) * 31) + cc.q_len;
-        if cc.bits_mask <> 0 then begin
-          scratch.(!i) <- cc.start_bits;
-          incr i;
-          h := (!h * 31) + cc.start_bits
-        end
-        else
-          for j = 0 to cc.q_len - 1 do
-            let v = max 0 (cc.q_buf.((cc.q_head + j) land cc.q_mask) - c) in
-            scratch.(!i) <- v;
-            incr i;
-            h := (!h * 31) + v
-          done
-      | _ -> ()
-    done;
-    slen := !i;
-    shash := !h
-  in
-  (* history ring of (time, signature, hash, counters, occupancies) for
-     the last p_max+1 mutating cycles *)
-  let p_max = 8 in
-  let hcap = p_max + 1 in
-  let h_time = Array.make hcap (-1) in
-  let h_sig = Array.init hcap (fun _ -> Array.make (Array.length scratch) 0) in
-  let h_siglen = Array.make hcap 0 in
-  let h_hash = Array.make hcap 0 in
-  let h_cnt = Array.init hcap (fun _ -> Array.make ncnt 0) in
-  let h_occ = Array.init hcap (fun _ -> Array.make nstreams 0) in
-  let hlen = ref 0 in
   let record_history c =
     let slot = c mod hcap in
-    sig_of c;
+    let sg = h_sig.(slot) in
+    let i = ref 0 in
+    let put v =
+      sg.(!i) <- v;
+      incr i
+    in
+    Array.iter
+      (fun (_, st) ->
+        match st with
+        | E_compute cc ->
+          put (min (x.(cc.retired) / cc.per_pass) (cc.passes - 1));
+          put (min (c - cc.last_start) cc.ii);
+          put cc.q_len;
+          if cc.bits_mask <> 0 then put cc.start_bits
+          else
+            for j = 0 to cc.q_len - 1 do
+              put (max 0 (cc.q_buf.((cc.q_head + j) land cc.q_mask) - c))
+            done
+        | _ -> ())
+      estages;
     h_time.(slot) <- c;
-    Array.blit scratch 0 h_sig.(slot) 0 !slen;
-    h_siglen.(slot) <- !slen;
-    h_hash.(slot) <- !shash;
-    read_counters h_cnt.(slot);
-    Array.iteri (fun i f -> h_occ.(slot).(i) <- f.occ) fifo_arr;
+    h_nguards.(slot) <- !gn;
+    Array.blit x 0 h_x.(slot) 0 nx;
     if !hlen < hcap then incr hlen
   in
+  (* the time signatures at slots a and b agree on every compute that
+     starts or retires in the period (the others' time guards are
+     logged, aging by p per period) *)
   let sig_equal a b =
-    h_time.(a) >= 0 && h_hash.(a) = h_hash.(b) && h_siglen.(a) = h_siglen.(b)
-    &&
     let sa = h_sig.(a) and sb = h_sig.(b) in
-    let n = h_siglen.(a) in
-    let i = ref 0 in
-    while !i < n && sa.(!i) = sb.(!i) do
-      incr i
-    done;
-    !i = n
+    let ia = ref 0 and ib = ref 0 and eq = ref true in
+    Array.iter
+      (fun (_, st) ->
+        match st with
+        | E_compute cc ->
+          let len sg i = if cc.bits_mask <> 0 then 4 else 3 + sg.(i + 2) in
+          let la = len sa !ia and lb = len sb !ib in
+          if delta.(nx + cc.tick) = 0 then
+            if la <> lb then eq := false
+            else
+              for j = 0 to la - 1 do
+                if sa.(!ia + j) <> sb.(!ib + j) then eq := false
+              done;
+          ia := !ia + la;
+          ib := !ib + lb
+        | _ -> ())
+      estages;
+    !eq
   in
-  (* replay synthesised tracer records for implicit cycles j0..j1-1,
-     reading occupancies from [occ_at] (phase within the current period) *)
-  let synth_on_cycle f j0 j1 occ_at =
-    let saved = Array.map (fun fx -> fx.occ) fifo_arr in
-    for j = j0 to j1 - 1 do
-      let snap = occ_at j in
-      Array.iteri (fun i fx -> fx.occ <- snap.(i)) fifo_arr;
-      f j (occ_list ())
-    done;
-    Array.iteri (fun i fx -> fx.occ <- saved.(i)) fifo_arr
-  in
-  (* how many whole periods the counter thresholds allow *)
-  let bound_periods deltas cnts =
+  (* whole periods for which every guard logged in cycles c-p+1..c keeps
+     its truth value, period k seeing v + k * (delta.(a) - delta.(b)) *)
+  let periods_bound c p =
     let n = ref max_int in
-    for i = 0 to ncnt - 1 do
-      let dv = deltas.(i) and v = cnts.(i) in
-      if dv <> 0 then begin
+    let t = ref c in
+    while !n > 0 && !t > c - p do
+      let slot = !t mod hcap in
+      let g = h_guards.(slot) in
+      let i = ref 0 in
+      while !n > 0 && !i < h_nguards.(slot) do
+        let v = g.(!i) and dv = delta.(g.(!i + 1)) - delta.(g.(!i + 2)) in
         let b =
-          match kinds.(i) with
-          | K_inc limit -> if dv > 0 then (limit - 1 - v) / dv else 0
-          | K_dec -> if dv < 0 then (v - 8) / -dv else 0
-          | K_phase (per_pass, passes) ->
-            if dv <= 0 then 0
-            else if v / per_pass >= passes - 1 then max_int
-            else ((v / per_pass + 1) * per_pass - 1 - v) / dv
+          if v >= 0 then if dv >= 0 then max_int else v / -dv
+          else if dv <= 0 then max_int
+          else (-v - 1) / dv
         in
-        if b < !n then n := b
-      end
+        if b < !n then n := b;
+        i := !i + 3
+      done;
+      decr t
     done;
     !n
   in
-  (* detect a period ending at cycle c (= !cycle - 1) and apply as many
-     whole periods as the thresholds and budget allow *)
-  let try_skip c =
+  (* the first period whose bounded state (occupancies, held counts,
+     time signature) repeats: write retirements per period, for the
+     model's fill/steady cross-check *)
+  let note_steady p =
+    let repeats = ref true and writes = ref 0 in
+    for i = 0 to nstreams - 1 do
+      if delta.(i) <> 0 then repeats := false
+    done;
+    Array.iter
+      (fun (_, st) ->
+        match st with
+        | E_shift s -> if delta.(s.cons) <> delta.(s.prod) then repeats := false
+        | E_write w -> Array.iter (fun r -> writes := !writes + delta.(r)) w.w_ret
+        | _ -> ())
+      estages;
+    if !repeats && !writes > 0 then ss_period := Some (p, !writes)
+  in
+  (* detect an affine period ending at cycle c (= !cycle - 1) and apply
+     as many whole periods as the guards and the budget allow *)
+  let try_jump c =
     let cur = c mod hcap in
     let p = ref 1 in
-    let applied = ref false in
-    while (not !applied) && !p <= min p_max (!hlen - 1) do
+    let jumped = ref false in
+    while (not !jumped) && !p <= min p_max (!hlen - 1) do
       let prev = (c - !p) mod hcap in
+      let xc = h_x.(cur) and xp = h_x.(prev) in
+      for i = 0 to nx - 1 do
+        delta.(i) <- xc.(i) - xp.(i)
+      done;
+      Array.iter
+        (fun (_, st) ->
+          match st with
+          | E_compute cc ->
+            delta.(nx + cc.tick) <-
+              (if delta.(cc.started) = 0 && delta.(cc.retired) = 0 then !p
+               else 0)
+          | _ -> ())
+        estages;
       if h_time.(prev) = c - !p && sig_equal cur prev then begin
-        let deltas = Array.make ncnt 0 in
-        let moving = ref false in
-        for i = 0 to ncnt - 1 do
-          deltas.(i) <- h_cnt.(cur).(i) - h_cnt.(prev).(i);
-          if deltas.(i) <> 0 then moving := true
-        done;
-        if !moving then begin
-          if !ss_period = None then begin
-            (* write retirements per detected period, for the model's
-               fill/steady cross-check *)
-            let wd = ref 0 and i = ref 0 in
-            Array.iter
-              (fun (_, st) ->
-                match st with
-                | E_load l -> i := !i + Array.length l.remaining
-                | E_shift _ -> i := !i + 2
-                | E_dup _ -> incr i
-                | E_compute _ -> i := !i + 2
-                | E_write w ->
-                  Array.iter (fun _ -> wd := !wd + deltas.(!i); incr i)
-                    w.w_retired)
-              estages;
-            ss_period := Some (!p, !wd)
-          end;
-          let n = min (bound_periods deltas h_cnt.(cur)) ((budget - !cycle) / !p) in
-          if n >= 1 then begin
-            (match on_cycle with
-            | Some f ->
-              synth_on_cycle f !cycle (!cycle + (n * !p)) (fun j ->
-                  h_occ.((c - !p + 1 + ((j - c - 1) mod !p)) mod hcap))
-            | None -> ());
-            (* advance counters by n periods *)
-            let i = ref 0 in
-            let adj = n in
-            Array.iter
-              (fun (_, st) ->
-                match st with
-                | E_load l ->
-                  Array.iteri
-                    (fun k _ ->
-                      l.remaining.(k) <- l.remaining.(k) + (adj * deltas.(!i));
-                      incr i)
-                    l.remaining
-                | E_shift s ->
-                  s.consumed <- s.consumed + (adj * deltas.(!i));
-                  incr i;
-                  s.produced <- s.produced + (adj * deltas.(!i));
-                  incr i
-                | E_dup du ->
-                  du.moved <- du.moved + (adj * deltas.(!i));
-                  incr i
-                | E_compute cc ->
-                  let d_started = deltas.(!i) in
-                  cc.started <- cc.started + (adj * d_started);
-                  incr i;
-                  cc.retired <- cc.retired + (adj * deltas.(!i));
-                  incr i;
-                  let shift = adj * !p in
-                  if d_started > 0 then cc.last_start <- cc.last_start + shift;
+        if !ss_period = None then note_steady !p;
+        let n = min (periods_bound c !p) ((budget - !cycle) / !p) in
+        if n >= 1 then begin
+          let skipped = n * !p in
+          (match on_cycle with
+          | Some f ->
+            for j = 0 to skipped - 1 do
+              f (!cycle + j)
+                (occs_of h_x.((c - !p + 1 + (j mod !p)) mod hcap) ((j / !p) + 1))
+            done
+          | None -> ());
+          for i = 0 to nx - 1 do
+            x.(i) <- x.(i) + (n * delta.(i))
+          done;
+          Array.iter
+            (fun (_, st) ->
+              match st with
+              | E_compute cc ->
+                if delta.(nx + cc.tick) = 0 then begin
+                  (* periodic: its time state moves with the clock *)
+                  cc.last_start <- cc.last_start + skipped;
                   for k = 0 to cc.q_len - 1 do
                     let slot = (cc.q_head + k) land cc.q_mask in
-                    cc.q_buf.(slot) <- cc.q_buf.(slot) + shift
+                    cc.q_buf.(slot) <- cc.q_buf.(slot) + skipped
                   done
-                | E_write w ->
-                  Array.iteri
-                    (fun k _ ->
-                      w.w_retired.(k) <- w.w_retired.(k) + (adj * deltas.(!i));
-                      incr i)
-                    w.w_retired)
-              estages;
-            let skipped = n * !p in
-            cycle := !cycle + skipped;
-            fast_forwarded := !fast_forwarded + skipped;
-            hlen := 0;
-            applied := true
-          end
+                end
+                else
+                  (* frozen: its time state stays put while the clock
+                     runs on *)
+                  cc.start_bits <-
+                    (if skipped > 62 then 0
+                     else (cc.start_bits lsl skipped) land cc.bits_mask)
+              | _ -> ())
+            estages;
+          cycle := !cycle + skipped;
+          fast_forwarded := !fast_forwarded + skipped;
+          hlen := 0;
+          jumped := true
         end
       end;
       incr p
     done
   in
-  (* a cycle that mutated nothing can only be unblocked by time: jump to
-     the earliest in-flight ready or II-distance expiry *)
-  let idle_jump c =
-    let e = ref max_int in
-    Array.iter
-      (fun (_, st) ->
-        match st with
-        | E_compute cc ->
-          if cc.q_len > 0 then begin
-            let r = cc.q_buf.(cc.q_head) in
-            if r > c && r < !e then e := r
-          end;
-          if
-            cc.started < cc.total
-            && cc.last_start + cc.ii > c
-            && Array.for_all (fun f -> f.occ > 0) cc.c_fins
-          then begin
-            let t = cc.last_start + cc.ii in
-            if t < !e then e := t
-          end
-        | _ -> ())
-      estages;
-    if !e < max_int then begin
-      let target = min !e budget in
-      if target > !cycle then begin
-        (match on_cycle with
-        | Some f ->
-          let occs = occ_list () in
-          for j = !cycle to target - 1 do
-            f j occs
-          done
-        | None -> ());
-        let jumped = target - !cycle in
-        Array.iter
-          (fun (_, st) ->
-            match st with
-            | E_compute cc ->
-              cc.start_bits <-
-                (if jumped > 62 then 0
-                 else (cc.start_bits lsl jumped) land cc.bits_mask)
-            | _ -> ())
-          estages;
-        fast_forwarded := !fast_forwarded + jumped;
-        cycle := target
-      end
-    end;
-    hlen := 0
-  in
   while (not (complete ())) && !progressed && !cycle < budget do
     progressed := false;
-    mutated := false;
     fire ();
     (match on_cycle with
-    | Some f -> f !cycle (occ_list ())
+    | Some f -> f !cycle (occs_of x 0)
     | None -> ());
     incr cycle;
-    if !progressed then
-      if !mutated then begin
-        record_history (!cycle - 1);
-        if !hlen >= 2 then try_skip (!cycle - 1)
-      end
-      else idle_jump (!cycle - 1)
+    if !progressed then begin
+      record_history (!cycle - 1);
+      if !hlen >= 2 then try_jump (!cycle - 1)
+    end
   done;
   let deadlocked = not (complete ()) in
-  if deadlocked then
-    stalled :=
-      Array.to_list estages
-      |> List.find_map (fun (stage, st) ->
-             let blocked =
-               match st with
-               | E_load l -> Array.exists (fun r -> r > 0) l.remaining
-               | E_shift s -> s.produced < s.total
-               | E_dup du -> du.moved < du.total
-               | E_compute c -> c.retired < c.total
-               | E_write w -> Array.exists (fun r -> r < w.w_total) w.w_retired
-             in
-             if blocked then Some (Design.stage_name stage) else None);
+  let sum slots = Array.fold_left (fun a r -> a + x.(r)) 0 slots in
   let progress =
     Array.to_list estages
     |> List.map (fun (stage, st) ->
            let done_, target =
              match st with
              | E_load l ->
-               ( Array.fold_left (fun a r -> a + (total - r)) 0 l.remaining,
-                 total * Array.length l.remaining )
-             | E_shift s -> (s.produced, s.total)
-             | E_dup du -> (du.moved, du.total)
-             | E_compute c -> (c.retired, c.total)
-             | E_write w ->
-               ( Array.fold_left ( + ) 0 w.w_retired,
-                 total * Array.length w.w_retired )
+               let n = Array.length l.rem in
+               ((total * n) - sum l.rem, total * n)
+             | E_shift s -> (x.(s.prod), s.total)
+             | E_dup du -> (x.(du.moved), du.total)
+             | E_compute cc -> (x.(cc.retired), cc.total)
+             | E_write w -> (sum w.w_ret, w.w_total * Array.length w.w_ret)
            in
            (Design.stage_name stage, done_, target))
   in
+  if deadlocked then
+    stalled :=
+      List.find_map
+        (fun (name, done_, target) -> if done_ < target then Some name else None)
+        progress;
   let fifo_occupancy =
-    Hashtbl.fold (fun id f acc -> (id, f.occ, f.cap) :: acc) fifos []
+    Hashtbl.fold (fun id i acc -> (id, x.(i), cap.(i)) :: acc) fifos []
     |> List.sort compare
   in
   { cycles = !cycle; deadlocked; stalled_stage = !stalled; progress;

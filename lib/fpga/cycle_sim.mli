@@ -3,8 +3,10 @@
     detects deadlock (the StencilFlow failure mode). Values are the
     functional simulator's business; this counts tokens.
 
-    Pure latency waits and detected steady-state periods are
-    fast-forwarded in closed form; cycle counts, deadlock verdicts and
+    Affine phases — fill, steady state, drain and latency waits, where
+    every occupancy and counter moves by a constant delta per period of
+    at most 8 cycles — are fast-forwarded in closed form up to the next
+    firing-guard flip; cycle counts, deadlock verdicts and
     tracer-visible occupancy sequences are identical to firing every
     stage every cycle (the differential suite checks them against that
     loop, kept with the tests as the oracle). *)
@@ -18,8 +20,9 @@ type result = {
   cycles_simulated : int;  (** cycles advanced one at a time *)
   cycles_fast_forwarded : int;  (** cycles covered in closed form *)
   ss_period : (int * int) option;
-      (** detected steady state: (period cycles, write retirements per
-          period); [None] when no period was detected *)
+      (** the first steady-state period (the bounded state repeats with
+          writes moving): (period cycles, write retirements per period);
+          [None] when no period was detected *)
 }
 
 (** [on_cycle] is called after every simulated cycle with the FIFO
