@@ -139,6 +139,12 @@ type verification = {
     the call is safe from several domains at once. *)
 val run_design : compiled -> args:Functional.value array -> unit
 
+(** The reference interpreter's state after one run of the kernel on
+    fresh inputs drawn with [seed] ({!Interp.run_lowered}), cached per
+    (kernel, grid, seed) until {!reset_compile_cache}. The state is
+    shared: callers must only read it. *)
+val reference_state : seed:int -> compiled -> Interp.kernel_state
+
 (** Run the generated design ({!run_design}) against the reference
     stencil interpreter on identical inputs and compare every output
     field on the interior. The reference state is cached per (kernel,

@@ -20,10 +20,13 @@
      - each region op becomes a step closure capturing its slot indices
        (constants are folded into the plan's constant pool at compile
        time and emit no step at all);
-     - stream buffers are growable [float array] ring buffers with O(1)
-       push/pop/length; a vector stream of width [w] stores [w]
-       consecutive floats per token, so neighbourhoods travel as flat
-       slices instead of boxed [Vector] tokens.
+     - stream buffers are [float array] ring buffers with O(1)
+       push/pop/length, sized from the design (every stream carries one
+       token per padded point).  The per-element plan stores a vector
+       token of width [w] as [w] consecutive floats; the batched plan
+       never materialises one — a shift stage's output is a window, one
+       NaN-padded copy of its input that consumers index by neighbour
+       offset (see {!window}).
 
    The compiled artefact is split in two:
 
@@ -60,38 +63,88 @@ open Shmls_dialects
    wraps.  That invariant lets the hot paths below index [rg_data]
    directly — pushes land at [rg_head + rg_len], pops read at
    [rg_head] — with no modulo arithmetic anywhere. *)
+
+(* The padded-buffer geometry of a shift window (batched plans only).
+   A shift over [extent] with [halo] copies its scalar input once into
+   a buffer of extent + 2*halo in every dimension whose pad is NaN.
+   Row [r] of the extent (its tokens [r * wn_inner ..]) starts at
+   padded index [window_row win r], and tokens are consecutive inside a
+   row; neighbour [k] of a token (row-major over the halo cube, the
+   lane order of the materialising shift) sits [wn_pdelta.(k)] from
+   it.  An out-of-range neighbour lands in the pad and reads NaN —
+   exactly where the materialising shift writes NaN, so every lane is
+   bit-identical. *)
+type window = {
+  wn_total : int; (* tokens: points of the extent *)
+  wn_inner : int; (* innermost extent: tokens per row *)
+  wn_outer : int array; (* the outer extents *)
+  wn_pstrides : int array; (* padded strides of the outer dimensions *)
+  wn_origin : int; (* padded index of token 0 *)
+  wn_pdelta : int array; (* per lane: padded-index offset of the
+                            neighbour *)
+  wn_size : int; (* floats in the padded buffer *)
+}
+
+let window_row win row =
+  let p = ref win.wn_origin and r = ref row in
+  for d = Array.length win.wn_outer - 1 downto 0 do
+    let e = Array.unsafe_get win.wn_outer d in
+    p := !p + (!r mod e * Array.unsafe_get win.wn_pstrides d);
+    r := !r / e
+  done;
+  !p
+
 type ring = {
   rg_stream : int; (* SSA stream id, for error messages *)
   rg_width : int; (* floats per token (1 = scalar stream) *)
+  rg_borrowed : bool;
+      (* [rg_data] is not the ring's own storage: a batched dup output
+         (it aliases the input's) or a window (its shift points it at
+         [rg_pad]); emptied at the start of every run, so a stray push
+         never writes into another stage's buffer *)
+  rg_win : window option;
   mutable rg_data : float array;
+  mutable rg_pad : float array; (* a shift window's padded buffer, kept
+                                   across runs (NaN pad written once) *)
   mutable rg_head : int; (* index of the first queued float *)
-  mutable rg_len : int; (* queued floats *)
+  mutable rg_len : int; (* queued floats; a window counts [width] per
+                           token, like the materialised stream *)
 }
 
-let ring_create ~stream ~width =
+let ring_create ~stream ~width ~tokens ~borrowed ~win =
   {
     rg_stream = stream;
-    rg_width = max 1 width;
-    rg_data = Array.make (256 * max 1 width) 0.0;
+    rg_width = width;
+    rg_borrowed = borrowed;
+    rg_win = win;
+    rg_data = (if borrowed then [||] else Array.create_float (tokens * width));
+    rg_pad = [||];
     rg_head = 0;
     rg_len = 0;
   }
 
 let ring_reset r =
+  if r.rg_borrowed then r.rg_data <- [||];
   r.rg_head <- 0;
   r.rg_len <- 0
 
 let ring_tokens r = r.rg_len / r.rg_width
 
-(* Make room for [extra] more floats, compacting to [rg_head = 0]. *)
+(* Make room for [extra] more floats, compacting to [rg_head = 0].
+   Rings are sized from the design, so this only grows a ring on a
+   mis-wired design (a stream with a second producer).  Only its shift
+   fills a window: a push into one is always an error. *)
 let ring_reserve r extra =
   let needed = r.rg_head + r.rg_len + extra in
   if needed > Array.length r.rg_data then begin
-    let cap = ref (2 * Array.length r.rg_data) in
+    if r.rg_win <> None then
+      Err.raise_error "functional sim: stream %d has a second producer"
+        r.rg_stream;
+    let cap = ref (max 1 (2 * Array.length r.rg_data)) in
     while !cap < r.rg_len + extra do
       cap := 2 * !cap
     done;
-    let data = Array.make !cap 0.0 in
+    let data = Array.create_float !cap in
     Array.blit r.rg_data r.rg_head data 0 r.rg_len;
     r.rg_data <- data;
     r.rg_head <- 0
@@ -137,7 +190,6 @@ type run_state = {
   rs_icols : int array array; (* int/i1 columns *)
   rs_pcols_base : float array array; (* pointer columns: shared base ... *)
   rs_pcols_off : int array array; (* ... plus a per-lane offset column *)
-  rs_vbase : int array; (* per KV slot: ring base of the current block *)
 }
 
 module Run_state = struct
@@ -152,11 +204,12 @@ type kind =
   | KI of int (* int / i1 slot *)
   | KP of int (* pointer or memref slot: base array + offset *)
   | KV of int (* vector-token slot: a private scratch array *)
-  | KS of int * int * int * int
+  | KS of int * int * int
       (* batched engine only: an extracted neighbourhood lane left in
-         the input ring — (ring, vbase slot, token width, lane).
-         Consumers read it with stride [width] instead of gathering it
-         into a dense column first. *)
+         its window — (ring, padded-index column, lane offset).  Lane
+         [j] of the block is [rg_data.(pidx.(j) + offset)]; consumers
+         read it in place instead of gathering it into a dense column
+         first. *)
 
 type alloc = {
   slots : (int, kind) Hashtbl.t; (* SSA value id -> slot *)
@@ -210,7 +263,12 @@ let rec alloc_op a (op : Ir.op) =
 (* ------------------------------------------------------------------ *)
 (* Plans *)
 
-type ring_desc = { rd_stream : int; rd_width : int }
+type ring_desc = {
+  rd_stream : int;
+  rd_width : int;
+  rd_borrowed : bool; (* see [rg_borrowed] *)
+  rd_win : window option;
+}
 
 type stats = {
   cs_fregs : int;
@@ -260,14 +318,17 @@ let create_state (t : t) : run_state =
     rs_poff = Array.make (max 1 t.pl_np) 0;
     rs_vecs = Array.map (fun w -> Array.make w 0.0) t.pl_vec_widths;
     rs_rings =
+      (* every stream carries one token per padded point *)
       Array.map
-        (fun rd -> ring_create ~stream:rd.rd_stream ~width:rd.rd_width)
+        (fun rd ->
+          ring_create ~stream:rd.rd_stream ~width:rd.rd_width
+            ~tokens:(Design.total_padded t.pl_design)
+            ~borrowed:rd.rd_borrowed ~win:rd.rd_win)
         t.pl_ring_descs;
     rs_fcols = Array.init t.pl_n_fcols (fun _ -> Array.make t.pl_batch 0.0);
     rs_icols = Array.init t.pl_n_icols (fun _ -> Array.make t.pl_batch 0);
     rs_pcols_base = Array.make t.pl_n_pcols [||];
     rs_pcols_off = Array.init t.pl_n_pcols (fun _ -> Array.make t.pl_batch 0);
-    rs_vbase = Array.make (max 1 (Array.length t.pl_vec_widths)) 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -279,11 +340,13 @@ type cctx = {
   const_i : int array;
   vec_w : int array; (* scratch width per KV slot *)
   ring_index : (int, int) Hashtbl.t; (* SSA stream id -> rs_rings index *)
+  ring_win : window option array; (* per rs_rings index *)
   mutable folded : int;
   (* batched-engine compilation state ([c_batched] plans only) *)
   c_batched : bool;
   cols : (int, kind) Hashtbl.t; (* in-loop SSA id -> column slot *)
-  vec_ring : (int, int * int) Hashtbl.t; (* KV slot -> (ring idx, width) *)
+  vec_ring : (int, int * int * window) Hashtbl.t;
+      (* KV slot -> (ring idx, padded-index column, window) *)
   mutable nfc : int; (* column-file sizes *)
   mutable nic : int;
   mutable npc : int;
@@ -334,8 +397,10 @@ let ring_idx c v =
    one closure looping its lanes over dense columns, loop-invariant
    operands (including folded constants) are read once per block, and
    stream reads/writes move whole blocks through the rings with blits.
-   Neighbourhood (vector) reads never materialise: an [extractvalue]
-   lane reads the input ring directly with stride [width].
+   Neighbourhood (vector) reads never materialise: a window read fills
+   one int column with the block's padded indices, and an
+   [extractvalue] lane reads the window at that column plus the lane's
+   offset.
 
    Bit-exactness vs the per-element engine is structural: every lane's
    dataflow is the identical float expression, evaluated op-at-a-time
@@ -348,6 +413,23 @@ let ring_idx c v =
 let batch_width = 64
 
 exception Not_batchable
+
+(* The padded indices of window tokens [t0 .. t0 + n - 1] into
+   [px.(0 .. n - 1)]: consecutive inside a row, one [window_row] per
+   row the block touches. *)
+let window_pidx win t0 (px : int array) n =
+  let inner = win.wn_inner in
+  let row = ref (t0 / inner) and col = ref (t0 mod inner) and j = ref 0 in
+  while !j < n do
+    let base = window_row win !row + !col - !j in
+    let m = min (n - !j) (inner - !col) in
+    for q = !j to !j + m - 1 do
+      Array.unsafe_set px q (base + q)
+    done;
+    j := !j + m;
+    incr row;
+    col := 0
+  done
 
 (* operand sources within a batched loop: a column or a loop-invariant
    scalar register read once per block *)
@@ -390,21 +472,19 @@ let bind_pcol c v =
 let bfsrc c preps v =
   match Hashtbl.find_opt c.cols (Ir.Value.id v) with
   | Some (KF i) -> FCol i
-  | Some (KS (ri, s, w, lane)) ->
-    (* a consumer outside the strided fast path: gather the lane into a
-       dense column once and rebind, so later consumers share it *)
+  | Some (KS (ri, pc, off)) ->
+    (* a consumer outside the in-place fast path: gather the lane into
+       a dense column once and rebind, so later consumers share it *)
     let d = new_fcol c in
     Hashtbl.replace c.cols (Ir.Value.id v) (KF d);
     preps :=
       (fun rs n ->
-        let r = Array.unsafe_get rs.rs_rings ri in
-        let src = r.rg_data in
-        let b0 = Array.unsafe_get rs.rs_vbase s + lane in
+        let buf = (Array.unsafe_get rs.rs_rings ri).rg_data in
+        let px = Array.unsafe_get rs.rs_icols pc in
         let fd = Array.unsafe_get rs.rs_fcols d in
-        let p = ref b0 in
         for j = 0 to n - 1 do
-          Array.unsafe_set fd j (Array.unsafe_get src !p);
-          p := !p + w
+          Array.unsafe_set fd j
+            (Array.unsafe_get buf (Array.unsafe_get px j + off))
         done)
       :: !preps;
     FCol d
@@ -443,17 +523,17 @@ let bpsrc c v =
     match slot_exn c v with KP i -> PInv i | _ -> raise Not_batchable)
 
 (* Extended float source for the binary-arithmetic fast path: an
-   extracted neighbourhood lane stays in the input ring and is read
-   with stride [w] right inside the consumer's loop, skipping the dense
-   column (one strided load instead of gather-store + dense load). *)
+   extracted neighbourhood lane stays in its window and is read right
+   inside the consumer's loop, skipping the dense column (one indexed
+   load instead of gather-store + dense load). *)
 type xfsrc =
   | XCol of int
   | XInv of (run_state -> float)
-  | XStr of int * int * int * int (* ring, vbase slot, width, lane *)
+  | XStr of int * int * int (* ring, padded-index column, lane offset *)
 
 let bxfsrc c preps v =
   match Hashtbl.find_opt c.cols (Ir.Value.id v) with
-  | Some (KS (ri, s, w, lane)) -> XStr (ri, s, w, lane)
+  | Some (KS (ri, pc, off)) -> XStr (ri, pc, off)
   | _ -> (
     match bfsrc c preps v with FCol i -> XCol i | FInv g -> XInv g)
 
@@ -560,60 +640,61 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
             (Array.unsafe_get rs.rs_fcols d)
             0 n
             (f2_apply k (ga rs) (gb rs))
-      | XStr (ria, sa, wa, la), XCol b ->
+      | XStr (ria, pa, oa), XCol b ->
         fun rs n ->
-          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_data in
-          let pa = ref (Array.unsafe_get rs.rs_vbase sa + la) in
-          let fb = Array.unsafe_get rs.rs_fcols b
+          let wa = (Array.unsafe_get rs.rs_rings ria).rg_data
+          and xa = Array.unsafe_get rs.rs_icols pa
+          and fb = Array.unsafe_get rs.rs_fcols b
           and fd = Array.unsafe_get rs.rs_fcols d in
           for j = 0 to n - 1 do
             Array.unsafe_set fd j
-              (f2_apply k (Array.unsafe_get sa_ !pa) (Array.unsafe_get fb j));
-            pa := !pa + wa
+              (f2_apply k
+                 (Array.unsafe_get wa (Array.unsafe_get xa j + oa))
+                 (Array.unsafe_get fb j))
           done
-      | XCol a, XStr (rib, sb, wb, lb) ->
+      | XCol a, XStr (rib, pb, ob) ->
         fun rs n ->
-          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_data in
-          let pb = ref (Array.unsafe_get rs.rs_vbase sb + lb) in
-          let fa = Array.unsafe_get rs.rs_fcols a
+          let wb = (Array.unsafe_get rs.rs_rings rib).rg_data
+          and xb = Array.unsafe_get rs.rs_icols pb
+          and fa = Array.unsafe_get rs.rs_fcols a
           and fd = Array.unsafe_get rs.rs_fcols d in
           for j = 0 to n - 1 do
             Array.unsafe_set fd j
-              (f2_apply k (Array.unsafe_get fa j) (Array.unsafe_get sb_ !pb));
-            pb := !pb + wb
+              (f2_apply k (Array.unsafe_get fa j)
+                 (Array.unsafe_get wb (Array.unsafe_get xb j + ob)))
           done
-      | XStr (ria, sa, wa, la), XInv gb ->
+      | XStr (ria, pa, oa), XInv gb ->
         fun rs n ->
-          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_data in
-          let pa = ref (Array.unsafe_get rs.rs_vbase sa + la) in
-          let fd = Array.unsafe_get rs.rs_fcols d in
+          let wa = (Array.unsafe_get rs.rs_rings ria).rg_data
+          and xa = Array.unsafe_get rs.rs_icols pa
+          and fd = Array.unsafe_get rs.rs_fcols d in
           let b = gb rs in
           for j = 0 to n - 1 do
-            Array.unsafe_set fd j (f2_apply k (Array.unsafe_get sa_ !pa) b);
-            pa := !pa + wa
+            Array.unsafe_set fd j
+              (f2_apply k (Array.unsafe_get wa (Array.unsafe_get xa j + oa)) b)
           done
-      | XInv ga, XStr (rib, sb, wb, lb) ->
+      | XInv ga, XStr (rib, pb, ob) ->
         fun rs n ->
-          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_data in
-          let pb = ref (Array.unsafe_get rs.rs_vbase sb + lb) in
-          let fd = Array.unsafe_get rs.rs_fcols d in
+          let wb = (Array.unsafe_get rs.rs_rings rib).rg_data
+          and xb = Array.unsafe_get rs.rs_icols pb
+          and fd = Array.unsafe_get rs.rs_fcols d in
           let a = ga rs in
           for j = 0 to n - 1 do
-            Array.unsafe_set fd j (f2_apply k a (Array.unsafe_get sb_ !pb));
-            pb := !pb + wb
+            Array.unsafe_set fd j
+              (f2_apply k a (Array.unsafe_get wb (Array.unsafe_get xb j + ob)))
           done
-      | XStr (ria, sa, wa, la), XStr (rib, sb, wb, lb) ->
+      | XStr (ria, pa, oa), XStr (rib, pb, ob) ->
         fun rs n ->
-          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_data in
-          let pa = ref (Array.unsafe_get rs.rs_vbase sa + la) in
-          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_data in
-          let pb = ref (Array.unsafe_get rs.rs_vbase sb + lb) in
-          let fd = Array.unsafe_get rs.rs_fcols d in
+          let wa = (Array.unsafe_get rs.rs_rings ria).rg_data
+          and xa = Array.unsafe_get rs.rs_icols pa
+          and wb = (Array.unsafe_get rs.rs_rings rib).rg_data
+          and xb = Array.unsafe_get rs.rs_icols pb
+          and fd = Array.unsafe_get rs.rs_fcols d in
           for j = 0 to n - 1 do
             Array.unsafe_set fd j
-              (f2_apply k (Array.unsafe_get sa_ !pa) (Array.unsafe_get sb_ !pb));
-            pa := !pa + wa;
-            pb := !pb + wb
+              (f2_apply k
+                 (Array.unsafe_get wa (Array.unsafe_get xa j + oa))
+                 (Array.unsafe_get wb (Array.unsafe_get xb j + ob)))
           done)
   in
   let un k =
@@ -940,18 +1021,22 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
           Array.blit r.rg_data r.rg_head (Array.unsafe_get rs.rs_fcols d) 0 n;
           r.rg_head <- r.rg_head + n;
           r.rg_len <- r.rg_len - n)
-    | KV s ->
-      let w = c.vec_w.(s) in
-      reads := (ri, w) :: !reads;
-      Hashtbl.replace c.vec_ring s (ri, w);
-      Hashtbl.replace c.cols (Ir.Value.id (Ir.Op.result op 0)) (KV s);
-      (* no materialisation: record the block's base in the ring and
-         let extracted lanes read it with stride [w] *)
-      finish (fun rs n ->
-          let r = Array.unsafe_get rs.rs_rings ri in
-          Array.unsafe_set rs.rs_vbase s r.rg_head;
-          r.rg_head <- r.rg_head + (n * w);
-          r.rg_len <- r.rg_len - (n * w))
+    | KV s -> (
+      match c.ring_win.(ri) with
+      | Some win when Array.length win.wn_pdelta = c.vec_w.(s) ->
+        let w = c.vec_w.(s) in
+        reads := (ri, w) :: !reads;
+        let pc = new_icol c in
+        Hashtbl.replace c.vec_ring s (ri, pc, win);
+        Hashtbl.replace c.cols (Ir.Value.id (Ir.Op.result op 0)) (KV s);
+        (* no materialisation: record the block's padded indices and
+           let extracted lanes read the window at an offset from them *)
+        finish (fun rs n ->
+            let r = Array.unsafe_get rs.rs_rings ri in
+            window_pidx win (r.rg_head / w) (Array.unsafe_get rs.rs_icols pc) n;
+            r.rg_head <- r.rg_head + (n * w);
+            r.rg_len <- r.rg_len - (n * w))
+      | _ -> raise Not_batchable)
     | _ -> raise Not_batchable)
   | "llvm.extractvalue" -> (
     match
@@ -959,17 +1044,18 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
         Ir.Op.get_attr_exn op "indices" )
     with
     | Some (KV s), Attr.Ints [ i ] ->
-      let ri, w =
+      let ri, pc, win =
         match Hashtbl.find_opt c.vec_ring s with
-        | Some rw -> rw
-        | None -> raise Not_batchable
+        | Some (ri, pc, win) when i >= 0 && i < Array.length win.wn_pdelta ->
+          (ri, pc, win)
+        | _ -> raise Not_batchable
       in
-      (* no step at all: the lane stays in the input ring and consumers
-         read it with stride [w] (arithmetic directly, anything else
-         through a one-time gather in [bfsrc]) *)
+      (* no step at all: the lane stays in the window and consumers read
+         it in place (arithmetic directly, anything else through a
+         one-time gather in [bfsrc]) *)
       Hashtbl.replace c.cols
         (Ir.Value.id (Ir.Op.result op 0))
-        (KS (ri, s, w, i));
+        (KS (ri, pc, win.wn_pdelta.(i)));
       None
     | _ -> raise Not_batchable)
   | "hls.write" -> (
@@ -1279,15 +1365,34 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
           Array.unsafe_set rs.rs_fregs d (Array.unsafe_get r.rg_data r.rg_head);
           r.rg_head <- r.rg_head + 1;
           r.rg_len <- r.rg_len - 1)
-    | KV d ->
+    | KV d -> (
       let w = c.vec_w.(d) in
-      Some
-        (fun rs ->
-          let r = Array.unsafe_get rs.rs_rings ri in
-          if r.rg_len < w then starved loc;
-          Array.blit r.rg_data r.rg_head rs.rs_vecs.(d) 0 w;
-          r.rg_head <- r.rg_head + w;
-          r.rg_len <- r.rg_len - w)
+      match c.ring_win.(ri) with
+      | None ->
+        Some
+          (fun rs ->
+            let r = Array.unsafe_get rs.rs_rings ri in
+            if r.rg_len < w then starved loc;
+            Array.blit r.rg_data r.rg_head rs.rs_vecs.(d) 0 w;
+            r.rg_head <- r.rg_head + w;
+            r.rg_len <- r.rg_len - w)
+      | Some win ->
+        (* a window token (batched plans): gather its lanes *)
+        let pdelta = win.wn_pdelta and inner = win.wn_inner in
+        let nl = min w (Array.length pdelta) in
+        Some
+          (fun rs ->
+            let r = Array.unsafe_get rs.rs_rings ri in
+            if r.rg_len < w then starved loc;
+            let t = r.rg_head / r.rg_width in
+            let p = window_row win (t / inner) + (t mod inner) in
+            let buf = r.rg_data and v = rs.rs_vecs.(d) in
+            for k = 0 to nl - 1 do
+              Array.unsafe_set v k
+                (Array.unsafe_get buf (p + Array.unsafe_get pdelta k))
+            done;
+            r.rg_head <- r.rg_head + w;
+            r.rg_len <- r.rg_len - w))
     | _ -> Err.raise_error "functional sim: bad hls.read result")
   | "hls.write" -> (
     let ri = ring_idx c (Ir.Op.operand op 1) in
@@ -1526,6 +1631,58 @@ let compile_shift ring_index ~input ~output ~halo ~extent =
     outring.rg_len <- outring.rg_len + (total * nb_n);
     ring_drop inring total
 
+(* The window of a shift over [extent] with [halo]. *)
+let window_of ~halo ~extent =
+  if List.length halo <> List.length extent then
+    Err.raise_error "design: halo/extent rank mismatch";
+  let ext = Array.of_list extent and hal = Array.of_list halo in
+  let rank = Array.length ext in
+  let pext = Array.mapi (fun d e -> e + (2 * hal.(d))) ext in
+  let pstrides = Array.make rank 1 in
+  for d = rank - 2 downto 0 do
+    pstrides.(d) <- pstrides.(d + 1) * pext.(d + 1)
+  done;
+  let padded_index pos =
+    let p = ref 0 in
+    List.iteri (fun d x -> p := !p + (x * pstrides.(d))) pos;
+    !p
+  in
+  {
+    wn_total = Array.fold_left ( * ) 1 ext;
+    wn_inner = max 1 ext.(rank - 1);
+    wn_outer = Array.sub ext 0 (rank - 1);
+    wn_pstrides = Array.sub pstrides 0 (rank - 1);
+    wn_origin = padded_index halo;
+    wn_pdelta = offsets_of_halo halo |> List.map padded_index |> Array.of_list;
+    wn_size = Array.fold_left ( * ) 1 pext;
+  }
+
+(* Batched shift: instead of materialising every neighbourhood, copy
+   the scalar input once, row by row, into the window's padded buffer
+   (allocated with its NaN pad on the first run and reused after).  The
+   output ring then queues [total] tokens of [width] floats, exactly
+   the token accounting of the materialised stream. *)
+let compile_shift_window ring_index win ~input ~output =
+  let in_ri = design_ring_idx ring_index input in
+  let out_ri = design_ring_idx ring_index output in
+  let total = win.wn_total and inner = win.wn_inner in
+  fun rs ->
+    let inring = Array.unsafe_get rs.rs_rings in_ri in
+    let outring = Array.unsafe_get rs.rs_rings out_ri in
+    if inring.rg_width <> 1 then
+      Err.raise_error "functional sim: shift input must be scalar";
+    ring_require inring total;
+    if Array.length outring.rg_pad = 0 then
+      outring.rg_pad <- Array.make win.wn_size Float.nan;
+    let buf = outring.rg_pad and src = inring.rg_data and h = inring.rg_head in
+    for row = 0 to (total / inner) - 1 do
+      Array.blit src (h + (row * inner)) buf (window_row win row) inner
+    done;
+    outring.rg_data <- buf;
+    outring.rg_head <- 0;
+    outring.rg_len <- total * outring.rg_width;
+    ring_drop inring total
+
 let compile_dup ring_index ~input ~outputs =
   let in_ri = design_ring_idx ring_index input in
   let out_ris =
@@ -1548,7 +1705,8 @@ let compile_dup ring_index ~input ~outputs =
    is fully produced before the dup runs (topological stage order) and
    never pushed again afterwards — so the "copies" can alias the input
    ring's buffer, each with its own head/length.  Bit-identical token
-   sequences, none of the memory traffic. *)
+   sequences, none of the memory traffic.  A dup of a window aliases
+   the window (its outputs carry the same geometry). *)
 let compile_dup_batched ring_index ~input ~outputs =
   let in_ri = design_ring_idx ring_index input in
   let out_ris =
@@ -1565,117 +1723,6 @@ let compile_dup_batched ring_index ~input ~outputs =
       r.rg_len <- n
     done;
     ring_drop inring n
-
-(* Batched shift: same geometry as [compile_shift], but the inner
-   dimension of every fully-interior row is branch-free — all
-   neighbourhood offsets are provably in range there, so the loop is a
-   strided copy with the per-point bounds checks hoisted to the row's
-   halo edges (and to non-interior rows). *)
-let compile_shift_batched ring_index ~input ~output ~halo ~extent =
-  let ext, strides, total = stage_geometry extent in
-  let rank = Array.length ext in
-  let in_ri = design_ring_idx ring_index input in
-  let out_ri = design_ring_idx ring_index output in
-  let offsets =
-    offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
-  in
-  let deltas =
-    Array.map
-      (fun off ->
-        let s = ref 0 in
-        Array.iteri (fun d o -> s := !s + (o * strides.(d))) off;
-        !s)
-      offsets
-  in
-  let nb_n = Array.length offsets in
-  let hal = Array.of_list halo in
-  let inner = ext.(rank - 1) in
-  let h_in = hal.(rank - 1) in
-  (* inner positions where every offset stays in range *)
-  let ilo = min h_in inner in
-  let ihi = max ilo (inner - h_in) in
-  let nrows = total / inner in
-  let off_inner = Array.map (fun off -> off.(rank - 1)) offsets in
-  fun rs ->
-    let inring = Array.unsafe_get rs.rs_rings in_ri in
-    let outring = Array.unsafe_get rs.rs_rings out_ri in
-    if inring.rg_width <> 1 then
-      Err.raise_error "functional sim: shift input must be scalar";
-    ring_require inring total;
-    ring_reserve outring (total * nb_n);
-    let src = inring.rg_data and h = inring.rg_head in
-    let out = outring.rg_data in
-    let ob0 = outring.rg_head + outring.rg_len in
-    (* pos is the outer odometer (inner coordinate handled separately);
-       okmask.(k) caches, per row, whether offset k stays in range in
-       every outer dimension — the per-point edge path then only checks
-       the inner dimension.  Both are per-call scratch (a few words), so
-       the closure stays safe to run concurrently from several states. *)
-    let pos = Array.make (max 1 (rank - 1)) 0 in
-    let okmask = Array.make nb_n true in
-    let per_point base j0 j1 =
-      for j = j0 to j1 - 1 do
-        let i = base + j in
-        let ob = ob0 + (i * nb_n) in
-        for k = 0 to nb_n - 1 do
-          let p = j + Array.unsafe_get off_inner k in
-          Array.unsafe_set out (ob + k)
-            (if Array.unsafe_get okmask k && p >= 0 && p < inner then
-               Array.unsafe_get src (h + i + Array.unsafe_get deltas k)
-             else Float.nan)
-        done
-      done
-    in
-    for row = 0 to nrows - 1 do
-      let base = row * inner in
-      let interior_row = ref true in
-      for d = 0 to rank - 2 do
-        if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then
-          interior_row := false
-      done;
-      if !interior_row && ihi > ilo then begin
-        (* every offset is outer-valid on an interior row *)
-        Array.fill okmask 0 nb_n true;
-        per_point base 0 ilo;
-        for j = ilo to ihi - 1 do
-          let ob = ob0 + ((base + j) * nb_n) in
-          let sb = h + base + j in
-          for k = 0 to nb_n - 1 do
-            Array.unsafe_set out (ob + k)
-              (Array.unsafe_get src (sb + Array.unsafe_get deltas k))
-          done
-        done;
-        per_point base ihi inner
-      end
-      else begin
-        for k = 0 to nb_n - 1 do
-          let off = Array.unsafe_get offsets k in
-          let ok = ref true in
-          for d = 0 to rank - 2 do
-            let p = Array.unsafe_get pos d + Array.unsafe_get off d in
-            if p < 0 || p >= Array.unsafe_get ext d then ok := false
-          done;
-          Array.unsafe_set okmask k !ok
-        done;
-        per_point base 0 inner
-      end;
-      (* advance the outer odometer *)
-      let d = ref (rank - 2) in
-      let carry = ref true in
-      while !carry && !d >= 0 do
-        let p = pos.(!d) + 1 in
-        if p >= ext.(!d) then begin
-          pos.(!d) <- 0;
-          decr d
-        end
-        else begin
-          pos.(!d) <- p;
-          carry := false
-        end
-      done
-    done;
-    outring.rg_len <- outring.rg_len + (total * nb_n);
-    ring_drop inring total
 
 let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
   let ext, _, total = stage_geometry extent in
@@ -1799,12 +1846,37 @@ let plan_id_counter = Atomic.make 0
 
 let compile_design ~batched (d : Design.t) : t =
   Atomic.incr compile_counter;
+  (* batched plans: every shift outputs a window, and so does a dup of
+     a window; every dup output borrows its input's buffer *)
+  let windows = Hashtbl.create 8 and borrowed = Hashtbl.create 8 in
+  if batched then
+    List.iter
+      (fun stage ->
+        match stage with
+        | Design.Shift { output; halo; extent; _ } ->
+          Hashtbl.replace windows output (window_of ~halo ~extent);
+          Hashtbl.replace borrowed output ()
+        | Design.Dup { input; outputs } ->
+          List.iter
+            (fun o ->
+              Hashtbl.replace borrowed o ();
+              Option.iter (Hashtbl.replace windows o)
+                (Hashtbl.find_opt windows input))
+            outputs
+        | _ -> ())
+      d.d_stages;
   (* ring descriptors: one per design stream, ascending stream id (the
      drain check reports in that order) *)
   let ring_descs =
     List.map
       (fun (s : Design.stream) ->
-        { rd_stream = s.Design.st_id; rd_width = max 1 (stream_width s) })
+        let id = s.Design.st_id in
+        {
+          rd_stream = id;
+          rd_width = max 1 (stream_width s);
+          rd_borrowed = Hashtbl.mem borrowed id;
+          rd_win = Hashtbl.find_opt windows id;
+        })
       d.d_streams
     |> List.sort (fun a b -> Int.compare a.rd_stream b.rd_stream)
     |> Array.of_list
@@ -1840,6 +1912,7 @@ let compile_design ~batched (d : Design.t) : t =
       const_i = Array.make (max 1 al.ni) 0;
       vec_w = Array.of_list (List.rev al.vec_widths);
       ring_index;
+      ring_win = Array.map (fun rd -> rd.rd_win) ring_descs;
       folded = 0;
       c_batched = batched;
       cols = Hashtbl.create 64;
@@ -1895,10 +1968,10 @@ let compile_design ~batched (d : Design.t) : t =
         match stage with
         | Design.Load { out_streams; ptr_args } ->
           compile_load ring_index d ~out_streams ~ptr_args
-        | Design.Shift { input; output; halo; extent } ->
-          if batched then
-            compile_shift_batched ring_index ~input ~output ~halo ~extent
-          else compile_shift ring_index ~input ~output ~halo ~extent
+        | Design.Shift { input; output; halo; extent } -> (
+          match Hashtbl.find_opt windows output with
+          | Some win -> compile_shift_window ring_index win ~input ~output
+          | None -> compile_shift ring_index ~input ~output ~halo ~extent)
         | Design.Dup { input; outputs } ->
           if batched then compile_dup_batched ring_index ~input ~outputs
           else compile_dup ring_index ~input ~outputs

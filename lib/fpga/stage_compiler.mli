@@ -7,9 +7,10 @@
     [compile] is a one-time pre-pass over an extracted design that
     resolves every SSA value in the compute-stage IR to a dense slot in
     an unboxed register array and emits a specialized step closure per
-    op; stream buffers become growable [float array] ring buffers with
-    O(1) push/pop/length. [run] then executes the design with no
-    hashtable lookups or token boxing in the element loops.
+    op; stream buffers become [float array] ring buffers with O(1)
+    push/pop/length, sized from the design. [run] then executes the
+    design with no hashtable lookups or token boxing in the element
+    loops.
 
     The compiled artefact is split in two:
 
@@ -47,10 +48,10 @@ val compile : Design.t -> t
     bodies are independent per element (no nested loops, no stores, at
     most one read/write per stream) run in whole-stream blocks over
     dense unboxed columns — constants and loop-invariant operands read
-    once per block, stream reads/writes blitted in bulk, neighbourhood
-    lanes read from the input ring with a stride instead of
-    materialising, and the shift/write stages split into a branch-free
-    interior plus per-point halo edges. Loops outside that subset (e.g.
+    once per block, stream reads/writes blitted in bulk, and each shift
+    stage a window — one NaN-padded copy of its input that neighbourhood
+    lanes read at a fixed offset from each token's padded index, instead
+    of materialising every neighbourhood. Loops outside that subset (e.g.
     BRAM small-copy loops) keep their per-element compilation, so the
     engine is always complete. Same plan type, same state cache, same
     {!run}/{!run_with}; bit-exact against {!compile}, including
@@ -59,7 +60,9 @@ val compile : Design.t -> t
 val compile_batched : Design.t -> t
 
 (** A fresh run state for this plan: registers seeded from the plan's
-    constant pools, empty rings. O(slot count) allocation. *)
+    constant pools, empty rings sized from the design (one token per
+    padded point per stream; a batched plan's shift windows are
+    allocated by their first run). *)
 val create_state : t -> Run_state.t
 
 (** Execute the plan in the given state. [args] follow the kernel's

@@ -385,7 +385,15 @@ let reference ?(seed = 7) ?(params = []) (p : plan) =
 
 let verify_vs_reference ?(seed = 7) ?(params = []) (p : plan) =
   let result = run ~seed ~params p in
-  let st = reference ~seed ~params p in
+  let st =
+    (* one sweep with the default parameters is exactly the reference
+       [Shmls.verify] caches, and this comparison only reads it *)
+    if p.mp_sweeps = 1 && params = [] then
+      Shmls.reference_state ~seed
+        (Shmls.compile_cached ~variant:p.mp_variant p.mp_kernel
+           ~grid:p.mp_grid)
+    else reference ~seed ~params p
+  in
   let interior =
     Shmls.Ty.make_bounds
       ~lb:(List.map (fun _ -> 0) p.mp_grid)

@@ -108,7 +108,9 @@ val reference :
   Shmls_interp.Interp.kernel_state
 
 (** Run the plan and compare every written field against {!reference}
-    on the global interior — the multi-device bit-exactness oracle. *)
+    on the global interior — the multi-device bit-exactness oracle. One
+    sweep with default parameters compares against the cached
+    {!Shmls.reference_state}, which is the same state. *)
 val verify_vs_reference :
   ?seed:int ->
   ?params:(string * float) list ->

@@ -47,15 +47,11 @@ let verify_per_element ?(seed = 7) (c : Shmls.compiled) =
              (List.assoc fd.fd_name st.fields)))
     0.0 c.c_kernel.k_fields
 
-(* Run the per-element and the batched plan on identical fresh inputs;
-   compare every float of every field and small, bit for bit (full
-   padded arrays, halos included — NaNs compare equal by bits).  The
-   batched plan is then verified against the reference interpreter, so
-   both plans match it on the interior. *)
-let check_bit_identical ?(seed = 7) ?variant (k : Shmls.Ast.kernel) ~grid =
-  let c = Shmls.compile_cached ?variant k ~grid in
-  let a = run_plan ~seed c (Lazy.force c.c_plan) in
-  let b = run_plan ~seed c (Lazy.force c.c_plan_batched) in
+(* Every float of every field and small of two runs' states, bit for
+   bit (full padded arrays, halos included — NaNs compare equal by
+   bits). *)
+let check_states_identical name (a : Interp.kernel_state)
+    (b : Interp.kernel_state) =
   let check_arrays what (xs : (string * Grid.t) list)
       (ys : (string * Grid.t) list) =
     List.iter2
@@ -63,18 +59,28 @@ let check_bit_identical ?(seed = 7) ?variant (k : Shmls.Ast.kernel) ~grid =
         Alcotest.(check string) "same field order" na nb;
         let da = ga.Grid.data and db = gb.Grid.data in
         Alcotest.(check int)
-          (Printf.sprintf "%s %s/%s: same length" k.k_name what na)
+          (Printf.sprintf "%s %s/%s: same length" name what na)
           (Array.length da) (Array.length db);
         Array.iteri
           (fun i x ->
             if Int64.bits_of_float x <> Int64.bits_of_float db.(i) then
               Alcotest.failf "%s %s %s[%d]: per-element %h <> batched %h"
-                k.k_name what na i x db.(i))
+                name what na i x db.(i))
           da)
       xs ys
   in
   check_arrays "field" a.fields b.fields;
-  check_arrays "small" a.smalls b.smalls;
+  check_arrays "small" a.smalls b.smalls
+
+(* Run the per-element and the batched plan on identical fresh inputs
+   and compare their states bit for bit.  The batched plan is then
+   verified against the reference interpreter, so both plans match it
+   on the interior. *)
+let check_bit_identical ?(seed = 7) ?variant (k : Shmls.Ast.kernel) ~grid =
+  let c = Shmls.compile_cached ?variant k ~grid in
+  let a = run_plan ~seed c (Lazy.force c.c_plan) in
+  let b = run_plan ~seed c (Lazy.force c.c_plan_batched) in
+  check_states_identical k.k_name a b;
   Alcotest.(check (float 0.0))
     (k.k_name ^ ": batched plan vs reference interpreter")
     0.0 (Shmls.verify ~seed c).v_max_diff
@@ -84,10 +90,91 @@ let test_suite_kernels_bit_identical () =
     (fun (k, grid) -> check_bit_identical k ~grid)
     H.all_test_kernels
 
+(* Window geometries of the batched plan's shift stages: an inner
+   extent below the 64-lane block width (blocks span rows) and above
+   it, the 125-lane window of a 3-D halo-2 kernel, and dups of shift
+   outputs (the dup aliases the window). *)
+let window_kernels =
+  [
+    (Shmls_kernels.Didactic.laplace_2d, [ 7; 30 ]);
+    (Shmls_kernels.Didactic.laplace_2d, [ 5; 150 ]);
+    (Shmls_kernels.Zoo.acoustic_wave_3d, [ 6; 5; 70 ]);
+    (Shmls_kernels.Zoo.shallow_water_2d, [ 9; 70 ]);
+  ]
+
 let test_zoo_bit_identical () =
   List.iter
     (fun (k, grid) -> check_bit_identical k ~grid)
-    Shmls_kernels.Zoo.all
+    (Shmls_kernels.Zoo.all @ window_kernels);
+  (* the window list keeps covering what it names *)
+  let designs =
+    List.map
+      (fun (k, grid) -> (Shmls.compile_cached k ~grid).c_design)
+      window_kernels
+  in
+  (* (output stream, inner extent) of every shift stage *)
+  let shifts (d : Shmls.Design.t) =
+    List.filter_map
+      (function
+        | Shmls.Design.Shift { output; extent; _ } ->
+          Some (output, List.nth extent (List.length extent - 1))
+        | _ -> None)
+      d.d_stages
+  in
+  let inners = List.concat_map (fun d -> List.map snd (shifts d)) designs in
+  Alcotest.(check bool) "an inner extent below 64" true
+    (List.exists (fun n -> n < 64) inners);
+  Alcotest.(check bool) "an inner extent above 64" true
+    (List.exists (fun n -> n > 64) inners);
+  Alcotest.(check bool) "a 125-lane window" true
+    (List.exists
+       (fun (d : Shmls.Design.t) ->
+         List.exists
+           (fun (st : Shmls.Design.stream) ->
+             match st.st_elem with
+             | Shmls.Ty.Array (125, _) -> true
+             | _ -> false)
+           d.d_streams)
+       designs);
+  Alcotest.(check bool) "a dup of a shift output" true
+    (List.exists
+       (fun (d : Shmls.Design.t) ->
+         let outs = List.map fst (shifts d) in
+         List.exists
+           (function
+             | Shmls.Design.Dup { input; _ } -> List.mem input outs
+             | _ -> false)
+           d.d_stages)
+       designs);
+  (* with the write stage storing halo points too, the outputs expose
+     the lanes that halo points read past the extent: NaN on both plans
+     (the materialised NaN on one, the window's pad on the other) *)
+  List.iter2
+    (fun ((k : Shmls.Ast.kernel), grid) (d : Shmls.Design.t) ->
+      let c = Shmls.compile_cached k ~grid in
+      let exposed =
+        {
+          d with
+          d_stages =
+            List.map
+              (function
+                | Shmls.Design.Write w ->
+                  Shmls.Design.Write
+                    { w with halo = List.map (fun _ -> 0) w.halo }
+                | st -> st)
+              d.d_stages;
+        }
+      in
+      let a = run_plan c (Stage_compiler.compile exposed) in
+      let b = run_plan c (Stage_compiler.compile_batched exposed) in
+      check_states_identical (k.k_name ^ " with halo points written") a b;
+      Alcotest.(check bool)
+        (k.k_name ^ ": halo points read past the extent")
+        true
+        (List.exists
+           (fun (_, (g : Grid.t)) -> Array.exists Float.is_nan g.Grid.data)
+           b.fields))
+    window_kernels designs
 
 let test_seeds_bit_identical () =
   List.iter
@@ -285,7 +372,84 @@ let test_starved_read_parity () =
   in
   let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
   check_error_parity "starved read" broken ~args_of
-    ~message:"functional sim: read from empty stream" ~loc
+    ~message:"functional sim: read from empty stream" ~loc;
+  (* a shift over one outer row too few: its window runs dry inside the
+     compute loop, whose read of the window fires the diagnostic (the
+     batched plan detects the short block and replays it per element,
+     gathering window tokens) *)
+  let c = Shmls.compile_cached Shmls_kernels.Didactic.laplace_2d ~grid:[ 7; 30 ] in
+  let d = c.c_design in
+  let window =
+    List.find_map
+      (function Shmls.Design.Shift s -> Some s.output | _ -> None)
+      d.d_stages
+    |> Option.get
+  in
+  let window_read =
+    List.concat_map
+      (function
+        | Shmls.Design.Compute cc ->
+          Shmls.Ir.Op.collect cc.df_op (fun o ->
+              Shmls.Ir.Op.name o = "hls.read"
+              && Shmls.Ir.Value.id (Shmls.Ir.Op.operand o 0) = window)
+        | _ -> [])
+      d.d_stages
+  in
+  Alcotest.(check int) "one compute read of the window" 1
+    (List.length window_read);
+  let short =
+    {
+      d with
+      Shmls.Design.d_stages =
+        List.map
+          (function
+            | Shmls.Design.Shift s ->
+              Shmls.Design.Shift
+                { s with extent = (List.hd s.extent - 1) :: List.tl s.extent }
+            | st -> st)
+          d.d_stages;
+    }
+  in
+  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  check_error_parity "starved window read" short ~args_of
+    ~message:"functional sim: read from empty stream"
+    ~loc:(Shmls.Ir.Op.loc (List.hd window_read))
+
+let test_zero_capacity_push () =
+  (* the load also writes the output stream of a dup it feeds: a stream
+     with two producers.  A batched dup output borrows its input's
+     buffer and starts every run with no storage of its own, so the
+     load's push grows a ring from zero capacity (and must terminate);
+     the dup then drains the load's stream and the shift behind it
+     starves, on both plans alike *)
+  let c = Shmls.compile_cached H.avg_1d ~grid:[ 16 ] in
+  let d = c.c_design in
+  let broken =
+    match d.d_stages with
+    | Shmls.Design.Load { out_streams = y :: _ as outs; ptr_args } :: rest ->
+      let x =
+        1 + List.fold_left (fun m (s : Shmls.Design.stream) -> max m s.st_id) 0
+              d.d_streams
+      in
+      {
+        d with
+        Shmls.Design.d_streams =
+          d.d_streams @ [ { (Shmls.Design.find_stream d y) with st_id = x } ];
+        d_stages =
+          Shmls.Design.Load
+            {
+              out_streams = outs @ [ x ];
+              ptr_args = ptr_args @ [ List.hd ptr_args ];
+            }
+          :: Shmls.Design.Dup { input = y; outputs = [ x ] }
+          :: rest;
+      }
+    | _ -> Alcotest.fail "avg_1d: the design does not start with a load"
+  in
+  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  check_error_parity "zero-capacity push" broken ~args_of
+    ~message:"functional sim: read from empty stream"
+    ~loc:Shmls_support.Loc.unknown
 
 let test_undrained_stream_parity () =
   (* dropping the write stage leaves its input stream full *)
@@ -466,6 +630,8 @@ let () =
       ( "error parity",
         [
           Alcotest.test_case "starved read" `Quick test_starved_read_parity;
+          Alcotest.test_case "zero-capacity push" `Quick
+            test_zero_capacity_push;
           Alcotest.test_case "undrained stream" `Quick
             test_undrained_stream_parity;
         ] );

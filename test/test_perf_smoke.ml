@@ -260,6 +260,37 @@ let test_state_releases_args_and_plan () =
     Alcotest.failf "a dropped plan's run state is still live (%d words)"
       retained
 
+(* The first batched run of a fresh plan allocates its run state: rings
+   sized from the design plus one padded window per shift.  That is
+   linear in (padded points x streams) and independent of the
+   neighbourhood width — a materialising shift would allocate 125
+   floats per padded point for this 3-D halo-2 kernel. *)
+let test_first_run_allocation () =
+  let c =
+    Shmls.compile Shmls_kernels.Zoo.acoustic_wave_3d ~grid:[ 24; 20; 16 ]
+  in
+  let d = c.c_design in
+  Alcotest.(check bool) "the design shifts 125-lane neighbourhoods" true
+    (List.exists
+       (fun (s : Shmls.Design.stream) ->
+         match s.st_elem with Ty.Array (125, _) -> true | _ -> false)
+       d.d_streams);
+  let plan = Shmls.Stage_compiler.compile_batched d in
+  let args = args_of (Shmls.Interp.alloc_state c.c_lowered) in
+  let before = Gc.allocated_bytes () in
+  Shmls.Stage_compiler.run plan ~args;
+  let bytes = Gc.allocated_bytes () -. before in
+  let budget =
+    3.0 *. 8.0
+    *. float_of_int
+         (Shmls.Design.total_padded d * List.length d.Shmls.Design.d_streams)
+  in
+  if bytes > budget then
+    Alcotest.failf
+      "the first batched run allocates %.0f bytes (budget %.0f: 3 floats per \
+       padded point per stream)"
+      bytes budget
+
 (* ------------------------------------------------------------------ *)
 (* Reference interpreter allocation *)
 
@@ -350,6 +381,8 @@ let () =
             test_batched_plan_and_state_budget;
           Alcotest.test_case "run state releases arguments and plan" `Quick
             test_state_releases_args_and_plan;
+          Alcotest.test_case "first batched run allocation" `Quick
+            test_first_run_allocation;
         ] );
       ( "interp allocation",
         [
