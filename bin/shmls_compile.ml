@@ -14,35 +14,6 @@
      shmls-compile sweep heat_3d laplace_2d --grids 32x32x16,64x64x32 \
        --verify --out results.jsonl *)
 
-let builtin_kernels =
-  [
-    ("pw_advection", Shmls_kernels.Pw_advection.kernel);
-    ("tracer_advection", Shmls_kernels.Tracer_advection.kernel);
-    ("sum_neighbours_1d", Shmls_kernels.Didactic.sum_neighbours_1d);
-    ("laplace_2d", Shmls_kernels.Didactic.laplace_2d);
-    ("heat_3d", Shmls_kernels.Didactic.heat_3d);
-    ("gradient_smooth_3d", Shmls_kernels.Didactic.gradient_smooth_3d);
-  ]
-
-let parse_grid s =
-  String.split_on_char 'x' s
-  |> List.map String.trim
-  |> List.map (fun d ->
-         match int_of_string_opt d with
-         | Some n when n > 0 -> n
-         | _ -> failwith ("bad grid dimension: " ^ d))
-
-let load_kernel spec =
-  match List.assoc_opt spec builtin_kernels with
-  | Some k -> k
-  | None ->
-    if Sys.file_exists spec then Shmls.Psy_parser.parse_file spec
-    else
-      failwith
-        (Printf.sprintf
-           "unknown kernel %S (not a built-in: %s; and no such file)" spec
-           (String.concat ", " (List.map fst builtin_kernels)))
-
 let write_file dir name contents =
   let path = Filename.concat dir name in
   let oc = open_out path in
@@ -69,163 +40,136 @@ let dump_interiors path grid (outputs : (string * Shmls_interp.Grid.t) list) =
 
 let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
     report trace pass_stats devices link_spec sweeps dump_grids =
-  try
-    let kernel = load_kernel kernel_spec in
-    let grid = parse_grid grid_spec in
-    let variant =
-      match Shmls.Variant.of_string variant_spec with
-      | Ok v -> v
-      | Error m -> failwith m
-    in
-    if devices < 1 then failwith "bad --devices (want >= 1)";
-    if sweeps < 1 then failwith "bad --sweeps (want >= 1)";
-    let link =
-      match Shmls.Link.of_string link_spec with
-      | Ok l -> l
-      | Error m -> failwith m
-    in
-    (* cached, so --evaluate and the multi-device plan reuse this compile *)
-    let c = Shmls.compile_cached ~variant kernel ~grid in
+  Cli.run @@ fun () ->
+  let kernel = Cli.load_kernel kernel_spec in
+  let grid = Cli.parse_grid grid_spec in
+  let variant = Cli.get (Shmls.Variant.of_string variant_spec) in
+  if devices < 1 then failwith "bad --devices (want >= 1)";
+  if sweeps < 1 then failwith "bad --sweeps (want >= 1)";
+  let link = Cli.get (Shmls.Link.of_string link_spec) in
+  (* cached, so --evaluate and the multi-device plan reuse this compile *)
+  let c = Shmls.compile_cached ~variant kernel ~grid in
+  Printf.printf
+    "kernel %s on %s (variant %s): %d CU(s) x %d AXI ports, %d dataflow \
+     stages, %d streams\n"
+    kernel.k_name grid_spec
+    (Shmls.Variant.to_string variant)
+    c.c_cu c.c_ports_per_cu
+    (List.length c.c_design.d_stages)
+    (List.length c.c_design.d_streams);
+  (* The multi-device path also serves --dump-grids at one device, so
+     device counts produce comparable (byte-identical iff bit-exact)
+     interior dumps. *)
+  let plan =
+    if devices > 1 || sweeps > 1 || dump_grids <> "" then
+      Some
+        (Shmls_host.Multi_device.plan ~variant ~sweeps ~link kernel ~grid
+           ~devices)
+    else None
+  in
+  (match plan with
+  | Some p ->
+    print_string (Shmls_host.Multi_device.summarise p);
+    let mr = Shmls_host.Multi_device.estimate p in
     Printf.printf
-      "kernel %s on %s (variant %s): %d CU(s) x %d AXI ports, %d dataflow \
-       stages, %d streams\n"
-      kernel.k_name grid_spec
-      (Shmls.Variant.to_string variant)
-      c.c_cu c.c_ports_per_cu
-      (List.length c.c_design.d_stages)
-      (List.length c.c_design.d_streams);
-    (* The multi-device path also serves --dump-grids at one device, so
-       device counts produce comparable (byte-identical iff bit-exact)
-       interior dumps. *)
-    let plan =
-      if devices > 1 || sweeps > 1 || dump_grids <> "" then
-        Some
-          (Shmls_host.Multi_device.plan ~variant ~sweeps ~link kernel ~grid
-             ~devices)
-      else None
+      "ensemble: %.0f cycles makespan (exchange: %.0f charged, %.0f \
+       hidden), %.2f MPt/s aggregate\n"
+      mr.Shmls.Cycle_sim.mr_cycles mr.Shmls.Cycle_sim.mr_exchange_charged
+      mr.Shmls.Cycle_sim.mr_exchange_hidden
+      (Shmls_host.Multi_device.aggregate_mpts p mr)
+  | None -> ());
+  if pass_stats then begin
+    print_endline "HLS lowering pass statistics:";
+    List.iter
+      (fun s -> Format.printf "  %a@." Shmls.Pass.pp_stat s)
+      c.c_pass_stats
+  end;
+  if emit = "stencil" || emit = "all" then begin
+    if outdir = "" then print_endline (Shmls.emit_stencil_text c)
+    else write_file outdir (kernel.k_name ^ ".stencil.mlir") (Shmls.emit_stencil_text c)
+  end;
+  if emit = "hls" || emit = "all" then begin
+    if outdir = "" then print_endline (Shmls.emit_hls_text c)
+    else write_file outdir (kernel.k_name ^ ".hls.mlir") (Shmls.emit_hls_text c)
+  end;
+  if emit = "llvm" || emit = "all" then begin
+    if outdir = "" then print_endline (Shmls.emit_llvm_text c)
+    else begin
+      write_file outdir (kernel.k_name ^ ".ll") (Shmls.emit_llvm_text c);
+      write_file outdir (kernel.k_name ^ ".cfg") c.c_connectivity
+    end
+  end;
+  if emit = "circt" || emit = "all" then begin
+    if outdir = "" then print_endline (Shmls.emit_circt_text c)
+    else write_file outdir (kernel.k_name ^ ".circt.mlir") (Shmls.emit_circt_text c)
+  end;
+  if report then begin
+    let cycle_result = Shmls.Cycle_sim.run c.c_design in
+    print_string (Shmls.report_text ~cycle_result c)
+  end;
+  if trace <> "" then begin
+    let result, t = Shmls.Trace.capture c.c_design in
+    let oc = open_out trace in
+    output_string oc (Shmls.Trace.to_csv t);
+    close_out oc;
+    Printf.printf "wrote %s (%d samples, %d cycles%s)\n" trace
+      (List.length t.tr_samples) result.cycles
+      (if result.deadlocked then ", DEADLOCKED" else "");
+    print_string (Shmls.Trace.to_ascii t c.c_design)
+  end;
+  if verify then begin
+    let v =
+      match plan with
+      | Some p -> Shmls_host.Multi_device.verify_vs_reference p
+      | None -> Shmls.verify c
     in
-    (match plan with
-    | Some p ->
-      print_string (Shmls_host.Multi_device.summarise p);
-      let mr = Shmls_host.Multi_device.estimate p in
-      Printf.printf
-        "ensemble: %.0f cycles makespan (exchange: %.0f charged, %.0f \
-         hidden), %.2f MPt/s aggregate\n"
-        mr.Shmls.Cycle_sim.mr_cycles mr.Shmls.Cycle_sim.mr_exchange_charged
-        mr.Shmls.Cycle_sim.mr_exchange_hidden
-        (Shmls_host.Multi_device.aggregate_mpts p mr)
-    | None -> ());
-    if pass_stats then begin
-      print_endline "HLS lowering pass statistics:";
-      List.iter
-        (fun s -> Format.printf "  %a@." Shmls.Pass.pp_stat s)
-        c.c_pass_stats
-    end;
-    if emit = "stencil" || emit = "all" then begin
-      if outdir = "" then print_endline (Shmls.emit_stencil_text c)
-      else write_file outdir (kernel.k_name ^ ".stencil.mlir") (Shmls.emit_stencil_text c)
-    end;
-    if emit = "hls" || emit = "all" then begin
-      if outdir = "" then print_endline (Shmls.emit_hls_text c)
-      else write_file outdir (kernel.k_name ^ ".hls.mlir") (Shmls.emit_hls_text c)
-    end;
-    if emit = "llvm" || emit = "all" then begin
-      if outdir = "" then print_endline (Shmls.emit_llvm_text c)
-      else begin
-        write_file outdir (kernel.k_name ^ ".ll") (Shmls.emit_llvm_text c);
-        write_file outdir (kernel.k_name ^ ".cfg") c.c_connectivity
-      end
-    end;
-    if emit = "circt" || emit = "all" then begin
-      if outdir = "" then print_endline (Shmls.emit_circt_text c)
-      else write_file outdir (kernel.k_name ^ ".circt.mlir") (Shmls.emit_circt_text c)
-    end;
-    if report then begin
-      let cycle_result = Shmls.Cycle_sim.run c.c_design in
-      print_string (Shmls.report_text ~cycle_result c)
-    end;
-    if trace <> "" then begin
-      let result, t = Shmls.Trace.capture c.c_design in
-      let oc = open_out trace in
-      output_string oc (Shmls.Trace.to_csv t);
-      close_out oc;
-      Printf.printf "wrote %s (%d samples, %d cycles%s)\n" trace
-        (List.length t.tr_samples) result.cycles
-        (if result.deadlocked then ", DEADLOCKED" else "");
-      print_string (Shmls.Trace.to_ascii t c.c_design)
-    end;
-    if verify then begin
-      let v =
-        match plan with
-        | Some p -> Shmls_host.Multi_device.verify_vs_reference p
-        | None -> Shmls.verify c
-      in
-      List.iter
-        (fun (f, d) -> Printf.printf "verify %-12s max |diff| = %g\n" f d)
-        v.v_fields;
-      if v.v_max_diff > 1e-9 then failwith "verification FAILED"
-      else
-        print_endline
-          (match plan with
-          | Some _ ->
-            "verification OK (reassembled multi-device result matches the \
-             reference interpreter)"
-          | None ->
-            "verification OK (simulated design matches the reference \
-             interpreter)")
-    end;
-    (match (dump_grids, plan) with
-    | "", _ | _, None -> ()
-    | path, Some p ->
-      let r = Shmls_host.Multi_device.run p in
-      dump_interiors path grid r.Shmls_host.Multi_device.rr_outputs);
-    if evaluate then begin
-      Printf.printf "\nevaluation on %s (all flows):\n" grid_spec;
-      List.iter
-        (fun outcome ->
-          match outcome with
-          | Shmls.Flow.Success s ->
-            Format.printf "  %-14s %a@.                 %a@.                 %a@."
-              s.s_flow Shmls.Perf_model.pp_estimate s.s_est Shmls.Resources.pp
-              s.s_usage Shmls.Power.pp s.s_power
-          | Shmls.Flow.Failure f ->
-            Printf.printf "  %-14s FAILED: %s\n" f.f_flow f.f_reason)
-        (Shmls.evaluate_all ~variant kernel ~grid)
-    end;
-    `Ok ()
-  with
-  | Shmls_support.Err.Error e -> `Error (false, Shmls_support.Err.to_string e)
-  | Shmls.Psy_parser.Parse_error _ as exn ->
-    `Error (false, Shmls.Psy_parser.parse_error_message exn)
-  | Failure msg -> `Error (false, msg)
+    List.iter
+      (fun (f, d) -> Printf.printf "verify %-12s max |diff| = %g\n" f d)
+      v.v_fields;
+    if v.v_max_diff > 1e-9 then failwith "verification FAILED"
+    else
+      print_endline
+        (match plan with
+        | Some _ ->
+          "verification OK (reassembled multi-device result matches the \
+           reference interpreter)"
+        | None ->
+          "verification OK (simulated design matches the reference \
+           interpreter)")
+  end;
+  (match (dump_grids, plan) with
+  | "", _ | _, None -> ()
+  | path, Some p ->
+    let r = Shmls_host.Multi_device.run p in
+    dump_interiors path grid r.Shmls_host.Multi_device.rr_outputs);
+  if evaluate then begin
+    Printf.printf "\nevaluation on %s (all flows):\n" grid_spec;
+    List.iter
+      (fun outcome ->
+        match outcome with
+        | Shmls.Flow.Success s ->
+          Format.printf "  %-14s %a@.                 %a@.                 %a@."
+            s.s_flow Shmls.Perf_model.pp_estimate s.s_est Shmls.Resources.pp
+            s.s_usage Shmls.Power.pp s.s_power
+        | Shmls.Flow.Failure f ->
+          Printf.printf "  %-14s FAILED: %s\n" f.f_flow f.f_reason)
+      (Shmls.evaluate_all ~variant kernel ~grid)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The sweep subcommand: kernels x grids on the domain pool, streamed
    as JSON Lines. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let row_json ~variant ~idx ~kernel_name ~grid ~measured (outcomes, verification) =
+  let esc = Shmls_support.Jsonl.escape in
   let flow_json o =
     match o with
     | Shmls.Flow.Success s ->
       Printf.sprintf {|{"flow":"%s","ok":true,"mpts":%.6g}|}
-        (json_escape s.s_flow) s.s_est.Shmls.Perf_model.e_mpts
+        (esc s.s_flow) s.s_est.Shmls.Perf_model.e_mpts
     | Shmls.Flow.Failure f ->
       Printf.sprintf {|{"flow":"%s","ok":false,"reason":"%s"}|}
-        (json_escape f.f_flow) (json_escape f.f_reason)
+        (esc f.f_flow) (esc f.f_reason)
   in
   (* the analytic model's cycle count for the Stencil-HMLS flow, so a
      consumer can compare rows against measured cycles without
@@ -257,9 +201,9 @@ let row_json ~variant ~idx ~kernel_name ~grid ~measured (outcomes, verification)
     | Some cycles -> Printf.sprintf {|,"measured_cycles":%d|} cycles
   in
   Printf.sprintf {|{"index":%d,"kernel":"%s","grid":[%s],"variant":"%s","flows":[%s]%s%s%s}|}
-    idx (json_escape kernel_name)
+    idx (esc kernel_name)
     (String.concat "," (List.map string_of_int grid))
-    (json_escape (Shmls.Variant.to_string variant))
+    (esc (Shmls.Variant.to_string variant))
     (String.concat "," (List.map flow_json outcomes))
     model_field verify_field measured_field
 
@@ -286,139 +230,123 @@ let config_key ~variant (k : Shmls.Ast.kernel) grid =
 
 let run_sweep kernel_specs grids_spec variant_spec verify seed jobs out resume
     devices =
-  try
-    if devices < 1 then failwith "bad --devices (want >= 1)";
-    if jobs < 0 then failwith "bad --jobs (want >= 0)";
-    let kernels = List.map load_kernel kernel_specs in
-    let grids =
-      String.split_on_char ',' grids_spec
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map parse_grid
-    in
-    if grids = [] then failwith "empty --grids";
-    let variant =
-      match Shmls.Variant.of_string variant_spec with
-      | Ok v -> v
-      | Error m -> failwith m
-    in
-    let all_configs =
-      List.concat_map (fun k -> List.map (fun g -> (k, g)) grids) kernels
-    in
-    (* --resume: skip configurations whose row is already in --out, keep
-       the original indices of the rest, and append instead of
-       truncating — re-running a finished sweep writes nothing. *)
-    let done_keys =
-      if resume && out <> "" then swept_keys out else []
-    in
-    let indexed =
-      List.mapi (fun i cfg -> (i, cfg)) all_configs
-      |> List.filter (fun (_, (k, g)) ->
-             not (List.mem (config_key ~variant k g) done_keys))
-    in
-    let skipped = List.length all_configs - List.length indexed in
-    let configs = List.map snd indexed in
-    let orig_index = Array.of_list (List.map fst indexed) in
-    let names_grids =
-      List.map
-        (fun ((k : Shmls.Ast.kernel), g) -> (k.k_name, g))
-        configs
-      |> Array.of_list
-    in
-    let kernels_arr = Array.of_list (List.map fst configs) in
-    let out_channel =
-      if out = "" then None
-      else if resume then
-        Some (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 out)
-      else Some (open_out out)
-    in
-    if skipped > 0 then
-      Printf.printf "resuming %s: %d configuration(s) already swept\n%!" out
-        skipped;
-    let multi_bad = ref false in
-    let emit idx row =
-      let name, grid = names_grids.(idx) in
-      (* multi-device sweeps verify the reassembled slab ensemble instead
-         of the single design; model and measured cycles stay those of
-         the single-chip design, so a bit-exact multi-device sweep's
-         JSONL is byte-identical to the single-device one *)
-      let row =
-        match row with
-        | outcomes, None when verify && devices > 1 ->
-          let p =
-            Shmls_host.Multi_device.plan ~variant kernels_arr.(idx) ~grid
-              ~devices
-          in
-          let v = Shmls_host.Multi_device.verify_vs_reference ~seed p in
-          if v.Shmls.v_max_diff > 1e-9 then multi_bad := true;
-          (outcomes, Some v)
-        | _ -> row
-      in
-      (* verified rows also get measured cycles: the compile is a cache
-         hit (the sweep compiled every configuration up front) and the
-         event-driven engine fast-forwards the steady state, so this
-         costs roughly fill + drain per row *)
-      let measured =
-        match snd row with
-        | None -> None
-        | Some _ ->
-          let c = Shmls.compile_cached ~variant kernels_arr.(idx) ~grid in
-          Some (Shmls.Cycle_sim.run c.c_design).Shmls.Cycle_sim.cycles
-      in
-      let line =
-        row_json ~variant ~idx:orig_index.(idx) ~kernel_name:name ~grid
-          ~measured row
-      in
-      (match out_channel with
-      | Some oc ->
-        output_string oc line;
-        output_char oc '\n';
-        flush oc
-      | None -> ());
-      let _, verification = row in
-      Printf.printf "[%d/%d] %s %s%s\n%!" (idx + 1) (Array.length names_grids)
-        name
-        (String.concat "x" (List.map string_of_int grid))
-        (match verification with
-        | Some v -> Printf.sprintf " (verify max |diff| = %g)" v.v_max_diff
-        | None -> "")
-    in
-    let finally () = Option.iter close_out out_channel in
-    Fun.protect ~finally (fun () ->
-        let results =
-          Shmls.sweep ~jobs ~on_result:emit
-            ~verify_designs:(verify && devices = 1)
-            ~seed ~variant configs
+  Cli.run @@ fun () ->
+  if devices < 1 then failwith "bad --devices (want >= 1)";
+  if jobs < 0 then failwith "bad --jobs (want >= 0)";
+  let kernels = List.map Cli.load_kernel kernel_specs in
+  let grids = Cli.parse_grids grids_spec in
+  let variant = Cli.get (Shmls.Variant.of_string variant_spec) in
+  let all_configs =
+    List.concat_map (fun k -> List.map (fun g -> (k, g)) grids) kernels
+  in
+  (* --resume: skip configurations whose row is already in --out, keep
+     the original indices of the rest, and append instead of
+     truncating — re-running a finished sweep writes nothing. *)
+  let done_keys =
+    if resume && out <> "" then swept_keys out else []
+  in
+  let indexed =
+    List.mapi (fun i cfg -> (i, cfg)) all_configs
+    |> List.filter (fun (_, (k, g)) ->
+           not (List.mem (config_key ~variant k g) done_keys))
+  in
+  let skipped = List.length all_configs - List.length indexed in
+  let configs = List.map snd indexed in
+  let orig_index = Array.of_list (List.map fst indexed) in
+  let names_grids =
+    List.map
+      (fun ((k : Shmls.Ast.kernel), g) -> (k.k_name, g))
+      configs
+    |> Array.of_list
+  in
+  let kernels_arr = Array.of_list (List.map fst configs) in
+  let out_channel =
+    if out = "" then None
+    else if resume then
+      Some (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 out)
+    else Some (open_out out)
+  in
+  if skipped > 0 then
+    Printf.printf "resuming %s: %d configuration(s) already swept\n%!" out
+      skipped;
+  let multi_bad = ref false in
+  let emit idx row =
+    let name, grid = names_grids.(idx) in
+    (* multi-device sweeps verify the reassembled slab ensemble instead
+       of the single design; model and measured cycles stay those of
+       the single-chip design, so a bit-exact multi-device sweep's
+       JSONL is byte-identical to the single-device one *)
+    let row =
+      match row with
+      | outcomes, None when verify && devices > 1 ->
+        let p =
+          Shmls_host.Multi_device.plan ~variant kernels_arr.(idx) ~grid
+            ~devices
         in
-        let failures =
-          List.concat_map
-            (fun (outcomes, _) ->
-              List.filter_map
-                (function
-                  | Shmls.Flow.Failure { f_flow; _ } -> Some f_flow
-                  | Shmls.Flow.Success _ -> None)
-                outcomes)
-            results
-        in
-        let bad_verify =
-          List.exists
-            (fun (_, v) ->
-              match v with
-              | Some (v : Shmls.verification) -> v.v_max_diff > 1e-9
-              | None -> false)
-            results
-        in
-        Printf.printf "swept %d configuration(s): %d flow failure(s)\n"
-          (List.length results) (List.length failures);
-        if out <> "" then Printf.printf "wrote %s\n" out;
-        if bad_verify || !multi_bad then
-          failwith "verification FAILED for some configuration");
-    `Ok ()
-  with
-  | Shmls_support.Err.Error e -> `Error (false, Shmls_support.Err.to_string e)
-  | Shmls.Psy_parser.Parse_error _ as exn ->
-    `Error (false, Shmls.Psy_parser.parse_error_message exn)
-  | Failure msg -> `Error (false, msg)
+        let v = Shmls_host.Multi_device.verify_vs_reference ~seed p in
+        if v.Shmls.v_max_diff > 1e-9 then multi_bad := true;
+        (outcomes, Some v)
+      | _ -> row
+    in
+    (* verified rows also get measured cycles: the compile is a cache
+       hit (the sweep compiled every configuration up front) and the
+       event-driven engine fast-forwards the steady state, so this
+       costs roughly fill + drain per row *)
+    let measured =
+      match snd row with
+      | None -> None
+      | Some _ ->
+        let c = Shmls.compile_cached ~variant kernels_arr.(idx) ~grid in
+        Some (Shmls.Cycle_sim.run c.c_design).Shmls.Cycle_sim.cycles
+    in
+    let line =
+      row_json ~variant ~idx:orig_index.(idx) ~kernel_name:name ~grid
+        ~measured row
+    in
+    (match out_channel with
+    | Some oc ->
+      output_string oc line;
+      output_char oc '\n';
+      flush oc
+    | None -> ());
+    let _, verification = row in
+    Printf.printf "[%d/%d] %s %s%s\n%!" (idx + 1) (Array.length names_grids)
+      name
+      (String.concat "x" (List.map string_of_int grid))
+      (match verification with
+      | Some v -> Printf.sprintf " (verify max |diff| = %g)" v.v_max_diff
+      | None -> "")
+  in
+  let finally () = Option.iter close_out out_channel in
+  Fun.protect ~finally (fun () ->
+      let results =
+        Shmls.sweep ~jobs ~on_result:emit
+          ~verify_designs:(verify && devices = 1)
+          ~seed ~variant configs
+      in
+      let failures =
+        List.concat_map
+          (fun (outcomes, _) ->
+            List.filter_map
+              (function
+                | Shmls.Flow.Failure { f_flow; _ } -> Some f_flow
+                | Shmls.Flow.Success _ -> None)
+              outcomes)
+          results
+      in
+      let bad_verify =
+        List.exists
+          (fun (_, v) ->
+            match v with
+            | Some (v : Shmls.verification) -> v.v_max_diff > 1e-9
+            | None -> false)
+          results
+      in
+      Printf.printf "swept %d configuration(s): %d flow failure(s)\n"
+        (List.length results) (List.length failures);
+      if out <> "" then Printf.printf "wrote %s\n" out;
+      if bad_verify || !multi_bad then
+        failwith "verification FAILED for some configuration")
 
 open Cmdliner
 

@@ -8,15 +8,6 @@
      shmls-opt --list-passes
      echo '...' | shmls-opt --passes canonicalize - *)
 
-let read_all ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents buf
-
 (* "all" in --dump-after matches every pass. *)
 let dump_wanted dump_after name =
   List.mem "all" dump_after || List.mem name dump_after
@@ -46,75 +37,58 @@ let snapshot_hooks ~print_ir_after_all ~dump_after ~dump_dir =
 
 let run_tool passes_spec verify_each stats list_passes print_ir_after_all
     dump_after dump_dir verify_diagnostics print_locs input =
+  Cli.run @@ fun () ->
   Shmls_transforms.Register.all ();
-  if list_passes then begin
+  if list_passes then
     List.iter
       (fun name ->
         match Shmls_ir.Pass.describe name with
         | Some d when d <> "" -> Printf.printf "%-24s %s\n" name d
         | _ -> print_endline name)
-      (Shmls_ir.Pass.registered_passes ());
-    `Ok ()
-  end
+      (Shmls_ir.Pass.registered_passes ())
   else
-    try
-      let src =
-        match input with
-        | "-" -> read_all stdin
-        | path ->
-          let ic = open_in path in
-          let s = read_all ic in
-          close_in ic;
-          s
+    let src =
+      match input with
+      | "-" -> In_channel.input_all stdin
+      | path -> In_channel.with_open_bin path In_channel.input_all
+    in
+    let file = if input = "-" then "<stdin>" else input in
+    if verify_diagnostics then begin
+      (* FileCheck-style mode: run the whole tool under a diagnostic
+         handler and match what comes out against the
+         [// expected-error@line {{...}}] comments in the input. *)
+      let expected = Shmls_support.Diagnostic.Expected.parse src in
+      let seen, _ =
+        Shmls_support.Diagnostic.capture (fun () ->
+            let m = Shmls_ir.Parser.parse_module ~file src in
+            Shmls_ir.Verifier.verify_exn m;
+            let passes = Shmls_ir.Pass.parse_pipeline passes_spec in
+            ignore (Shmls_ir.Pass.run_pipeline ~verify_each:true passes m))
       in
-      let file = if input = "-" then "<stdin>" else input in
-      if verify_diagnostics then begin
-        (* FileCheck-style mode: run the whole tool under a diagnostic
-           handler and match what comes out against the
-           [// expected-error@line {{...}}] comments in the input. *)
-        let expected = Shmls_support.Diagnostic.Expected.parse src in
-        let seen, _ =
-          Shmls_support.Diagnostic.capture (fun () ->
-              let m = Shmls_ir.Parser.parse_module ~file src in
-              Shmls_ir.Verifier.verify_exn m;
-              let passes = Shmls_ir.Pass.parse_pipeline passes_spec in
-              ignore
-                (Shmls_ir.Pass.run_pipeline ~verify_each:true passes m))
-        in
-        match
-          Shmls_support.Diagnostic.Expected.check ~expected ~seen
-        with
-        | Ok () -> `Ok ()
-        | Error msg -> `Error (false, msg)
-      end
-      else begin
-        let m = Shmls_ir.Parser.parse_module ~file src in
-        Shmls_ir.Verifier.verify_exn m;
-        let passes = Shmls_ir.Pass.parse_pipeline passes_spec in
-        let hooks = snapshot_hooks ~print_ir_after_all ~dump_after ~dump_dir in
-        if stats then Shmls_ir.Rewriter.reset_cumulative_fires ();
-        let run_stats =
-          Shmls_ir.Pass.run_pipeline ~verify_each ~hooks ~op_stats:stats passes
-            m
-        in
-        if stats then begin
-          List.iter
-            (fun s -> Format.eprintf "%a@." Shmls_ir.Pass.pp_stat s)
-            run_stats;
-          Format.eprintf "%a" Shmls_ir.Pass.pp_summary run_stats;
-          match Shmls_ir.Rewriter.cumulative_fires () with
-          | [] -> ()
-          | fires ->
-            Format.eprintf "@.%-32s %8s@." "pattern" "fires";
-            List.iter
-              (fun (name, n) -> Format.eprintf "%-32s %8d@." name n)
-              fires
-        end;
-        print_endline (Shmls_ir.Printer.to_string ~locs:print_locs m);
-        `Ok ()
-      end
-    with Shmls_support.Err.Error e ->
-      `Error (false, Shmls_support.Err.to_string e)
+      Cli.get (Shmls_support.Diagnostic.Expected.check ~expected ~seen)
+    end
+    else begin
+      let m = Shmls_ir.Parser.parse_module ~file src in
+      Shmls_ir.Verifier.verify_exn m;
+      let passes = Shmls_ir.Pass.parse_pipeline passes_spec in
+      let hooks = snapshot_hooks ~print_ir_after_all ~dump_after ~dump_dir in
+      if stats then Shmls_ir.Rewriter.reset_cumulative_fires ();
+      let run_stats =
+        Shmls_ir.Pass.run_pipeline ~verify_each ~hooks ~op_stats:stats passes m
+      in
+      if stats then begin
+        List.iter
+          (fun s -> Format.eprintf "%a@." Shmls_ir.Pass.pp_stat s)
+          run_stats;
+        Format.eprintf "%a" Shmls_ir.Pass.pp_summary run_stats;
+        match Shmls_ir.Rewriter.cumulative_fires () with
+        | [] -> ()
+        | fires ->
+          Format.eprintf "@.%-32s %8s@." "pattern" "fires";
+          List.iter (fun (name, n) -> Format.eprintf "%-32s %8d@." name n) fires
+      end;
+      print_endline (Shmls_ir.Printer.to_string ~locs:print_locs m)
+    end
 
 open Cmdliner
 

@@ -15,110 +15,55 @@
    The --out file is the resumable search state: one content-keyed JSON
    Lines row per evaluated point and per validated frontier point. *)
 
-let builtin_kernels =
-  [
-    ("pw_advection", Shmls_kernels.Pw_advection.kernel);
-    ("tracer_advection", Shmls_kernels.Tracer_advection.kernel);
-    ("sum_neighbours_1d", Shmls_kernels.Didactic.sum_neighbours_1d);
-    ("laplace_2d", Shmls_kernels.Didactic.laplace_2d);
-    ("heat_3d", Shmls_kernels.Didactic.heat_3d);
-    ("gradient_smooth_3d", Shmls_kernels.Didactic.gradient_smooth_3d);
-  ]
-
-let parse_grid s =
-  String.split_on_char 'x' s
-  |> List.map String.trim
-  |> List.map (fun d ->
-         match int_of_string_opt d with
-         | Some n when n > 0 -> n
-         | _ -> failwith ("bad grid dimension: " ^ d))
-
-let load_kernel spec =
-  match List.assoc_opt spec builtin_kernels with
-  | Some k -> k
-  | None ->
-    if Sys.file_exists spec then Shmls.Psy_parser.parse_file spec
-    else
-      failwith
-        (Printf.sprintf
-           "unknown kernel %S (not a built-in: %s; and no such file)" spec
-           (String.concat ", " (List.map fst builtin_kernels)))
+module Tune = Root.Shmls_tune.Tune
 
 let run_tune kernel_spec grids_spec budget_spec max_cu tolerance validate_spec
     out resume jobs devices_spec link_spec =
-  try
-    let kernel = load_kernel kernel_spec in
-    let devices =
-      String.split_on_char ',' devices_spec
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some n when n >= 1 -> n
-             | _ -> failwith ("bad --devices count: " ^ s))
-    in
-    if devices = [] then failwith "empty --devices";
-    if jobs < 0 then failwith "bad --jobs (want >= 0)";
-    let link =
-      match Shmls.Link.of_string link_spec with
-      | Ok l -> l
-      | Error m -> failwith m
-    in
-    let validate =
-      match Shmls_tune.Tune.validate_scope_of_string validate_spec with
-      | Ok v -> v
-      | Error m -> failwith m
-    in
-    let grids =
-      String.split_on_char ',' grids_spec
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map parse_grid
-    in
-    if grids = [] then failwith "empty --grids";
-    let budget =
-      match Shmls.U280.budget_of_string budget_spec with
-      | Ok b -> b
-      | Error m -> failwith m
-    in
-    let state = if out = "" then None else Some out in
-    let r =
-      Shmls_tune.Tune.run ~budget ~max_cu ~jobs ?state ~resume
-        ~divergence_tolerance:tolerance ~validate ~devices ~link kernel ~grids
-    in
-    Format.printf "%a@." Shmls_tune.Tune.pp_report r;
-    if out <> "" then Printf.printf "search state: %s\n" out;
-    if r.Shmls_tune.Tune.r_frontier = [] then
-      failwith "tune: the Pareto frontier is empty (no feasible point)";
-    let not_bit_exact =
-      List.filter
-        (fun ((_, v) : Shmls_tune.Tune.eval * Shmls_tune.Tune.validation) ->
-          v.Shmls_tune.Tune.va_max_diff > 1e-9)
-        r.Shmls_tune.Tune.r_validations
-    in
-    if not_bit_exact <> [] then
-      failwith
-        (Printf.sprintf "tune: %d validated point(s) failed bit-exact \
-                         validation"
-           (List.length not_bit_exact));
-    let flagged =
-      List.length
-        (List.filter
-           (fun ((_, v) : Shmls_tune.Tune.eval * Shmls_tune.Tune.validation) ->
-             v.Shmls_tune.Tune.va_flagged)
-           r.Shmls_tune.Tune.r_validations)
-    in
-    if flagged > 0 then
-      Printf.printf
-        "warning: %d validated point(s) diverge from the model by more than \
-         %g%% [DIVERGENT]\n"
-        flagged (100.0 *. tolerance);
-    `Ok ()
-  with
-  | Shmls_support.Err.Error e -> `Error (false, Shmls_support.Err.to_string e)
-  | Shmls.Psy_parser.Parse_error _ as exn ->
-    `Error (false, Shmls.Psy_parser.parse_error_message exn)
-  | Failure msg -> `Error (false, msg)
+  Cli.run @@ fun () ->
+  let kernel = Cli.load_kernel kernel_spec in
+  let devices =
+    Cli.parse_list ~flag:"--devices"
+      (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> n
+        | _ -> failwith ("bad --devices count: " ^ s))
+      devices_spec
+  in
+  if jobs < 0 then failwith "bad --jobs (want >= 0)";
+  let link = Cli.get (Shmls.Link.of_string link_spec) in
+  let validate = Cli.get (Tune.validate_scope_of_string validate_spec) in
+  let grids = Cli.parse_grids grids_spec in
+  let budget = Cli.get (Shmls.U280.budget_of_string budget_spec) in
+  let state = if out = "" then None else Some out in
+  let r =
+    Tune.run ~budget ~max_cu ~jobs ?state ~resume
+      ~divergence_tolerance:tolerance ~validate ~devices ~link kernel ~grids
+  in
+  Format.printf "%a@." Tune.pp_report r;
+  if out <> "" then Printf.printf "search state: %s\n" out;
+  if r.Tune.r_frontier = [] then
+    failwith "tune: the Pareto frontier is empty (no feasible point)";
+  let not_bit_exact =
+    List.filter
+      (fun ((_, v) : Tune.eval * Tune.validation) -> v.Tune.va_max_diff > 1e-9)
+      r.Tune.r_validations
+  in
+  if not_bit_exact <> [] then
+    failwith
+      (Printf.sprintf "tune: %d validated point(s) failed bit-exact \
+                       validation"
+         (List.length not_bit_exact));
+  let flagged =
+    List.length
+      (List.filter
+         (fun ((_, v) : Tune.eval * Tune.validation) -> v.Tune.va_flagged)
+         r.Tune.r_validations)
+  in
+  if flagged > 0 then
+    Printf.printf
+      "warning: %d validated point(s) diverge from the model by more than \
+       %g%% [DIVERGENT]\n"
+      flagged (100.0 *. tolerance)
 
 open Cmdliner
 
@@ -154,7 +99,7 @@ let max_cu_arg =
 
 let tolerance_arg =
   Arg.(
-    value & opt float Shmls_tune.Tune.default_divergence_tolerance
+    value & opt float Tune.default_divergence_tolerance
     & info [ "tolerance" ] ~docv:"FRAC"
         ~doc:
           "Model/measured cycle divergence beyond which a frontier point is \

@@ -60,16 +60,18 @@ module Cost_model = struct
      same kernel consumes the same field data, whether through a
      load_data stage (split designs) or external reads from a fused
      compute (no-split). *)
-  let loaded_fields (k : Ast.kernel) =
+  let loaded_field_names (k : Ast.kernel) =
     let read =
       List.concat_map
         (fun (s : Ast.stencil_def) -> List.map fst (Ast.field_refs s.sd_expr))
         k.Ast.k_stencils
     in
-    List.length
-      (List.filter
-         (fun (fd : Ast.field_decl) -> List.mem fd.Ast.fd_name read)
-         k.Ast.k_fields)
+    List.filter_map
+      (fun (fd : Ast.field_decl) ->
+        if List.mem fd.Ast.fd_name read then Some fd.Ast.fd_name else None)
+      k.Ast.k_fields
+
+  let loaded_fields k = List.length (loaded_field_names k)
 
   let evaluate_multi_device ?cu ?(link = Shmls_fpga.Link.default) ~devices
       ~global_grid ~fields d =

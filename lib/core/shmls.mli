@@ -59,6 +59,9 @@ module Cost_model : sig
       so every pipeline variant of a kernel prices the same exchange,
       whether it loads through a load_data stage or a fused compute's
       external reads. *)
+  val loaded_field_names : Ast.kernel -> string list
+
+  (** [List.length (loaded_field_names k)]. *)
   val loaded_fields : Ast.kernel -> int
 
   (** Evaluate a slab design of a [devices]-slab decomposition of

@@ -61,7 +61,7 @@ let charge_link s (d : Design.t) (est : Perf_model.estimate) =
   let cycles, seconds, mpts =
     Link.charge s.link ~exchange_bytes
       ~global_interior:(List.fold_left ( * ) 1 s.global_grid)
-      ~fill:(Perf_model.design_fill d) ~cycles:est.e_cycles
+      ~fill:(Depth_balance.fill d) ~cycles:est.e_cycles
   in
   { est with e_cycles = cycles; e_seconds = seconds; e_mpts = mpts }
 

@@ -616,8 +616,7 @@ let run ?on_cycle (d : Design.t) =
    (independent) cycle simulation; every sweep is preceded by a halo
    delivery over the link, whose charged cycles come from the link
    model (latency never hidden, serialisation overlapped with the
-   design's fill ramp — computed here from the stream delays, the same
-   quantity {!Perf_model.design_fill} reports).  The makespan is the
+   design's fill ramp, {!Depth_balance.fill}).  The makespan is the
    slowest device's total: compute and exchange of different devices
    overlap freely, neighbours' exchanges are concurrent on distinct
    links. *)
@@ -640,10 +639,6 @@ type multi_result = {
   mr_deadlocked : bool;
 }
 
-let design_fill (d : Design.t) =
-  let delays = Depth_balance.stream_delays d in
-  Hashtbl.fold (fun _ v acc -> max v acc) delays 0
-
 let run_multi ?(sweeps = 1) ~link
     (devices : (Design.t * int) list) =
   if devices = [] then Err.raise_error "cycle_sim: run_multi needs a device";
@@ -652,7 +647,7 @@ let run_multi ?(sweeps = 1) ~link
     List.map
       (fun (d, bytes) ->
         let r = run d in
-        let fill = design_fill d in
+        let fill = Depth_balance.fill d in
         let transfer =
           if bytes <= 0 then 0.0 else Link.transfer_cycles link ~bytes
         in

@@ -48,6 +48,10 @@ let stream_delays (d : Design.t) =
     d.d_stages;
   delays
 
+(* Fill latency of a design: the longest stream-delay path to write_data. *)
+let fill (d : Design.t) =
+  Hashtbl.fold (fun _ v acc -> max v acc) (stream_delays d) 0
+
 (* Required depth per stream: for every multi-input stage, the slack of
    each input against the slowest sibling. *)
 let required_depths (d : Design.t) =

@@ -8,6 +8,9 @@ val margin : int
 (** Path delay (elements of lead) of every stream, keyed by stream id. *)
 val stream_delays : Design.t -> (int, int) Hashtbl.t
 
+(** Longest stream-delay path of a design (its fill latency). *)
+val fill : Design.t -> int
+
 (** Minimum depth each multi-consumed stream needs. *)
 val required_depths : Design.t -> (int, int) Hashtbl.t
 

@@ -48,11 +48,6 @@ let estimate ?(port_bytes = U280.axi_bytes) ~total_padded ~interior ~fill ~ii
     e_bandwidth_bound = bandwidth_bound;
   }
 
-(* Fill latency of a design: the longest stream-delay path to write_data. *)
-let design_fill (d : Design.t) =
-  let delays = Depth_balance.stream_delays d in
-  Hashtbl.fold (fun _ v acc -> max v acc) delays 0
-
 (* Bytes moved over AXI per grid point: one f64 read per loaded field,
    one f64 write per stored field, plus (fused variant) one f64 read per
    direct external-memory access the compute stage makes per point. *)
@@ -100,7 +95,7 @@ let estimate_design ?(cu = -1) (d : Design.t) =
   estimate ~port_bytes:d.d_port_bytes
     ~total_padded:(Design.total_padded d)
     ~interior:(Design.interior_points d)
-    ~fill:(float_of_int (design_fill d))
+    ~fill:(float_of_int (Depth_balance.fill d))
     ~ii:summary.max_ii ~serial:(design_serial d) ~cu
     ~ports:(cu * d.d_ports_per_cu)
     ~bytes_per_point:(design_bytes_per_point d)
@@ -144,7 +139,7 @@ let check_fill_steady (d : Design.t) (r : Cycle_sim.result) =
       in
       let cycles = float_of_int r.Cycle_sim.cycles in
       let measured_fill = Float.max 0.0 (cycles -. steady) in
-      let model_fill = float_of_int (design_fill d) in
+      let model_fill = float_of_int (Depth_balance.fill d) in
       let divergence =
         Float.abs (model_fill -. measured_fill) /. Float.max 1.0 cycles
       in

@@ -31,9 +31,6 @@ val estimate :
   unit ->
   estimate
 
-(** Longest stream-delay path of a design (its fill latency). *)
-val design_fill : Design.t -> int
-
 (** AXI bytes moved per grid point (one read per loaded field, one write
     per stored field). *)
 val design_bytes_per_point : Design.t -> int

@@ -16,7 +16,7 @@ let render ~plan ?cycle_result (d : Design.t) =
   line "* Performance (analytic model)";
   line "    target clock        : %.0f MHz" (U280.clock_hz /. 1e6);
   line "    initiation interval : %d" summary.max_ii;
-  line "    fill latency        : %d cycles" (Perf_model.design_fill d);
+  line "    fill latency        : %d cycles" (Depth_balance.fill d);
   line "    kernel time         : %.3f ms (%.0f cycles)" (est.e_seconds *. 1e3)
     est.e_cycles;
   line "    throughput          : %.2f MPt/s over %d CU(s)%s" est.e_mpts est.e_cu

@@ -36,17 +36,7 @@ type token =
   | TEqual
   | TEnd
 
-exception Parse_error of { pe_loc : Loc.t; pe_msg : string }
-
-(* Render like any located diagnostic: "file:line:col: msg". *)
-let parse_error_message = function
-  | Parse_error { pe_loc; pe_msg } when Loc.is_known pe_loc ->
-    Printf.sprintf "%s: %s" (Loc.describe pe_loc) pe_msg
-  | Parse_error { pe_msg; _ } -> pe_msg
-  | _ -> invalid_arg "Psy_parser.parse_error_message"
-
-let fail_at loc fmt =
-  Printf.ksprintf (fun m -> raise (Parse_error { pe_loc = loc; pe_msg = m })) fmt
+let fail_at loc fmt = Err.raise_error ~loc fmt
 
 (* Tokens are paired with their 1-based starting column so every parse
    error (and every stencil definition) can name an exact position. *)
@@ -96,8 +86,13 @@ let tokenize ~loc_of_col line =
         let tok =
           if String.contains text '.' || String.contains text 'e'
              || String.contains text 'E'
-          then TFloat (float_of_string text)
-          else TInt (int_of_string text)
+          then Option.map (fun f -> TFloat f) (float_of_string_opt text)
+          else Option.map (fun i -> TInt i) (int_of_string_opt text)
+        in
+        let tok =
+          match tok with
+          | Some t -> t
+          | None -> fail_at (loc_of_col (i + 1)) "bad number %S" text
         in
         go !j ((tok, i + 1) :: acc)
       | c

@@ -18,13 +18,8 @@
     parameter / intermediate names, float literals, [+ - * /], unary [-],
     and the functions [min], [max], [sqrt], [exp], [abs]. *)
 
-exception Parse_error of { pe_loc : Loc.t; pe_msg : string }
-
-(** Render a {!Parse_error} as ["file:line:col: msg"]. *)
-val parse_error_message : exn -> string
-
-(** Parse kernel source; raises {!Parse_error} (with the offending
-    line/column) on syntax or validation errors.  [file] names the
+(** Parse kernel source; raises {!Err.Error} located at the offending
+    line/column on syntax or validation errors.  [file] names the
     source in locations (default ["<psy>"]). *)
 val parse : ?file:string -> string -> Ast.kernel
 

@@ -84,23 +84,6 @@ let feedback_pairs (k : Shmls.Ast.kernel) =
       | Shmls.Ast.Input -> None)
     k.k_fields
 
-(* Distinct declared fields the kernel reads — the planes a device
-   must receive from its neighbours before a run.  Kernel-derived, so
-   the exchange streams are identical across pipeline variants (split
-   designs load them through load_data, no-split designs through the
-   fused compute's external reads — same data either way). *)
-let loaded_field_names (k : Shmls.Ast.kernel) =
-  let read =
-    List.concat_map
-      (fun (s : Shmls.Ast.stencil_def) ->
-        List.map fst (Shmls.Ast.field_refs s.sd_expr))
-      k.k_stencils
-  in
-  List.filter_map
-    (fun (fd : Shmls.Ast.field_decl) ->
-      if List.mem fd.fd_name read then Some fd.fd_name else None)
-    k.k_fields
-
 let plan ?(variant = Shmls.Variant.default) ?(sweeps = 1)
     ?(link = Link.default) (kernel : Shmls.Ast.kernel) ~grid ~devices =
   if devices < 1 then
@@ -117,7 +100,7 @@ let plan ?(variant = Shmls.Variant.default) ?(sweeps = 1)
     List.fold_left (fun acc e -> (List.hd acc + e) :: acc) [ 0 ] extents
     |> List.tl |> List.rev
   in
-  let loaded = loaded_field_names kernel in
+  let loaded = Shmls.Cost_model.loaded_field_names kernel in
   let slabs =
     List.mapi
       (fun i (offset, extent) ->

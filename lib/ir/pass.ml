@@ -2,10 +2,8 @@
    in order, optionally verifying after each one, and record wall-clock and
    op-count statistics that shmls-opt can print.
 
-   The registry holds three kinds of entry:
+   The registry holds two kinds of entry:
    - atomic passes ("dce"), registered with {!register};
-   - parametric passes, whose run function is instantiated from textual
-     options ("my-pass{level=2}"), registered with {!register_parametric};
    - composite pipelines ("stencil-to-hls", which expands to its nine step
      passes, optionally restricted with "stencil-to-hls{steps=2-5}"),
      registered with {!register_composite}.
@@ -42,15 +40,11 @@ type options = (string * string) list
 
 type entry =
   | Atomic of t
-  | Parametric of { p_description : string; p_make : options -> t }
   | Composite of { c_description : string; c_expand : options -> t list }
 
 let registry : (string, entry) Hashtbl.t = Hashtbl.create 32
 
 let register pass = Hashtbl.replace registry pass.pass_name (Atomic pass)
-
-let register_parametric ~name ?(description = "") p_make =
-  Hashtbl.replace registry name (Parametric { p_description = description; p_make })
 
 let register_composite ~name ?(description = "") c_expand =
   Hashtbl.replace registry name (Composite { c_description = description; c_expand })
@@ -67,7 +61,6 @@ let sequence ~name ~description passes =
 let lookup name =
   match Hashtbl.find_opt registry name with
   | Some (Atomic p) -> Some p
-  | Some (Parametric { p_make; _ }) -> Some (p_make [])
   | Some (Composite { c_description; c_expand }) ->
     Some (sequence ~name ~description:c_description (c_expand []))
   | None -> None
@@ -84,7 +77,6 @@ let registered_passes () =
 let describe name =
   match Hashtbl.find_opt registry name with
   | Some (Atomic p) -> Some p.description
-  | Some (Parametric { p_description; _ }) -> Some p_description
   | Some (Composite { c_description; _ }) -> Some c_description
   | None -> None
 
@@ -147,7 +139,6 @@ let instantiate (name, options) =
     if options <> [] then
       Err.raise_error "pass %S takes no options" name;
     [ p ]
-  | Some (Parametric { p_make; _ }) -> [ p_make options ]
   | Some (Composite { c_expand; _ }) -> c_expand options
 
 (* Parse "pass1,pass2{opt=v},..." into a flat pipeline via the registry;

@@ -33,11 +33,6 @@ type options = (string * string) list
 (** Global pass registry, used by the shmls-opt driver. *)
 val register : t -> unit
 
-(** A pass whose run function is instantiated from pipeline options:
-    ["name{key=value,...}"]. *)
-val register_parametric :
-  name:string -> ?description:string -> (options -> t) -> unit
-
 (** A named pipeline that expands to component passes (possibly filtered
     by options, e.g. ["stencil-to-hls{steps=2-5}"]).  [parse_pipeline]
     flattens the expansion so each component is run (and timed, verified,
@@ -49,7 +44,7 @@ val register_composite :
 val sequence : name:string -> description:string -> t list -> t
 
 (** [lookup name] resolves any registry entry to a runnable pass
-    (parametrics with default options, composites as one sequence). *)
+    (composites as one sequence). *)
 val lookup : string -> t option
 
 val lookup_exn : string -> t

@@ -91,6 +91,13 @@ let to_string d =
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
 
+(* An uncaught or generically reported [Raised] prints as its message,
+   not as [Shmls_support.Diagnostic.Raised(_)]. *)
+let () =
+  Printexc.register_printer (function
+    | Raised d -> Some (to_string d)
+    | _ -> None)
+
 (* ------------------------------------------------------------------ *)
 (* Emission and capture *)
 

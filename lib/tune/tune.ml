@@ -294,6 +294,10 @@ let run ?(budget = U280.budget)
     (fun d ->
       if d < 1 then Err.raise_error "tune: bad device count %d (want >= 1)" d)
     devices;
+  if not (Float.is_finite divergence_tolerance && divergence_tolerance >= 0.0)
+  then
+    Err.raise_error "tune: bad divergence tolerance %g (want a finite value >= 0)"
+      divergence_tolerance;
   let point_key = point_key ~link in
   let known_points, known_validations =
     match state with
@@ -323,19 +327,14 @@ let run ?(budget = U280.budget)
   let pruned_devices = ref 0 in
   let evaluated_new = ref 0 in
   let resumed = ref 0 in
-  let compiled_designs : (string, Shmls.compiled) Hashtbl.t =
-    Hashtbl.create 64
-  in
   (* A multi-device point is priced on its largest slab — the makespan
      lane — with the link model charging the halo exchange. *)
-  let slab_grid_of (p : point) =
-    if p.pt_devices <= 1 then p.pt_grid
-    else
-      let n0 = List.hd p.pt_grid in
-      ((n0 + p.pt_devices - 1) / p.pt_devices) :: List.tl p.pt_grid
-  in
   let compile_point (p : point) =
-    Shmls.compile_cached ~variant:p.pt_variant kernel ~grid:(slab_grid_of p)
+    let slabs =
+      Shmls_host.Multi_device.slab_extents (List.hd p.pt_grid) p.pt_devices
+    in
+    Shmls.compile_cached ~variant:p.pt_variant kernel
+      ~grid:(List.fold_left max 0 slabs :: List.tl p.pt_grid)
   in
   let loaded_fields = Shmls.Cost_model.loaded_fields kernel in
   let cost_of ?cu (p : point) (c : Shmls.compiled) =
@@ -349,7 +348,6 @@ let run ?(budget = U280.budget)
       eval_of_row line p
     | None ->
       let c = compile_point p in
-      Hashtbl.replace compiled_designs key c;
       let cost = cost_of p c in
       let e =
         {
@@ -445,7 +443,7 @@ let run ?(budget = U280.budget)
   in
   (* Validate: batched functional sim (bit-exactness) plus the cycle
      simulator, on the pool.  Designs are compiled (or fetched from the
-     eval-phase cache) sequentially first — IR construction wants
+     compile cache) sequentially first — IR construction wants
      deterministic ids — so the parallel phase only simulates. *)
   let simulated = ref 0 in
   let validations_resumed = ref 0 in
@@ -457,13 +455,7 @@ let run ?(budget = U280.budget)
         | Some _ ->
           incr validations_resumed;
           None
-        | None ->
-          let c =
-            match Hashtbl.find_opt compiled_designs key with
-            | Some c -> c
-            | None -> compile_point e.ev_point
-          in
-          Some (key, e, c))
+        | None -> Some (key, e, compile_point e.ev_point))
       to_validate
   in
   (* Multi-device plans are built sequentially up front for the same

@@ -110,7 +110,9 @@ val judge :
     zero re-simulations and leaves the file byte-identical). [jobs]
     sizes the validation pool ([0] adaptive, [1] sequential);
     [validate] narrows the validation scope (default [All] — the
-    frontier is validated in every scope).
+    frontier is validated in every scope).  A [divergence_tolerance]
+    that is negative or not finite raises {!Shmls_support.Err.Error}:
+    it would flag every point, or none.
 
     [devices] adds a slab-count axis to the search (default [[1]]):
     each listed count prices the kernel decomposed over that many

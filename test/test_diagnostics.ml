@@ -171,8 +171,8 @@ let test_expected_check () =
 let test_psy_syntax_error_position () =
   let src = "kernel k\nrank 1\ninput a\noutput b\nb = a[0] + @\nend\n" in
   match Psy.parse ~file:"k.psy" src with
-  | exception Psy.Parse_error { pe_loc; _ } ->
-    (match Loc.resolve pe_loc with
+  | exception Err.Error { d_loc; _ } ->
+    (match Loc.resolve d_loc with
     | Some ("k.psy", 5, col) ->
       Alcotest.(check bool) "column past the =" true (col > 4)
     | other ->
@@ -180,19 +180,19 @@ let test_psy_syntax_error_position () =
         (match other with
         | Some (f, l, c) -> Printf.sprintf "%s:%d:%d" f l c
         | None -> "<none>"))
-  | _ -> Alcotest.fail "expected Parse_error"
+  | _ -> Alcotest.fail "expected Err.Error"
 
 let test_psy_validation_error_position () =
   let src = "kernel k\nrank 1\ninput a\noutput b\nb = nosuch[0]\nend\n" in
   match Psy.parse ~file:"k.psy" src with
-  | exception (Psy.Parse_error { pe_loc; pe_msg } as exn) ->
+  | exception Err.Error e ->
     Alcotest.(check (option int)) "anchored at the stencil line" (Some 5)
-      (Loc.line pe_loc);
+      (Loc.line e.d_loc);
     Alcotest.(check bool) "names the undeclared read" true
-      (contains pe_msg "nosuch");
+      (contains e.d_message "nosuch");
     Alcotest.(check bool) "message renders position" true
-      (contains (Psy.parse_error_message exn) "k.psy:5:")
-  | _ -> Alcotest.fail "expected Parse_error"
+      (contains (Err.to_string e) "k.psy:5:")
+  | _ -> Alcotest.fail "expected Err.Error"
 
 let test_psy_locs_thread_into_ir () =
   let src =

@@ -219,12 +219,14 @@ end
 let test_psy_errors () =
   let expect_error what src =
     match Psy.parse src with
-    | exception Psy.Parse_error _ -> ()
-    | _ -> Alcotest.failf "%s: expected Parse_error" what
+    | exception Shmls_support.Err.Error _ -> ()
+    | _ -> Alcotest.failf "%s: expected Err.Error" what
   in
   expect_error "missing kernel name" "rank 1\nend";
   expect_error "bad token" "kernel k\nrank 1\ninput a\noutput b\nb = a[0] $ 1\nend";
   expect_error "unbalanced paren" "kernel k\nrank 1\ninput a\noutput b\nb = (a[0]\nend";
+  expect_error "malformed number" "kernel k\nrank 1\ninput a\noutput b\nb = a[0] + 1e\nend";
+  expect_error "integer overflow" "kernel k\nrank 99999999999999999999\nend";
   expect_error "invalid kernel (writes input)"
     "kernel k\nrank 1\ninput a\noutput b\na = b[0]\nend"
 

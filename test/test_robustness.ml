@@ -7,7 +7,7 @@ let () = Shmls_dialects.Register.all ()
 module H = Test_common.Helpers
 module F = Shmls_fpga
 
-(* -- psy parser never escapes Parse_error ---------------------------------- *)
+(* -- psy parser never escapes a located Err.Error -------------------------- *)
 
 let gen_garbage =
   QCheck2.Gen.(
@@ -16,7 +16,7 @@ let gen_garbage =
         [
           "kernel"; "rank"; "input"; "output"; "small"; "param"; "end"; "=";
           "+"; "-"; "*"; "/"; "("; ")"; "["; "]"; ","; "a"; "b1"; "3"; "0.5";
-          "min"; "abs"; "!"; "axis";
+          "min"; "abs"; "!"; "axis"; "."; "1e"; "99999999999999999999";
         ]
     in
     let* n = int_range 0 40 in
@@ -25,11 +25,12 @@ let gen_garbage =
     return (String.concat "" (List.concat (List.map2 (fun t s -> [ t; s ]) toks newlines))))
 
 let qcheck_psy_parser_total =
-  H.qtest ~count:300 "psy parser: Parse_error or kernel, never a crash"
+  H.qtest ~count:300 "psy parser: Err.Error or kernel, never a crash"
     gen_garbage (fun src ->
       match Shmls_frontend.Psy_parser.parse src with
       | _ -> true
-      | exception Shmls_frontend.Psy_parser.Parse_error _ -> true)
+      | exception Shmls_support.Err.Error e ->
+        Shmls_support.Loc.resolve e.d_loc <> None)
 
 (* -- IR parser never escapes Err.Error -------------------------------------- *)
 

@@ -51,6 +51,18 @@ let test_err_get () =
   | exception Err.Error _ -> ()
   | _ -> Alcotest.fail "expected raise"
 
+(* A generic handler that prints the exception shows the message, both
+   located and unlocated. *)
+let test_err_printexc () =
+  List.iter
+    (fun e ->
+      Alcotest.(check string) "printed as its message" (Err.to_string e)
+        (Printexc.to_string (Err.Error e)))
+    [
+      Err.add_context "outer" (Err.make "boom");
+      Err.make ~loc:(Loc.file ~file:"k.psy" ~line:5 ~col:12) "unexpected";
+    ]
+
 let test_stats_mean () =
   Alcotest.(check (float 1e-12)) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
 
@@ -295,6 +307,8 @@ let () =
           Alcotest.test_case "with_context" `Quick test_err_with_context;
           Alcotest.test_case "fail builds result" `Quick test_err_fail_result;
           Alcotest.test_case "get" `Quick test_err_get;
+          Alcotest.test_case "printexc shows the message" `Quick
+            test_err_printexc;
         ] );
       ( "stats",
         [

@@ -343,6 +343,23 @@ let test_bad_model_flagged () =
         fp.T.fp_validation.T.va_flagged)
     ok.T.r_frontier
 
+(* A NaN tolerance would flag no point and a negative one every point:
+   both are rejected before any work. *)
+let test_bad_tolerance_rejected () =
+  List.iter
+    (fun tol ->
+      match
+        T.run ~max_cu:1 ~jobs:1 ~divergence_tolerance:tol
+          Shmls_kernels.Didactic.laplace_2d ~grids:[ [ 12; 12 ] ]
+      with
+      | exception Shmls_support.Err.Error e ->
+        Alcotest.(check string) "message names the tolerance"
+          (Printf.sprintf
+             "tune: bad divergence tolerance %g (want a finite value >= 0)" tol)
+          (Shmls_support.Err.to_string e)
+      | _ -> Alcotest.failf "tolerance %g was accepted" tol)
+    [ Float.nan; -0.1; Float.infinity ]
+
 let () =
   Alcotest.run "tune"
     [
@@ -380,5 +397,7 @@ let () =
         [
           Alcotest.test_case "seeded bad model is flagged" `Quick
             test_bad_model_flagged;
+          Alcotest.test_case "nan and negative tolerances rejected" `Quick
+            test_bad_tolerance_rejected;
         ] );
     ]
