@@ -3,9 +3,10 @@
     detects deadlock (the StencilFlow failure mode). Values are the
     functional simulator's business; this counts tokens.
 
-    Affine phases — fill, steady state, drain and latency waits, where
-    every occupancy and counter moves by a constant delta per period of
-    at most 8 cycles — are fast-forwarded in closed form up to the next
+    Affine phases — fill, steady state, drain, compute pipelines filling
+    or draining and latency waits, where every occupancy and counter
+    moves by a constant delta per period of at most 8 cycles — are
+    fast-forwarded in closed form up to the next
     firing-guard flip; cycle counts, deadlock verdicts and
     tracer-visible occupancy sequences are identical to firing every
     stage every cycle (the differential suite checks them against that

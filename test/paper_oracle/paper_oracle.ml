@@ -1,8 +1,10 @@
 (* The cycle simulator against the per-cycle tick oracle at a paper
    grid (256x256x128, 8.4M points), where fill and drain each span tens
-   of thousands of cycles and every affine jump covers most of them.
-   Compares cycles, verdict, stalled stage, per-stage progress and final
-   FIFO occupancy; exits 1 on the first design that differs.
+   of thousands of cycles and every affine jump covers most of them;
+   tracer's fused no-split design also fills and drains one compute
+   pipeline 545 iterations deep around its six grid passes.  Compares
+   cycles, verdict, stalled stage, per-stage progress and final FIFO
+   occupancy; exits 1 on the first design that differs.
 
      dune exec test/paper_oracle/paper_oracle.exe *)
 
@@ -16,6 +18,7 @@ let designs =
     (Shmls_kernels.Pw_advection.kernel, "full");
     (Shmls_kernels.Pw_advection.kernel, "no-split");
     (Shmls_kernels.Tracer_advection.kernel, "full");
+    (Shmls_kernels.Tracer_advection.kernel, "no-split");
   ]
   |> List.map (fun ((k : Shmls.Ast.kernel), variant) ->
          ( Printf.sprintf "%s{%s} 256x256x128" k.k_name variant,

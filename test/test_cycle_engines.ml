@@ -98,6 +98,84 @@ let test_variants_trace_exact () =
         ])
     Shmls.Variant.ablation_set
 
+(* [d] with every compute's II and flop count (so its pipeline latency)
+   rebuilt from its ordinal and the old value *)
+let keep _ v = v
+let pw = Shmls_kernels.Pw_advection.kernel
+let ta = Shmls_kernels.Tracer_advection.kernel
+
+let rebuild ~ii ~flops (d : F.Design.t) =
+  let i = ref 0 in
+  {
+    d with
+    d_stages =
+      List.map
+        (function
+          | F.Design.Compute c ->
+            incr i;
+            let ii = ii !i c.ii and flops = flops !i c.flops in
+            F.Design.Compute { c with ii; flops }
+          | s -> s)
+        d.d_stages;
+  }
+
+let check_rebuilt name rebuilt designs =
+  List.iter
+    (fun (k, variant, grid, trace) ->
+      let variant = Shmls.Variant.of_string_exn variant in
+      let c = Shmls.compile_cached ~variant k ~grid in
+      check_same ~trace
+        (Printf.sprintf "%s{%s} %s %s" k.Shmls.Ast.k_name
+           (Shmls.Variant.to_string variant)
+           (String.concat "x" (List.map string_of_int grid))
+           name)
+        (rebuilt c.c_design))
+    designs
+
+(* the compile paths emit only II = 1.  Every compute rebuilt at a
+   larger II starts once per II cycles, so the affine phases have
+   periods 2, 3 and 5, and at II 9 a period past the longest lag tried:
+   the lag screen's start-timing test both accepts and rejects *)
+let test_ii_bit_exact () =
+  List.iter
+    (fun ii ->
+      check_rebuilt
+        (Printf.sprintf "ii=%d" ii)
+        (rebuild ~ii:(fun _ _ -> ii) ~flops:keep)
+        [
+          (pw, "full", [ 12; 8; 6 ], false);
+          (pw, "no-split", [ 12; 8; 6 ], false);
+          (ta, "full", [ 10; 8; 8 ], false);
+          (ta, "no-split", [ 10; 8; 8 ], false);
+          (ta, "full", [ 8; 6; 6 ], true);
+        ])
+    [ 2; 3; 5; 9 ]
+
+(* unequal latencies on reconverging paths leave tokens parked in the
+   short path's FIFOs, so a pipeline drains (or backs up behind a
+   slower II) while its consumers still hold work: only the in-flight
+   guard bounds those jumps.  A compute at II 9 among II 1 ones blocks
+   its producers' retirement while they keep starting, so their
+   in-flight queues outgrow their pipelines *)
+let test_skewed_bit_exact () =
+  List.iter
+    (fun (name, rebuilt) ->
+      check_rebuilt name rebuilt
+        [
+          (pw, "full", [ 12; 8; 6 ], true);
+          (ta, "full", [ 10; 8; 8 ], false);
+          (ta, "full", [ 8; 6; 6 ], true);
+        ])
+    [
+      ("latencies 8-107", rebuild ~ii:keep ~flops:(fun i _ -> i * 37 mod 100));
+      ( "every other latency +90",
+        rebuild ~ii:keep ~flops:(fun i v -> if i mod 2 = 0 then v + 90 else v)
+      );
+      ("II 1-3", rebuild ~ii:(fun i _ -> 1 + (i mod 3)) ~flops:keep);
+      ( "compute 3 at II 9",
+        rebuild ~ii:(fun i _ -> if i = 3 then 9 else 1) ~flops:keep );
+    ]
+
 (* a converging chain with unbalanced FIFO depths throttles or wedges;
    both engines must agree on the verdict and the blamed stage *)
 let test_unbalanced_chain_bit_exact () =
@@ -110,19 +188,23 @@ let test_unbalanced_chain_bit_exact () =
 
 (* the fast-forward must actually engage on the paper kernels: nearly
    everything is covered in closed form.  At the five paper_eval
-   configurations the measured cycles, the detected period and a
-   stepped-cycle budget are pinned: fill and drain jump too, so only
-   the cycles between affine phases are stepped *)
+   configurations and both no-split designs at 256x256x128 the measured
+   cycles, the detected period and a stepped-cycle budget are pinned:
+   fill, drain and filling or draining compute pipelines jump too, so
+   only the cycles between affine phases are stepped.  A budget is the
+   count measured when it was set; it may only be tightened *)
 let test_steady_state_detected () =
   let module PW = Shmls_kernels.Pw_advection in
   let module TA = Shmls_kernels.Tracer_advection in
   let pw = PW.kernel and ta = TA.kernel in
   List.iter
-    (fun (k, grid, pinned) ->
-      let c = Shmls.compile_cached k ~grid in
+    (fun (k, variant, grid, pinned) ->
+      let variant = Shmls.Variant.of_string_exn variant in
+      let c = Shmls.compile_cached ~variant k ~grid in
       let r = Cs.run c.c_design in
       let name =
-        Printf.sprintf "%s %s" k.Shmls.Ast.k_name
+        Printf.sprintf "%s{%s} %s" k.Shmls.Ast.k_name
+          (Shmls.Variant.to_string variant)
           (String.concat "x" (List.map string_of_int grid))
       in
       Alcotest.(check bool) (name ^ ": not deadlocked") false r.deadlocked;
@@ -148,13 +230,15 @@ let test_steady_state_detected () =
           Alcotest.failf "%s: %d cycles stepped (budget %d)" name
             r.cycles_simulated max_stepped)
     [
-      (pw, [ 16; 12; 10 ], None);
-      (ta, [ 12; 10; 8 ], None);
-      (pw, PW.grid_8m, Some (8_687_020, (1, 3), 500));
-      (pw, PW.grid_32m, Some (34_445_740, (1, 3), 500));
-      (pw, PW.grid_134m, Some (137_480_620, (1, 3), 500));
-      (ta, TA.grid_8m, Some (9_299_769, (1, 6), 2_000));
-      (ta, TA.grid_33m, Some (36_874_041, (1, 6), 2_000));
+      (pw, "full", [ 16; 12; 10 ], None);
+      (ta, "full", [ 12; 10; 8 ], None);
+      (pw, "full", PW.grid_8m, Some (8_687_020, (1, 3), 9));
+      (pw, "full", PW.grid_32m, Some (34_445_740, (1, 3), 9));
+      (pw, "full", PW.grid_134m, Some (137_480_620, (1, 3), 9));
+      (ta, "full", TA.grid_8m, Some (9_299_769, (1, 6), 76));
+      (ta, "full", TA.grid_33m, Some (36_874_041, (1, 6), 76));
+      (pw, "no-split", [ 256; 256; 128 ], Some (25_960_031, (1, 1), 6));
+      (ta, "no-split", [ 256; 256; 128 ], Some (55_579_937, (1, 1), 9));
     ]
 
 (* the perf model's fill/steady split, cross-checked against the event
@@ -214,6 +298,9 @@ let () =
             test_variants_trace_exact;
           Alcotest.test_case "unbalanced chain bit-exact" `Quick
             test_unbalanced_chain_bit_exact;
+          Alcotest.test_case "II > 1 bit-exact" `Quick test_ii_bit_exact;
+          Alcotest.test_case "skewed pipelines bit-exact" `Quick
+            test_skewed_bit_exact;
           qcheck_random_grids;
         ] );
       ( "steady state",
