@@ -234,9 +234,3 @@ let store_bounds (op : Ir.op) =
   Ty.make_bounds
     ~lb:(Attr.ints_exn (Ir.Op.get_attr_exn op "lb"))
     ~ub:(Attr.ints_exn (Ir.Op.get_attr_exn op "ub"))
-
-(* All stencil.access ops in an apply body that read a given block arg. *)
-let accesses_of_arg apply_op_ arg =
-  Ir.Op.collect apply_op_ (fun o ->
-      Ir.Op.name o = access_op
-      && Ir.Value.equal (Ir.Op.operand o 0) arg)

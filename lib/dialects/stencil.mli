@@ -56,7 +56,3 @@ val apply_region : Ir.op -> Ir.region
 val apply_block : Ir.op -> Ir.block
 val access_offset : Ir.op -> int list
 val store_bounds : Ir.op -> Ty.bounds
-
-(** All stencil.access / dyn_access ops in an apply body reading a given
-    block argument. *)
-val accesses_of_arg : Ir.op -> Ir.value -> Ir.op list

@@ -35,6 +35,7 @@ and op = {
   mutable o_prev : op option; (* intrusive block list links *)
   mutable o_next : op option;
   mutable o_loc : Loc.t;
+  mutable o_order : int; (* position in the parent block, see b_ordered *)
 }
 
 and block = {
@@ -43,6 +44,7 @@ and block = {
   mutable b_first : op option;
   mutable b_last : op option;
   mutable b_num_ops : int;
+  mutable b_ordered : bool; (* every op's o_order is current *)
   mutable b_parent : region option;
 }
 
@@ -188,6 +190,7 @@ module Op = struct
         o_prev = None;
         o_next = None;
         o_loc = loc;
+        o_order = 0;
       }
     in
     op.o_results <-
@@ -276,6 +279,21 @@ module Op = struct
     walk op (fun o -> if p o then acc := o :: !acc);
     List.rev !acc
 
+  (* Like MLIR's isBeforeInBlock: a block numbers its ops on the first
+     query after an insertion (removal keeps the order). *)
+  let is_before_in_block a b =
+    match (a.o_parent, b.o_parent) with
+    | Some blk, Some blk' when blk == blk' ->
+      if not blk.b_ordered then begin
+        let i = ref 0 in
+        iter_block_ops blk (fun o ->
+            o.o_order <- !i;
+            incr i);
+        blk.b_ordered <- true
+      end;
+      a.o_order < b.o_order
+    | _ -> false
+
   let is_terminator op =
     match op.o_name with
     | "func.return" | "scf.yield" | "stencil.return" | "cf.br" | "cf.cond_br"
@@ -298,6 +316,7 @@ module Block = struct
         b_first = None;
         b_last = None;
         b_num_ops = 0;
+        b_ordered = true;
         b_parent = None;
       }
     in
@@ -342,7 +361,8 @@ module Block = struct
     | None -> b.b_first <- Some op
     | Some l -> l.o_next <- Some op);
     b.b_last <- Some op;
-    b.b_num_ops <- b.b_num_ops + 1
+    b.b_num_ops <- b.b_num_ops + 1;
+    b.b_ordered <- false
 
   let prepend b op =
     Op.detach op;
@@ -353,7 +373,8 @@ module Block = struct
     | None -> b.b_last <- Some op
     | Some f -> f.o_prev <- Some op);
     b.b_first <- Some op;
-    b.b_num_ops <- b.b_num_ops + 1
+    b.b_num_ops <- b.b_num_ops + 1;
+    b.b_ordered <- false
 
   let check_anchor what b (anchor : op) =
     match anchor.o_parent with
@@ -370,7 +391,8 @@ module Block = struct
     | None -> b.b_first <- Some op
     | Some p -> p.o_next <- Some op);
     anchor.o_prev <- Some op;
-    b.b_num_ops <- b.b_num_ops + 1
+    b.b_num_ops <- b.b_num_ops + 1;
+    b.b_ordered <- false
 
   let insert_after b ~anchor op =
     check_anchor "insert_after" b anchor;
@@ -382,7 +404,8 @@ module Block = struct
     | None -> b.b_last <- Some op
     | Some n -> n.o_prev <- Some op);
     anchor.o_next <- Some op;
-    b.b_num_ops <- b.b_num_ops + 1
+    b.b_num_ops <- b.b_num_ops + 1;
+    b.b_ordered <- false
 
   let terminator b =
     match b.b_last with

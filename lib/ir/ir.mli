@@ -27,6 +27,9 @@ and op = {
   mutable o_prev : op option;  (** intrusive block-list link *)
   mutable o_next : op option;
   mutable o_loc : Loc.t;
+  mutable o_order : int;
+      (** position in the parent block; read it through
+          {!Op.is_before_in_block} *)
 }
 
 and block = {
@@ -35,6 +38,7 @@ and block = {
   mutable b_first : op option;
   mutable b_last : op option;
   mutable b_num_ops : int;
+  mutable b_ordered : bool;  (** every op's [o_order] is current *)
   mutable b_parent : region option;
 }
 
@@ -129,6 +133,11 @@ module Op : sig
   (** All nested ops (including self) satisfying the predicate, in
       pre-order. *)
   val collect : t -> (t -> bool) -> t list
+
+  (** [is_before_in_block a b]: [a] and [b] are in the same block and
+      [a] comes first. O(1), once the block has numbered its ops: it
+      does so on the first query after an insertion. *)
+  val is_before_in_block : t -> t -> bool
 
   val is_terminator : t -> bool
 end

@@ -126,24 +126,31 @@ let nb_index halo offset =
       (acc * ((2 * h) + 1)) + (o + h))
     0 halo offset
 
+(* Uses of [v] by [name] ops that still read [v] in that slot: a stale
+   use-list entry never counts. *)
+let live_uses name (v : Ir.value) =
+  List.filter
+    (fun (u : Ir.use) ->
+      Ir.Op.name u.u_op = name
+      && u.u_index < Ir.Op.num_operands u.u_op
+      && u.u_op.o_operands.(u.u_index) == v)
+    (Ir.Value.uses v)
+
 (* Per-source halo: max |offset| per dimension over every stencil.access
    of any apply argument bound to [source]. *)
-let source_halo (func : Ir.op) (source : Ir.value) rank =
+let source_halo (source : Ir.value) rank =
   let h = Array.make rank 0 in
-  Ir.Op.walk func (fun op ->
-      if Ir.Op.name op = Stencil.apply_op then
-        List.iteri
-          (fun i operand ->
-            if Ir.Value.equal operand source then
-              let arg = Ir.Block.arg (Stencil.apply_block op) i in
-              List.iter
-                (fun (acc : Ir.op) ->
-                  if Ir.Op.name acc = Stencil.access_op then
-                    List.iteri
-                      (fun d o -> h.(d) <- max h.(d) (abs o))
-                      (Stencil.access_offset acc))
-                (Stencil.accesses_of_arg op arg))
-          (Ir.Op.operands op));
+  List.iter
+    (fun (u : Ir.use) ->
+      let arg = Ir.Block.arg (Stencil.apply_block u.u_op) u.u_index in
+      List.iter
+        (fun (a : Ir.use) ->
+          if a.u_index = 0 then
+            List.iteri
+              (fun d o -> h.(d) <- max h.(d) (abs o))
+              (Stencil.access_offset a.u_op))
+        (live_uses Stencil.access_op arg))
+    (live_uses Stencil.apply_op source);
   Array.to_list h
 
 (* ------------------------------------------------------------------ *)

@@ -34,7 +34,13 @@ val nb_size : int list -> int
     raises if the offset exceeds the halo. *)
 val nb_index : int list -> int list -> int
 
-val source_halo : Ir.op -> Ir.value -> int -> int list
+(** Uses of a value by ops of the given name that still read the value
+    in that operand slot. *)
+val live_uses : string -> Ir.value -> Ir.use list
+
+(** Per-dimension halo of a source: the largest |offset| of any
+    stencil.access reading an apply argument bound to it. *)
+val source_halo : Ir.value -> int -> int list
 
 type plan = {
   p_kernel_name : string;

@@ -45,19 +45,14 @@ let analyze_func ~variant (func : Ir.op) =
       (fun (ld : Ir.op) -> class_of (Ir.Op.operand ld 0) <> Small_constant)
       load_ops
   in
-  let apply_reader_count v =
-    List.fold_left
-      (fun n (a : Ir.op) ->
-        n
-        + List.length
-            (List.filter (fun o -> Ir.Value.equal o v) (Ir.Op.operands a)))
-      0 applies
-  in
+  (* Readers and halos come from each source's use list, so a source
+     costs its own uses, not a walk of the function. *)
+  let apply_reader_count v = List.length (live_uses Stencil.apply_op v) in
   let store_reader_count v =
     List.length
       (List.filter
-         (fun (st : Ir.op) -> Ir.Value.equal (Ir.Op.operand st 0) v)
-         stores)
+         (fun (u : Ir.use) -> u.u_index = 0 && List.memq u.u_op stores)
+         (live_uses Stencil.store_op v))
   in
   let name_of_arg arg =
     let rec go i = function
@@ -76,7 +71,7 @@ let analyze_func ~variant (func : Ir.op) =
       add_source temp
         {
           so_name = name_of_arg (Ir.Op.operand ld 0);
-          so_halo = source_halo func temp rank;
+          so_halo = source_halo temp rank;
           so_is_field = true;
           so_apply_readers = readers;
           so_store_readers = store_reader_count temp;
@@ -89,7 +84,7 @@ let analyze_func ~variant (func : Ir.op) =
     (fun i (a : Ir.op) ->
       let temp = Ir.Op.result a 0 in
       let readers = apply_reader_count temp in
-      let halo = source_halo func temp rank in
+      let halo = source_halo temp rank in
       add_source temp
         {
           so_name = Printf.sprintf "t%d" i;

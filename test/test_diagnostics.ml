@@ -264,6 +264,135 @@ let test_verifier_anchors_at_op () =
   | () -> Alcotest.fail "unregistered op must not verify"
 
 (* ------------------------------------------------------------------ *)
+(* Verifier negative cases: each names its op and value, and anchors at
+   the offending op's line. Textual IR cannot spell a forward reference,
+   so the same-block cases are built by rewiring a parsed operand. *)
+
+(* A module holding [outer] and then one func.func; with no [outer], the
+   func body starts on line 3. *)
+let func_module ?(outer = "") body =
+  Parser.parse_module ~file:"t.mlir"
+    ("\"builtin.module\"() ({\n" ^ outer ^ "  \"func.func\"() ({\n" ^ body
+   ^ "    \"func.return\"() : () -> ()\n\
+     \  }) {function_type = () -> (), sym_name = \"f\"} : () -> ()\n\
+      }) : () -> ()")
+
+let ops_named m name = Ir.Op.collect m (fun o -> Ir.Op.name o = name)
+
+let expect_error m ~msg ~line =
+  match Verifier.verify m with
+  | Ok () -> Alcotest.failf "expected %S at line %d; the module verified" msg line
+  | Error e ->
+    Alcotest.(check string) "message" msg e.Diagnostic.d_message;
+    Alcotest.(check (option int)) "line" (Some line) (Loc.line e.d_loc);
+    Alcotest.(check (list string)) "no context" [] e.d_context
+
+let undefined op_name v =
+  Printf.sprintf "op %s: operand %%v%d used before definition" op_name
+    (Ir.Value.id v)
+
+let three_ops =
+  "    %0 = \"arith.constant\"() {value = 0} : () -> (index)\n\
+  \    %1 = \"arith.addi\"(%0, %0) : (index, index) -> (index)\n\
+  \    %2 = \"arith.constant\"() {value = 1} : () -> (index)\n"
+
+let test_use_before_def_same_block () =
+  let m = func_module three_ops in
+  let add = List.hd (ops_named m "arith.addi") in
+  let later = Ir.Op.result (List.nth (ops_named m "arith.constant") 1) 0 in
+  Ir.Op.set_operand add 1 later;
+  expect_error m ~msg:(undefined "arith.addi" later) ~line:4
+
+let test_op_reads_own_result () =
+  let m = func_module three_ops in
+  let add = List.hd (ops_named m "arith.addi") in
+  Ir.Op.set_operand add 0 (Ir.Op.result add 0);
+  expect_error m ~msg:(undefined "arith.addi" (Ir.Op.result add 0)) ~line:4
+
+let loop ?(indent = "    ") ~iv body =
+  Printf.sprintf
+    "%s\"scf.for\"(%%c, %%c, %%c) ({\n%s^bb%s(%%%s: index):\n%s%s  \"scf.yield\"() : () -> ()\n%s}) : (index, index, index) -> ()\n"
+    indent indent iv iv body indent indent
+
+let const_c = "    %c = \"arith.constant\"() {value = 0} : () -> (index)\n"
+
+let test_sibling_region_value () =
+  let m =
+    func_module
+      (const_c
+      ^ loop ~iv:"1" "      %2 = \"arith.addi\"(%1, %1) : (index, index) -> (index)\n"
+      ^ loop ~iv:"3" "      %4 = \"arith.addi\"(%3, %2) : (index, index) -> (index)\n")
+  in
+  let first = Ir.Op.result (List.hd (ops_named m "arith.addi")) 0 in
+  expect_error m ~msg:(undefined "arith.addi" first) ~line:11
+
+(* A module-level value is invisible inside a func.func at any depth: the
+   scope chain stops before the block around the isolated op. *)
+let test_use_across_isolation () =
+  let outer = "  %g = \"arith.constant\"() {value = 1} : () -> (index)\n" in
+  let check body ~line =
+    let m = func_module ~outer body in
+    let g = Ir.Op.result (List.hd (ops_named m "arith.constant")) 0 in
+    expect_error m ~msg:(undefined "arith.addi" g) ~line
+  in
+  (* depth 1: the func body itself *)
+  check "    %1 = \"arith.addi\"(%g, %g) : (index, index) -> (index)\n" ~line:4;
+  (* depth 2: inside a loop in the func, the block around the func stays
+     invisible too *)
+  check
+    (const_c ^ loop ~iv:"1" "      %2 = \"arith.addi\"(%1, %g) : (index, index) -> (index)\n")
+    ~line:7;
+  (* depth 3 *)
+  check
+    (const_c
+    ^ loop ~iv:"1"
+        (loop ~indent:"      " ~iv:"2"
+           "        %3 = \"arith.addi\"(%2, %g) : (index, index) -> (index)\n"))
+    ~line:9
+
+let test_operand_missing_from_use_list () =
+  (* [uses] extra readers put %0 past the verifier's short-list cutoff,
+     so both of its use-list paths are exercised *)
+  List.iter
+    (fun uses ->
+      let body =
+        "    %0 = \"arith.constant\"() {value = 0} : () -> (index)\n\
+        \    %1 = \"arith.constant\"() {value = 1} : () -> (index)\n\
+        \    %2 = \"arith.addi\"(%0, %1) : (index, index) -> (index)\n"
+        ^ String.concat ""
+            (List.init uses (fun i ->
+                 Printf.sprintf
+                   "    %%r%d = \"arith.addi\"(%%0, %%0) : (index, index) -> (index)\n"
+                   i))
+      in
+      let m = func_module body in
+      let add = List.hd (ops_named m "arith.addi") in
+      (* bypass Op.set_operand: %0's use list never hears of this slot,
+         and %1's keeps a stale entry for it *)
+      add.Ir.o_operands.(1) <- add.Ir.o_operands.(0);
+      expect_error m
+        ~msg:"op arith.addi: operand 1 not recorded in value's use list"
+        ~line:5)
+    [ 0; 6 ]
+
+(* Known deviation from MLIR dominance, kept on purpose: a nested region
+   may read any value of an enclosing block, even one defined after the
+   op that owns the region. *)
+let test_enclosing_value_defined_later () =
+  let m =
+    func_module
+      (const_c
+      ^ loop ~iv:"1" "      %2 = \"arith.addi\"(%1, %c) : (index, index) -> (index)\n"
+      ^ "    %late = \"arith.constant\"() {value = 1} : () -> (index)\n")
+  in
+  let add = List.hd (ops_named m "arith.addi") in
+  let late = Ir.Op.result (List.nth (ops_named m "arith.constant") 1) 0 in
+  Ir.Op.set_operand add 1 late;
+  match Verifier.verify m with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rejected: %s" (Err.to_string e)
+
+(* ------------------------------------------------------------------ *)
 (* Acceptance: an injected verifier failure mid-way through the HLS
    lowering names the pass, the op, and resolves to the kernel source. *)
 
@@ -352,6 +481,21 @@ let () =
             test_ir_auto_stamp_and_explicit_loc;
           Alcotest.test_case "verifier anchors at the op" `Quick
             test_verifier_anchors_at_op;
+        ] );
+      ( "verifier",
+        [
+          Alcotest.test_case "use before definition in the block" `Quick
+            test_use_before_def_same_block;
+          Alcotest.test_case "op reads its own result" `Quick
+            test_op_reads_own_result;
+          Alcotest.test_case "value from a sibling region" `Quick
+            test_sibling_region_value;
+          Alcotest.test_case "use across isolation at any depth" `Quick
+            test_use_across_isolation;
+          Alcotest.test_case "operand missing from its use list" `Quick
+            test_operand_missing_from_use_list;
+          Alcotest.test_case "enclosing value defined later" `Quick
+            test_enclosing_value_defined_later;
         ] );
       ( "injected-verifier-failure",
         [

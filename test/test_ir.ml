@@ -139,6 +139,24 @@ let test_insert_after () =
   in
   Alcotest.(check (list (float 0.0))) "after anchor" [ 1.0; 2.0 ] values
 
+let test_is_before_in_block () =
+  let b = Ir.Block.create () in
+  let c1 = make_const 1.0 and c2 = make_const 2.0 and c3 = make_const 3.0 in
+  Ir.Block.append b c1;
+  Ir.Block.append b c2;
+  let before x y = Ir.Op.is_before_in_block x y in
+  Alcotest.(check (list bool)) "appended" [ true; false; false ]
+    [ before c1 c2; before c2 c1; before c1 c1 ];
+  (* an insertion after a query renumbers on the next query *)
+  Ir.Block.insert_before b ~anchor:c1 c3;
+  Alcotest.(check (list bool)) "inserted first" [ true; true; false ]
+    [ before c3 c1; before c3 c2; before c2 c3 ];
+  Ir.Op.detach c1;
+  Alcotest.(check (list bool)) "detached" [ true; false; false ]
+    [ before c3 c2; before c1 c2; before c2 c1 ];
+  Ir.Block.append b c1;
+  Alcotest.(check bool) "re-appended last" true (before c2 c1)
+
 let test_walk_collect () =
   let m = Ir.Module_.create () in
   let region = Builder.build_region (fun b _ ->
@@ -220,6 +238,7 @@ let () =
         [
           Alcotest.test_case "insertion order" `Quick test_block_insertion;
           Alcotest.test_case "insert_after" `Quick test_insert_after;
+          Alcotest.test_case "is_before_in_block" `Quick test_is_before_in_block;
         ] );
       ( "traversal",
         [

@@ -1,7 +1,9 @@
 (* Deterministic performance-smoke tests: instead of timing (noisy on
    shared CI), assert the algorithmic counters the perf work targets —
    worklist-driver visit/iteration budgets on the paper kernels, the
-   compile-once guarantee of evaluate_all, and the pass-manager memo. *)
+   compile-once guarantee of evaluate_all, and the pass-manager memo.
+   The one timed check, verifier scaling, compares two sizes in one
+   process, so the machine's speed cancels out. *)
 
 let () = Shmls_dialects.Register.all ()
 let () = Shmls_transforms.Register.all ()
@@ -354,6 +356,49 @@ let test_op_stats_gated () =
   Alcotest.(check bool) "op_stats run counted" true s.Pass.ops_counted;
   Alcotest.(check int) "count matches module" (Ir.count_ops m) s.Pass.ops_after
 
+(* ------------------------------------------------------------------ *)
+(* Verifier scaling *)
+
+(* A func.func with [n] sibling scf.for loops on three shared bound
+   constants: 12,006 ops at n = 4,000, two constants with n uses and one
+   with 2n, and every loop body reads a value of the enclosing block. *)
+let sibling_loops n =
+  let m = Ir.Module_.create () in
+  let _ =
+    Shmls_dialects.Func.build_func m ~name:"f" ~arg_tys:[] ~result_tys:[]
+      (fun b _ ->
+        let lb = Shmls_dialects.Arith.constant_index b 0 in
+        let ub = Shmls_dialects.Arith.constant_index b 8 in
+        let step = Shmls_dialects.Arith.constant_index b 1 in
+        for _ = 1 to n do
+          ignore
+            (Shmls_dialects.Scf.for_ b ~lb ~ub ~step (fun body iv ->
+                 ignore (Shmls_dialects.Arith.addi body iv step)))
+        done;
+        Shmls_dialects.Func.return_ b [])
+  in
+  m
+
+(* The verifier is one walk, linear in ops plus uses: 4x the loops may
+   not cost 8x the time (a verifier quadratic in the number of sibling
+   regions or in use-list length takes about 15x). Median of 5 CPU-time
+   runs per size, interleaved, each after a full major collection. *)
+let test_verify_scaling () =
+  let small = sibling_loops 1000 and big = sibling_loops 4000 in
+  let time m =
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    Verifier.verify_exn m;
+    Sys.time () -. t0
+  in
+  ignore (time small, time big);
+  let runs = List.init 5 (fun _ -> let s = time small in (s, time big)) in
+  let median l = List.nth (List.sort compare l) 2 in
+  let ratio = median (List.map snd runs) /. median (List.map fst runs) in
+  if ratio > 8.0 then
+    Alcotest.failf "verify on 4x the loops took %.1fx the time (budget 8x)"
+      ratio
+
 let () =
   Alcotest.run "perf-smoke"
     [
@@ -394,4 +439,6 @@ let () =
           Alcotest.test_case "no-op memo" `Quick test_pass_memo;
           Alcotest.test_case "gated op counting" `Quick test_op_stats_gated;
         ] );
+      ( "verifier",
+        [ Alcotest.test_case "linear scaling" `Quick test_verify_scaling ] );
     ]
