@@ -386,8 +386,8 @@ let verify_arg =
     value & flag
     & info [ "verify" ]
         ~doc:
-          "Run the generated design in the functional simulator (its \
-           whole-stream batched plan) against the reference interpreter.")
+          "Run the generated design in the functional simulator against \
+           the reference interpreter.")
 
 let evaluate_arg =
   Arg.(

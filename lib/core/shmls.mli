@@ -96,17 +96,17 @@ type compiled = {
   c_pass_stats : Pass.stat list;
       (** wall time / op-count deltas of the nine HLS lowering steps *)
   c_plan : Stage_compiler.t Lazy.t;
-      (** per-element plan, test oracle: the design-level reference the
-          differential suite compares [c_plan_batched] against. No
-          library entry point forces it. *)
-  c_plan_batched : Stage_compiler.t Lazy.t;
-      (** whole-stream batched plan — the functional engine — built
-          once on first use. The plan is immutable and shared across
-          domains: parallel sweeps run it against per-domain run
+      (** the functional engine's plan ({!Stage_compiler.compile}),
+          built once on first use. The plan is immutable and shared
+          across domains: parallel sweeps run it against per-domain run
           states. Force it through the library entry points
           ({!run_design}, {!verify}, {!sweep}, {!report_text}), which
           serialize the forcing; [Lazy.force] from several domains at
           once is not safe. *)
+  c_plan_batched : Stage_compiler.t Lazy.t;
+      (** the same suspension as [c_plan]. It stays for the benchmark
+          pipeline's mirror of this record, and goes when that mirror
+          is deleted. *)
 }
 
 (** Run the full Stencil-HMLS compilation pipeline.
@@ -137,9 +137,8 @@ type verification = {
 }
 
 (** Execute the compiled design once on the given argument values
-    through its whole-stream batched plan
-    ({!Stage_compiler.compile_batched}), forcing the shared plan safely;
-    the call is safe from several domains at once. *)
+    through its plan ({!Stage_compiler.compile}), forcing the shared
+    plan safely; the call is safe from several domains at once. *)
 val run_design : compiled -> args:Functional.value array -> unit
 
 (** The reference interpreter's state after one run of the kernel on

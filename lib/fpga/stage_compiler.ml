@@ -22,11 +22,13 @@
        time and emit no step at all);
      - stream buffers are [float array] ring buffers with O(1)
        push/pop/length, sized from the design (every stream carries one
-       token per padded point).  The per-element plan stores a vector
-       token of width [w] as [w] consecutive floats; the batched plan
-       never materialises one — a shift stage's output is a window, one
-       NaN-padded copy of its input that consumers index by neighbour
-       offset (see {!window}).
+       token per padded point).  A neighbourhood token is never
+       materialised: a shift stage's output is a window, one NaN-padded
+       copy of its input that consumers index by neighbour offset (see
+       {!window});
+     - a compute loop whose body is independent per element runs in
+       whole-stream blocks over dense columns (see "Batched compute-loop
+       compilation"); any other loop runs its per-element compilation.
 
    The compiled artefact is split in two:
 
@@ -41,15 +43,12 @@
        across runs, and cached per (domain, plan) so repeated runs on
        the same worker reuse one allocation ({!run}).
 
-   Two plan flavours share all of this: the whole-stream batched plan
-   ([compile_batched]) is the engine the product runs; the per-element
-   plan ([compile]) is its fallback for non-batchable loops and the
-   design-level oracle of the differential suite
-   (test_functional_compiled), which asserts bit-identical outputs and
-   error parity (same message, same {!Loc}) between the two, and both
-   against the reference stencil interpreter — including one shared plan
-   driven concurrently from several domains with independent run
-   states. *)
+   There is one kind of plan.  Its oracle is the reference stencil
+   interpreter: the differential suite (test_functional_compiled)
+   compares every float of every field, halos included, bit for bit
+   against {!Shmls_interp.Interp}, pins the message and {!Loc} of each
+   mis-wired-design error, and drives one shared plan concurrently from
+   several domains with independent run states. *)
 
 open Shmls_ir
 open Shmls_dialects
@@ -64,16 +63,14 @@ open Shmls_dialects
    directly — pushes land at [rg_head + rg_len], pops read at
    [rg_head] — with no modulo arithmetic anywhere. *)
 
-(* The padded-buffer geometry of a shift window (batched plans only).
-   A shift over [extent] with [halo] copies its scalar input once into
-   a buffer of extent + 2*halo in every dimension whose pad is NaN.
-   Row [r] of the extent (its tokens [r * wn_inner ..]) starts at
-   padded index [window_row win r], and tokens are consecutive inside a
-   row; neighbour [k] of a token (row-major over the halo cube, the
-   lane order of the materialising shift) sits [wn_pdelta.(k)] from
-   it.  An out-of-range neighbour lands in the pad and reads NaN —
-   exactly where the materialising shift writes NaN, so every lane is
-   bit-identical. *)
+(* The padded-buffer geometry of a shift window.  A shift over
+   [extent] with [halo] copies its scalar input once into a buffer of
+   extent + 2*halo in every dimension whose pad is NaN.  Row [r] of the
+   extent (its tokens [r * wn_inner ..]) starts at padded index
+   [window_row win r], and tokens are consecutive inside a row;
+   neighbour [k] of a token (row-major over the halo cube, the lane
+   order of the stream's vector type) sits [wn_pdelta.(k)] from it.  An
+   out-of-range neighbour lands in the pad and reads NaN. *)
 type window = {
   wn_total : int; (* tokens: points of the extent *)
   wn_inner : int; (* innermost extent: tokens per row *)
@@ -98,8 +95,8 @@ type ring = {
   rg_stream : int; (* SSA stream id, for error messages *)
   rg_width : int; (* floats per token (1 = scalar stream) *)
   rg_borrowed : bool;
-      (* [rg_data] is not the ring's own storage: a batched dup output
-         (it aliases the input's) or a window (its shift points it at
+      (* [rg_data] is not the ring's own storage: a dup output (it
+         aliases the input's) or a window (its shift points it at
          [rg_pad]); emptied at the start of every run, so a stray push
          never writes into another stage's buffer *)
   rg_win : window option;
@@ -108,7 +105,7 @@ type ring = {
                                    across runs (NaN pad written once) *)
   mutable rg_head : int; (* index of the first queued float *)
   mutable rg_len : int; (* queued floats; a window counts [width] per
-                           token, like the materialised stream *)
+                           token *)
 }
 
 let ring_create ~stream ~width ~tokens ~borrowed ~win =
@@ -165,7 +162,7 @@ let starved loc = Err.raise_error ~loc "functional sim: read from empty stream"
 
 (* Fail like a starved pop unless [n] floats are queued — used by the
    bulk stage loops below, which then index [rg_data] directly. *)
-let ring_require ?(loc = Loc.unknown) r n = if r.rg_len < n then starved loc
+let ring_require r n = if r.rg_len < n then starved Loc.unknown
 
 let ring_drop r n =
   r.rg_head <- r.rg_head + n;
@@ -175,6 +172,7 @@ let ring_drop r n =
 (* Per-run state: every mutable word a run touches lives here *)
 
 type run_state = {
+  rs_plan : int; (* [pl_id] of the plan that created this state *)
   mutable rs_args : Functional.value array;
   rs_fregs : float array; (* seeded from the plan's float constant pool *)
   rs_iregs : int array; (* seeded from the plan's int constant pool *)
@@ -182,11 +180,11 @@ type run_state = {
   rs_poff : int array;
   rs_vecs : float array array; (* neighbourhood scratch, one per KV slot *)
   rs_rings : ring array; (* plan ring-descriptor order (ascending id) *)
-  (* Batched-engine column files (empty for per-element plans).  A
-     batched compute loop processes the stream in blocks of up to
-     [pl_batch] elements: every in-loop SSA value becomes a dense
-     column, one lane per element of the current block. *)
-  rs_fcols : float array array; (* float columns, [pl_batch] lanes each *)
+  (* Column files.  A batched compute loop processes the stream in
+     blocks of up to [batch_width] elements: every in-loop SSA value
+     becomes a dense column, one lane per element of the current
+     block. *)
+  rs_fcols : float array array; (* float columns, [batch_width] lanes each *)
   rs_icols : int array array; (* int/i1 columns *)
   rs_pcols_base : float array array; (* pointer columns: shared base ... *)
   rs_pcols_off : int array array; (* ... plus a per-lane offset column *)
@@ -205,7 +203,7 @@ type kind =
   | KP of int (* pointer or memref slot: base array + offset *)
   | KV of int (* vector-token slot: a private scratch array *)
   | KS of int * int * int
-      (* batched engine only: an extracted neighbourhood lane left in
+      (* batched loops only: an extracted neighbourhood lane left in
          its window — (ring, padded-index column, lane offset).  Lane
          [j] of the block is [rg_data.(pidx.(j) + offset)]; consumers
          read it in place instead of gathering it into a dense column
@@ -291,8 +289,7 @@ type t = {
   pl_const_i : int array; (* constant pool: initial int registers *)
   pl_np : int;
   pl_vec_widths : int array;
-  pl_batch : int; (* batched block width; 0 = per-element plan *)
-  pl_n_fcols : int; (* batched column-file sizes *)
+  pl_n_fcols : int; (* column-file sizes *)
   pl_n_icols : int;
   pl_n_pcols : int;
   pl_bind : Functional.value array -> run_state -> unit;
@@ -308,9 +305,13 @@ let state_count () = Atomic.get state_counter
 let reset_state_count () = Atomic.set state_counter 0
 let stats t = t.pl_stats
 
+(* Lanes per block of a batched compute loop. *)
+let batch_width = 64
+
 let create_state (t : t) : run_state =
   Atomic.incr state_counter;
   {
+    rs_plan = t.pl_id;
     rs_args = [||];
     rs_fregs = Array.copy t.pl_const_f;
     rs_iregs = Array.copy t.pl_const_i;
@@ -325,10 +326,10 @@ let create_state (t : t) : run_state =
             ~tokens:(Design.total_padded t.pl_design)
             ~borrowed:rd.rd_borrowed ~win:rd.rd_win)
         t.pl_ring_descs;
-    rs_fcols = Array.init t.pl_n_fcols (fun _ -> Array.make t.pl_batch 0.0);
-    rs_icols = Array.init t.pl_n_icols (fun _ -> Array.make t.pl_batch 0);
+    rs_fcols = Array.init t.pl_n_fcols (fun _ -> Array.make batch_width 0.0);
+    rs_icols = Array.init t.pl_n_icols (fun _ -> Array.make batch_width 0);
     rs_pcols_base = Array.make t.pl_n_pcols [||];
-    rs_pcols_off = Array.init t.pl_n_pcols (fun _ -> Array.make t.pl_batch 0);
+    rs_pcols_off = Array.init t.pl_n_pcols (fun _ -> Array.make batch_width 0);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -342,8 +343,7 @@ type cctx = {
   ring_index : (int, int) Hashtbl.t; (* SSA stream id -> rs_rings index *)
   ring_win : window option array; (* per rs_rings index *)
   mutable folded : int;
-  (* batched-engine compilation state ([c_batched] plans only) *)
-  c_batched : bool;
+  (* batched-loop compilation state *)
   cols : (int, kind) Hashtbl.t; (* in-loop SSA id -> column slot *)
   vec_ring : (int, int * int * window) Hashtbl.t;
       (* KV slot -> (ring idx, padded-index column, window) *)
@@ -402,15 +402,12 @@ let ring_idx c v =
    [extractvalue] lane reads the window at that column plus the lane's
    offset.
 
-   Bit-exactness vs the per-element engine is structural: every lane's
-   dataflow is the identical float expression, evaluated op-at-a-time
-   instead of element-at-a-time, and batchable loops contain no stores,
-   so no partial-block state is observable.  Starved reads are detected
-   before a block touches anything; the remainder then re-runs through
-   the per-element body so the raised error (message, [Loc], which read
-   fires first) matches the per-element plan exactly. *)
-
-let batch_width = 64
+   Every lane's dataflow is the float expression the per-element body
+   evaluates, op-at-a-time instead of element-at-a-time, and batchable
+   loops contain no stores, so no partial-block state is observable.
+   Starved reads are detected before a block touches anything; the
+   remainder then re-runs through the per-element body, so the raised
+   error carries the [Loc] of the read that starves first. *)
 
 exception Not_batchable
 
@@ -585,8 +582,8 @@ let[@inline] icmp_apply k (a : int) b =
 
 (* Compile one batchable-loop body op into an optional per-block step
    [fun rs n -> ...] over the first [n] lanes.  Raises [Not_batchable]
-   on anything outside the subset; the caller falls back to the
-   per-element loop. *)
+   on anything outside the subset; the caller then runs the loop
+   per element. *)
 let compile_bop c ~reads ~writes (op : Ir.op) :
     (run_state -> int -> unit) option =
   let preps = ref [] in
@@ -834,8 +831,8 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
   in
   match Ir.Op.name op with
   | "arith.constant" -> (
-    (* folded into the pools exactly like the per-element engine; the
-       value stays out of [c.cols], so operand resolution sees it as a
+    (* folded into the pools, as [compile_op] folds it; the value stays
+       out of [c.cols], so operand resolution sees it as a
        loop-invariant register (the "constants hoisted" fast path) *)
     match Ir.Op.get_attr_exn op "value" with
     | Attr.Float f ->
@@ -1187,12 +1184,11 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
     | PCol _, _ -> raise Not_batchable)
   | _ -> raise Not_batchable
 
-(* Attempt to batch one top-level [scf.for] of a compute stage.
+(* Attempt to batch one [scf.for] of a compute stage.
    [scalar_body]/[iv_slot] are the per-element compilation of the same
-   loop: the fallback when the body is not batchable, and the exact
-   replay path when a block's input rings are starved (so the raised
-   error — message, [Loc], which read fires first — matches the
-   per-element plan). *)
+   loop: the loop's steps when the body is not batchable, and the
+   replay path when a block's input rings are starved (so the error is
+   raised by the read that starves first, at its [Loc]). *)
 let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
   let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
   let iv =
@@ -1246,8 +1242,8 @@ let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
             i := !i + (n * st)
           end
           else
-            (* a starved block: replay the remainder per-element so the
-               error surfaces exactly like the per-element plan *)
+            (* a starved block: replay the remainder per element, so
+               the error is raised by the first read that starves *)
             while !i < ub do
               Array.unsafe_set ir iv_slot !i;
               for k = 0 to nscal - 1 do
@@ -1369,6 +1365,7 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
       let w = c.vec_w.(d) in
       match c.ring_win.(ri) with
       | None ->
+        (* a stream no shift produces (a mis-wired design) *)
         Some
           (fun rs ->
             let r = Array.unsafe_get rs.rs_rings ri in
@@ -1377,7 +1374,7 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
             r.rg_head <- r.rg_head + w;
             r.rg_len <- r.rg_len - w)
       | Some win ->
-        (* a window token (batched plans): gather its lanes *)
+        (* a window token: gather its lanes *)
         let pdelta = win.wn_pdelta and inner = win.wn_inner in
         let nl = min w (Array.length pdelta) in
         Some
@@ -1501,13 +1498,9 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
         i := !i + step
       done
     in
-    if c.c_batched then
-      match
-        compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv ~scalar_body:body
-      with
-      | Some bstep -> Some bstep
-      | None -> Some scalar_step
-    else Some scalar_step
+    Some
+      (Option.value ~default:scalar_step
+         (compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv ~scalar_body:body))
   | "scf.yield" -> None
   | name -> Err.raise_error "functional sim: unsupported op %s" name
 
@@ -1538,31 +1531,7 @@ let offsets_of_halo halo =
   in
   go halo
 
-(* Array geometry for the per-point stage loops: extent as an array plus
-   row-major strides, and an odometer increment so positions advance
-   without re-dividing the linear index every point. *)
-let stage_geometry extent =
-  let ext = Array.of_list extent in
-  let rank = Array.length ext in
-  let strides = Array.make rank 1 in
-  for d = rank - 2 downto 0 do
-    strides.(d) <- strides.(d + 1) * ext.(d + 1)
-  done;
-  (ext, strides, Array.fold_left ( * ) 1 ext)
-
-let odometer_incr (ext : int array) (pos : int array) =
-  let d = ref (Array.length pos - 1) in
-  let carrying = ref true in
-  while !carrying && !d >= 0 do
-    pos.(!d) <- pos.(!d) + 1;
-    if pos.(!d) = ext.(!d) then begin
-      pos.(!d) <- 0;
-      decr d
-    end
-    else carrying := false
-  done
-
-let compile_load ring_index (d : Design.t) ~out_streams ~ptr_args =
+let load_stage ring_index (d : Design.t) ~out_streams ~ptr_args =
   let total = Design.total_padded d in
   let pairs =
     List.map2
@@ -1579,57 +1548,6 @@ let compile_load ring_index (d : Design.t) ~out_streams ~ptr_args =
         in
         ring_push_blit rs.rs_rings.(ri) data 0 total)
       pairs
-
-let compile_shift ring_index ~input ~output ~halo ~extent =
-  let ext, strides, total = stage_geometry extent in
-  let rank = Array.length ext in
-  let in_ri = design_ring_idx ring_index input in
-  let out_ri = design_ring_idx ring_index output in
-  let offsets =
-    offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
-  in
-  let deltas =
-    Array.map
-      (fun off ->
-        let s = ref 0 in
-        Array.iteri (fun d o -> s := !s + (o * strides.(d))) off;
-        !s)
-      offsets
-  in
-  let nb_n = Array.length offsets in
-  fun rs ->
-    let inring = Array.unsafe_get rs.rs_rings in_ri in
-    let outring = Array.unsafe_get rs.rs_rings out_ri in
-    if inring.rg_width <> 1 then
-      Err.raise_error "functional sim: shift input must be scalar";
-    (* the producer ran to completion, so read the window straight out
-       of the input ring and write straight into the output ring *)
-    ring_require inring total;
-    ring_reserve outring (total * nb_n);
-    let src = inring.rg_data and h = inring.rg_head in
-    let out = outring.rg_data in
-    let ob = ref (outring.rg_head + outring.rg_len) in
-    (* the odometer is per-call scratch (rank <= 3 words), so the plan
-       closure stays safe to run concurrently from several states *)
-    let pos = Array.make rank 0 in
-    for i = 0 to total - 1 do
-      for k = 0 to nb_n - 1 do
-        let off = Array.unsafe_get offsets k in
-        let ok = ref true in
-        for d = 0 to rank - 1 do
-          let p = Array.unsafe_get pos d + Array.unsafe_get off d in
-          if p < 0 || p >= Array.unsafe_get ext d then ok := false
-        done;
-        Array.unsafe_set out !ob
-          (if !ok then
-             Array.unsafe_get src (h + i + Array.unsafe_get deltas k)
-           else Float.nan);
-        incr ob
-      done;
-      odometer_incr ext pos
-    done;
-    outring.rg_len <- outring.rg_len + (total * nb_n);
-    ring_drop inring total
 
 (* The window of a shift over [extent] with [halo]. *)
 let window_of ~halo ~extent =
@@ -1657,12 +1575,12 @@ let window_of ~halo ~extent =
     wn_size = Array.fold_left ( * ) 1 pext;
   }
 
-(* Batched shift: instead of materialising every neighbourhood, copy
-   the scalar input once, row by row, into the window's padded buffer
-   (allocated with its NaN pad on the first run and reused after).  The
-   output ring then queues [total] tokens of [width] floats, exactly
-   the token accounting of the materialised stream. *)
-let compile_shift_window ring_index win ~input ~output =
+(* A shift never materialises a neighbourhood: it copies the scalar
+   input once, row by row, into the window's padded buffer (allocated
+   with its NaN pad on the first run and reused after).  The output
+   ring then queues [total] tokens of [width] floats, as a stream of
+   vector tokens would. *)
+let shift_stage ring_index win ~input ~output =
   let in_ri = design_ring_idx ring_index input in
   let out_ri = design_ring_idx ring_index output in
   let total = win.wn_total and inner = win.wn_inner in
@@ -1683,31 +1601,13 @@ let compile_shift_window ring_index win ~input ~output =
     outring.rg_len <- total * outring.rg_width;
     ring_drop inring total
 
-let compile_dup ring_index ~input ~outputs =
-  let in_ri = design_ring_idx ring_index input in
-  let out_ris =
-    List.map (design_ring_idx ring_index) outputs |> Array.of_list
-  in
-  let nout = Array.length out_ris in
-  fun rs ->
-    (* the producer ran to completion (topological order): drain fully *)
-    let inring = Array.unsafe_get rs.rs_rings in_ri in
-    let n = inring.rg_len in
-    for k = 0 to nout - 1 do
-      ring_push_blit
-        rs.rs_rings.(Array.unsafe_get out_ris k)
-        inring.rg_data inring.rg_head n
-    done;
-    ring_drop inring n
-
-(* Batched dup: zero-copy.  Each output stream has exactly one producer
+(* A dup is zero-copy.  Each output stream has exactly one producer
    (this dup) and its consumers only ever read, while the input stream
    is fully produced before the dup runs (topological stage order) and
    never pushed again afterwards — so the "copies" can alias the input
-   ring's buffer, each with its own head/length.  Bit-identical token
-   sequences, none of the memory traffic.  A dup of a window aliases
-   the window (its outputs carry the same geometry). *)
-let compile_dup_batched ring_index ~input ~outputs =
+   ring's buffer, each with its own head/length.  A dup of a window
+   aliases the window (its outputs carry the same geometry). *)
+let dup_stage ring_index ~input ~outputs =
   let in_ri = design_ring_idx ring_index input in
   let out_ris =
     List.map (design_ring_idx ring_index) outputs |> Array.of_list
@@ -1724,61 +1624,14 @@ let compile_dup_batched ring_index ~input ~outputs =
     done;
     ring_drop inring n
 
-let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
-  let ext, _, total = stage_geometry extent in
-  let hal = Array.of_list halo in
+(* A write stores the interior points: the interior of each interior
+   row is one contiguous run of linear indices, so it is one
+   [Array.blit] per interior row, and the final bulk drop discards the
+   halo tokens. *)
+let write_stage ring_index ~in_streams ~ptr_args ~halo ~extent =
+  let ext = Array.of_list extent and hal = Array.of_list halo in
   let rank = Array.length ext in
-  let pairs =
-    List.map2
-      (fun s argi -> (design_ring_idx ring_index s, argi))
-      in_streams ptr_args
-  in
-  (* the interior/halo split is pure geometry: precompute the linear
-     indices of the interior points once, and the run is a gather *)
-  let interior =
-    let pos = Array.make rank 0 in
-    let acc = ref [] in
-    for i = 0 to total - 1 do
-      let inside = ref true in
-      for d = 0 to rank - 1 do
-        if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then
-          inside := false
-      done;
-      if !inside then acc := i :: !acc;
-      odometer_incr ext pos
-    done;
-    Array.of_list (List.rev !acc)
-  in
-  let n_int = Array.length interior in
-  fun rs ->
-    List.iter
-      (fun (ri, argi) ->
-        let ring = rs.rs_rings.(ri) in
-        let data =
-          match rs.rs_args.(argi) with
-          | Functional.Ptr (a, 0) -> a
-          | _ ->
-            Err.raise_error "functional sim: write_data arg is not a pointer"
-        in
-        (* halo tokens are popped and discarded: consume all [total],
-           store the interior ones *)
-        ring_require ring total;
-        let src = ring.rg_data and h = ring.rg_head in
-        for k = 0 to n_int - 1 do
-          let i = Array.unsafe_get interior k in
-          Array.unsafe_set data i (Array.unsafe_get src (h + i))
-        done;
-        ring_drop ring total)
-      pairs
-
-(* Batched write: the interior of each interior row is one contiguous
-   run of linear indices, so the per-point gather becomes one
-   [Array.blit] per interior row (halo tokens are discarded by the
-   final bulk drop, exactly like the per-element discard-pop). *)
-let compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent =
-  let ext, _, total = stage_geometry extent in
-  let hal = Array.of_list halo in
-  let rank = Array.length ext in
+  let total = Array.fold_left ( * ) 1 ext in
   let pairs =
     List.map2
       (fun s argi -> (design_ring_idx ring_index s, argi))
@@ -1787,31 +1640,19 @@ let compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent =
   let inner = ext.(rank - 1) in
   let h_in = hal.(rank - 1) in
   let run_len = max 0 (inner - (2 * h_in)) in
+  (* the first linear index of each interior row's interior *)
   let runs =
-    let pos = Array.make (max 1 (rank - 1)) 0 in
-    let acc = ref [] in
-    let nrows = total / inner in
-    for row = 0 to nrows - 1 do
-      let ok = ref (run_len > 0) in
-      for d = 0 to rank - 2 do
-        if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then ok := false
-      done;
-      if !ok then acc := ((row * inner) + h_in) :: !acc;
-      let d = ref (rank - 2) in
-      let carry = ref true in
-      while !carry && !d >= 0 do
-        let p = pos.(!d) + 1 in
-        if p >= ext.(!d) then begin
-          pos.(!d) <- 0;
-          decr d
-        end
-        else begin
-          pos.(!d) <- p;
-          carry := false
-        end
-      done
-    done;
-    Array.of_list (List.rev !acc)
+    List.init (total / inner) Fun.id
+    |> List.filter (fun row ->
+           let r = ref row and ok = ref (run_len > 0) in
+           for d = rank - 2 downto 0 do
+             let p = !r mod ext.(d) in
+             if p < hal.(d) || p >= ext.(d) - hal.(d) then ok := false;
+             r := !r / ext.(d)
+           done;
+           !ok)
+    |> List.map (fun row -> (row * inner) + h_in)
+    |> Array.of_list
   in
   let n_runs = Array.length runs in
   fun rs ->
@@ -1844,27 +1685,26 @@ let stream_width (s : Design.stream) =
 
 let plan_id_counter = Atomic.make 0
 
-let compile_design ~batched (d : Design.t) : t =
+let compile (d : Design.t) : t =
   Atomic.incr compile_counter;
-  (* batched plans: every shift outputs a window, and so does a dup of
-     a window; every dup output borrows its input's buffer *)
+  (* every shift outputs a window, and so does a dup of a window; every
+     dup output borrows its input's buffer *)
   let windows = Hashtbl.create 8 and borrowed = Hashtbl.create 8 in
-  if batched then
-    List.iter
-      (fun stage ->
-        match stage with
-        | Design.Shift { output; halo; extent; _ } ->
-          Hashtbl.replace windows output (window_of ~halo ~extent);
-          Hashtbl.replace borrowed output ()
-        | Design.Dup { input; outputs } ->
-          List.iter
-            (fun o ->
-              Hashtbl.replace borrowed o ();
-              Option.iter (Hashtbl.replace windows o)
-                (Hashtbl.find_opt windows input))
-            outputs
-        | _ -> ())
-      d.d_stages;
+  List.iter
+    (fun stage ->
+      match stage with
+      | Design.Shift { output; halo; extent; _ } ->
+        Hashtbl.replace windows output (window_of ~halo ~extent);
+        Hashtbl.replace borrowed output ()
+      | Design.Dup { input; outputs } ->
+        List.iter
+          (fun o ->
+            Hashtbl.replace borrowed o ();
+            Option.iter (Hashtbl.replace windows o)
+              (Hashtbl.find_opt windows input))
+          outputs
+      | _ -> ())
+    d.d_stages;
   (* ring descriptors: one per design stream, ascending stream id (the
      drain check reports in that order) *)
   let ring_descs =
@@ -1914,7 +1754,6 @@ let compile_design ~batched (d : Design.t) : t =
       ring_index;
       ring_win = Array.map (fun rd -> rd.rd_win) ring_descs;
       folded = 0;
-      c_batched = batched;
       cols = Hashtbl.create 64;
       vec_ring = Hashtbl.create 8;
       nfc = 0;
@@ -1967,14 +1806,12 @@ let compile_design ~batched (d : Design.t) : t =
       (fun stage ->
         match stage with
         | Design.Load { out_streams; ptr_args } ->
-          compile_load ring_index d ~out_streams ~ptr_args
-        | Design.Shift { input; output; halo; extent } -> (
-          match Hashtbl.find_opt windows output with
-          | Some win -> compile_shift_window ring_index win ~input ~output
-          | None -> compile_shift ring_index ~input ~output ~halo ~extent)
+          load_stage ring_index d ~out_streams ~ptr_args
+        | Design.Shift { input; output; _ } ->
+          shift_stage ring_index (Hashtbl.find windows output)
+            ~input ~output
         | Design.Dup { input; outputs } ->
-          if batched then compile_dup_batched ring_index ~input ~outputs
-          else compile_dup ring_index ~input ~outputs
+          dup_stage ring_index ~input ~outputs
         | Design.Compute cc ->
           let body = compile_block c (Hls.dataflow_body cc.df_op) in
           n_steps := !n_steps + Array.length body;
@@ -1984,9 +1821,7 @@ let compile_design ~batched (d : Design.t) : t =
               (Array.unsafe_get body k) rs
             done
         | Design.Write { in_streams; ptr_args; halo; extent } ->
-          if batched then
-            compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent
-          else compile_write ring_index ~in_streams ~ptr_args ~halo ~extent)
+          write_stage ring_index ~in_streams ~ptr_args ~halo ~extent)
       d.d_stages
     |> Array.of_list
   in
@@ -1998,7 +1833,6 @@ let compile_design ~batched (d : Design.t) : t =
     pl_const_i = c.const_i;
     pl_np = al.np;
     pl_vec_widths = c.vec_w;
-    pl_batch = (if batched then batch_width else 0);
     pl_n_fcols = c.nfc;
     pl_n_icols = c.nic;
     pl_n_pcols = c.npc;
@@ -2016,11 +1850,9 @@ let compile_design ~batched (d : Design.t) : t =
       };
   }
 
-let compile (d : Design.t) : t = compile_design ~batched:false d
-
-(* The batched engine: same plan type, same per-domain state cache, same
-   [run]/[run_with] — only the compiled steps differ. *)
-let compile_batched (d : Design.t) : t = compile_design ~batched:true d
+(* Named by the benchmark pipeline's mirror of [Shmls.compiled]; goes
+   when that mirror is deleted. *)
+let compile_batched = compile
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -2033,6 +1865,11 @@ let release_args rs =
   Array.fill rs.rs_pcols_base 0 (Array.length rs.rs_pcols_base) [||]
 
 let run_with (t : t) (rs : run_state) ~(args : Functional.value array) =
+  (* the steps index the state's slots and rings without bounds checks *)
+  if rs.rs_plan <> t.pl_id then
+    Err.raise_error ~loc:(Ir.Op.loc t.pl_design.d_func)
+      "functional sim: run state of plan %d passed to plan %d" rs.rs_plan
+      t.pl_id;
   (* a failed previous run may have left tokens queued *)
   Array.iter ring_reset rs.rs_rings;
   Fun.protect

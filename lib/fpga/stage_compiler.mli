@@ -24,11 +24,9 @@
       neighbourhood scratch. States are cheap to allocate, reusable
       across runs, but must never be shared between two domains.
 
-    The batched plan ({!compile_batched}) is the engine the product
-    runs. The per-element plan ({!compile}) is its fallback for
-    non-batchable loops and the design-level test oracle: both produce
-    bit-identical outputs and raise the same {!Err.Error}s (message and
-    location) on mis-wired designs. *)
+    There is one kind of plan. Its oracle is the reference stencil
+    interpreter, which it matches bit for bit on full padded arrays,
+    halos included. *)
 
 type t
 (** An immutable compiled plan for one design. Freely shareable across
@@ -40,37 +38,39 @@ module Run_state : sig
       buffers, scratch arrays. *)
 end
 
-(** Compile a design into an immutable per-element plan. Raises
-    {!Err.Error} on unsupported ops. *)
-val compile : Design.t -> t
-
-(** Compile a design into a {e batched} plan: compute-stage loops whose
+(** Compile a design into an immutable plan. Compute-stage loops whose
     bodies are independent per element (no nested loops, no stores, at
     most one read/write per stream) run in whole-stream blocks over
     dense unboxed columns — constants and loop-invariant operands read
-    once per block, stream reads/writes blitted in bulk, and each shift
-    stage a window — one NaN-padded copy of its input that neighbourhood
-    lanes read at a fixed offset from each token's padded index, instead
-    of materialising every neighbourhood. Loops outside that subset (e.g.
-    BRAM small-copy loops) keep their per-element compilation, so the
-    engine is always complete. Same plan type, same state cache, same
-    {!run}/{!run_with}; bit-exact against {!compile}, including
-    starved-read errors ({!Loc} and firing order), NaN out-of-range
-    shifts and undrained-stream reports. *)
+    once per block, stream reads/writes blitted in bulk. Each shift
+    stage outputs a window — one NaN-padded copy of its input that
+    neighbourhood lanes read at a fixed offset from each token's padded
+    index — instead of materialising every neighbourhood. Loops outside
+    that subset (e.g. BRAM small-copy loops) run their per-element
+    compilation, so the engine is always complete; a block whose input
+    runs dry is replayed per element, so a starved read raises its
+    {!Err.Error} at the {!Loc} of the read that starves first. Raises
+    {!Err.Error} on unsupported ops. *)
+val compile : Design.t -> t
+
+(** [compile_batched] is {!compile}. It stays for the benchmark
+    pipeline's mirror of [Shmls.compiled], and goes when that mirror
+    is deleted. *)
 val compile_batched : Design.t -> t
 
 (** A fresh run state for this plan: registers seeded from the plan's
     constant pools, empty rings sized from the design (one token per
-    padded point per stream; a batched plan's shift windows are
-    allocated by their first run). *)
+    padded point per stream; shift windows are allocated by their first
+    run). *)
 val create_state : t -> Run_state.t
 
 (** Execute the plan in the given state. [args] follow the kernel's
     argument order ({!Functional.value}); output fields are written in
     place. The state must have been created by {!create_state} on this
-    same plan; it keeps no reference to [args] once the run returns or
-    raises. Raises {!Err.Error} on mis-wired designs (empty-stream
-    reads, undrained streams). *)
+    same plan, or [run_with] raises {!Err.Error} at the kernel
+    function's location; it keeps no reference to [args] once the run
+    returns or raises. Raises {!Err.Error} on mis-wired designs
+    (empty-stream reads, undrained streams). *)
 val run_with : t -> Run_state.t -> args:Functional.value array -> unit
 
 (** [run_with] on this domain's cached state for the plan: each domain
@@ -90,9 +90,7 @@ type stats = {
   cs_vregs : int;  (** neighbourhood (vector-token) slots *)
   cs_steps : int;  (** compiled step closures across compute stages *)
   cs_folded : int;  (** constants folded into the pools at compile time *)
-  cs_batched : int;
-      (** compute loops compiled to whole-stream batches (0 for
-          per-element plans) *)
+  cs_batched : int;  (** compute loops compiled to whole-stream batches *)
 }
 
 val stats : t -> stats

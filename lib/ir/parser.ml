@@ -9,17 +9,20 @@ type t = {
   values : (string, Ir.value) Hashtbl.t; (* printed name -> value *)
 }
 
-let error p fmt =
+let error_at loc fmt =
   Format.kasprintf
     (fun msg ->
       (* the location renders through the diagnostic; keep the message bare *)
-      Err.raise_error ~loc:(Lexer.tok_loc p.lx) "parse error: %s" msg)
+      Err.raise_error ~loc "parse error: %s" msg)
     fmt
 
-let lookup_value p name =
+let error p fmt = error_at (Lexer.tok_loc p.lx) fmt
+
+(* [loc]: where the use is written *)
+let lookup_value p ~loc name =
   match Hashtbl.find_opt p.values name with
   | Some v -> v
-  | None -> error p "use of undefined value %%%s" name
+  | None -> error_at loc "use of undefined value %%%s" name
 
 let define_value p name v =
   if Hashtbl.mem p.values name then error p "redefinition of %%%s" name;
@@ -355,7 +358,8 @@ let rec parse_op p : Ir.op =
     | tok -> error p "expected op name string, found %s" (token_to_string tok)
   in
   expect p.lx LPAREN;
-  let operand_names =
+  (* (name, value, loc) per operand, resolved where it is written *)
+  let operands =
     let rec go acc =
       match Lexer.token p.lx with
       | RPAREN ->
@@ -365,8 +369,10 @@ let rec parse_op p : Ir.op =
         consume p.lx;
         go acc
       | PCT_ID n ->
+        let loc = Lexer.tok_loc p.lx in
+        let v = lookup_value p ~loc n in
         consume p.lx;
-        go (n :: acc)
+        go ((n, v, loc) :: acc)
       | tok -> error p "expected operand, found %s" (token_to_string tok)
     in
     go []
@@ -394,21 +400,21 @@ let rec parse_op p : Ir.op =
   in
   expect p.lx COLON;
   let operand_tys, result_tys = parse_fn_ty p in
-  if List.length operand_tys <> List.length operand_names then
+  if List.length operand_tys <> List.length operands then
     error p "op %s: %d operands but %d operand types" op_name
-      (List.length operand_names) (List.length operand_tys);
+      (List.length operands) (List.length operand_tys);
   if List.length result_tys <> List.length result_names then
     error p "op %s: %d results named but %d result types" op_name
       (List.length result_names) (List.length result_tys);
-  let operands = List.map (lookup_value p) operand_names in
   List.iter2
-    (fun name ty ->
-      let v = lookup_value p name in
+    (fun (name, v, loc) ty ->
       if not (Ty.equal (Ir.Value.ty v) ty) then
-        error p "op %s: operand %%%s has type %s, expected %s" op_name name
+        error_at loc "op %s: operand %%%s has type %s, expected %s" op_name
+          name
           (Ty.to_string (Ir.Value.ty v))
           (Ty.to_string ty))
-    operand_names operand_tys;
+    operands operand_tys;
+  let operands = List.map (fun (_, v, _) -> v) operands in
   let loc =
     match Lexer.token p.lx with
     | IDENT "loc" ->

@@ -9,7 +9,10 @@
      enclosing chain (the block of B's parent op, of that op's parent,
      ...), which stops short of the block around the first
      Isolated_from_above op. "Any value" is a known deviation from MLIR
-     dominance: it may be defined after the op whose region reads it;
+     dominance: it may be defined after the op whose region reads it.
+     A later result of B is "used before definition"; a value of a block
+     beyond the chain is "not visible here", naming the isolated op or
+     the op whose region holds it;
    - use-def chain consistency (each operand records this use).
 
    One top-down walk carries the chain down. A use list longer than
@@ -98,11 +101,47 @@ let visible scope (b : Ir.block) (op : Ir.op) (v : Ir.value) =
     Ir.Op.is_before_in_block d op
   | _, Some owner -> List.memq owner scope
 
+(* Where [owner] sits relative to block [b]: [Some iso] when it is a
+   block on [b]'s enclosing chain and [iso] the innermost
+   Isolated_from_above op between them (visible blocks have none), [None]
+   when the chain never reaches it. *)
+let rec isolated_from (b : Ir.block) (owner : Ir.block) iso =
+  match b.b_parent with
+  | Some { r_parent = Some p; _ } -> (
+    let iso =
+      match iso with
+      | None when Dialect.has_trait p.o_name Isolated_from_above -> Some p
+      | iso -> iso
+    in
+    match p.o_parent with
+    | Some pb when pb == owner -> Some iso
+    | Some pb -> isolated_from pb owner iso
+    | None -> None)
+  | _ -> None
+
+(* Why operand [v] of [op], in block [b], is not visible there. *)
+let invisible_operand b (op : Ir.op) (v : Ir.value) =
+  let fail fmt =
+    Err.fail ~loc:(Ir.Op.loc op) ("op %s: operand %%v%d " ^^ fmt) op.o_name
+      v.v_id
+  in
+  match Ir.Value.owner_block v with
+  | Some owner when owner != b -> (
+    match (isolated_from b owner None, owner.b_parent) with
+    | Some (Some iso), _ ->
+      fail "is not visible here: it is defined above %s, which is isolated \
+            from above"
+        iso.o_name
+    | None, Some { r_parent = Some p; _ } ->
+      fail "is not visible here: it is defined in a region of %s that does \
+            not enclose this use"
+        p.o_name
+    | _ -> fail "is not visible here")
+  | _ -> fail "used before definition"
+
 let verify_ssa uses scope b (op : Ir.op) =
   match Array.find_opt (fun v -> not (visible scope b op v)) op.o_operands with
-  | Some v ->
-    Err.fail ~loc:(Ir.Op.loc op) "op %s: operand %%v%d used before definition"
-      op.o_name v.Ir.v_id
+  | Some v -> invisible_operand b op v
   | None -> Ok (Array.iter (record_uses uses) op.o_results)
 
 (* [scope]: the blocks visible from the block holding [op]. *)

@@ -102,6 +102,27 @@ let check_close ?(tol = 1e-12) what expected got =
   if Float.abs (expected -. got) > tol then
     Alcotest.failf "%s: expected %.17g, got %.17g" what expected got
 
+(* Every float of every field and small of the reference interpreter's
+   state [expected] and the functional simulator's state [got], bit for
+   bit: full padded arrays, halos included (NaNs compare equal by
+   bits). *)
+let check_states_identical what (expected : Shmls_interp.Interp.kernel_state)
+    (got : Shmls_interp.Interp.kernel_state) =
+  List.iter2
+    (fun (n, (a : Shmls_interp.Grid.t)) (m, (b : Shmls_interp.Grid.t)) ->
+      Alcotest.(check string) (what ^ ": same array order") n m;
+      Alcotest.(check int)
+        (Printf.sprintf "%s %s: same length" what n)
+        (Array.length a.data) (Array.length b.data);
+      Array.iteri
+        (fun i x ->
+          if Int64.bits_of_float x <> Int64.bits_of_float b.data.(i) then
+            Alcotest.failf "%s %s[%d]: interpreter %h <> engine %h" what n i x
+              b.data.(i))
+        a.data)
+    (expected.fields @ expected.smalls)
+    (got.fields @ got.smalls)
+
 (* -- qcheck generators ----------------------------------------------- *)
 
 (* Random expression over the given field/small/param names. *)

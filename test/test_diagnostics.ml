@@ -228,6 +228,33 @@ let test_ir_parse_error_position () =
       (Loc.resolve e.Diagnostic.d_loc)
   | _ -> Alcotest.fail "expected a parse error"
 
+(* Operand errors anchor at the operand's own token, not at whatever
+   follows the op. *)
+let test_ir_operand_error_position () =
+  let check what src msg pos =
+    match Parser.parse_module ~file:"t.mlir" src with
+    | exception Err.Error e ->
+      Alcotest.(check string) (what ^ ": message") msg e.Diagnostic.d_message;
+      Alcotest.(check (option (triple string int int)))
+        (what ^ ": position") (Some pos)
+        (Loc.resolve e.Diagnostic.d_loc)
+    | _ -> Alcotest.failf "%s: expected a parse error" what
+  in
+  check "forward reference"
+    "\"builtin.module\"() ({\n\
+    \  %0 = \"arith.addi\"(%1, %1) : (index, index) -> (index)\n\
+    \  %1 = \"arith.constant\"() {value = 1} : () -> (index)\n\
+     }) : () -> ()"
+    "parse error: use of undefined value %1" ("t.mlir", 2, 21);
+  check "operand type mismatch"
+    "\"builtin.module\"() ({\n\
+    \  %0 = \"arith.constant\"() {value = 1} : () -> (index)\n\
+    \  %1 = \"arith.addi\"(%0, %0) : (index, i32) -> (index)\n\
+    \  %2 = \"arith.constant\"() {value = 2} : () -> (index)\n\
+     }) : () -> ()"
+    "parse error: op arith.addi: operand %0 has type index, expected i32"
+    ("t.mlir", 3, 25)
+
 let test_ir_auto_stamp_and_explicit_loc () =
   let src =
     "\"builtin.module\"() ({\n\
@@ -291,6 +318,10 @@ let undefined op_name v =
   Printf.sprintf "op %s: operand %%v%d used before definition" op_name
     (Ir.Value.id v)
 
+let invisible op_name v why =
+  Printf.sprintf "op %s: operand %%v%d is not visible here: it is defined %s"
+    op_name (Ir.Value.id v) why
+
 let three_ops =
   "    %0 = \"arith.constant\"() {value = 0} : () -> (index)\n\
   \    %1 = \"arith.addi\"(%0, %0) : (index, index) -> (index)\n\
@@ -324,7 +355,11 @@ let test_sibling_region_value () =
       ^ loop ~iv:"3" "      %4 = \"arith.addi\"(%3, %2) : (index, index) -> (index)\n")
   in
   let first = Ir.Op.result (List.hd (ops_named m "arith.addi")) 0 in
-  expect_error m ~msg:(undefined "arith.addi" first) ~line:11
+  expect_error m
+    ~msg:
+      (invisible "arith.addi" first
+         "in a region of scf.for that does not enclose this use")
+    ~line:11
 
 (* A module-level value is invisible inside a func.func at any depth: the
    scope chain stops before the block around the isolated op. *)
@@ -333,7 +368,11 @@ let test_use_across_isolation () =
   let check body ~line =
     let m = func_module ~outer body in
     let g = Ir.Op.result (List.hd (ops_named m "arith.constant")) 0 in
-    expect_error m ~msg:(undefined "arith.addi" g) ~line
+    expect_error m
+      ~msg:
+        (invisible "arith.addi" g
+           "above func.func, which is isolated from above")
+      ~line
   in
   (* depth 1: the func body itself *)
   check "    %1 = \"arith.addi\"(%g, %g) : (index, index) -> (index)\n" ~line:4;
@@ -477,6 +516,8 @@ let () =
         [
           Alcotest.test_case "parse error position" `Quick
             test_ir_parse_error_position;
+          Alcotest.test_case "operand errors at the operand" `Quick
+            test_ir_operand_error_position;
           Alcotest.test_case "auto-stamp and explicit loc" `Quick
             test_ir_auto_stamp_and_explicit_loc;
           Alcotest.test_case "verifier anchors at the op" `Quick

@@ -131,11 +131,11 @@ let test_multi_sweep_bit_exact () =
       (inout_1d, [ 24 ], []);
     ]
 
-(* The three functional engines left — the reference interpreter, the
-   batched plan the product runs and the per-element oracle plan — agree
-   on a 4-device, 3-sweep heat_3d: the ensemble against the interpreter,
-   and on every slab design the two plans bit for bit (padded arrays,
-   halos included) and the batched plan against the interpreter. *)
+(* The multi-device ensemble, the reference interpreter and the
+   stage-compiler engine agree on a 4-device, 3-sweep heat_3d: the
+   ensemble against the interpreter, and on every slab design the
+   engine against the interpreter bit for bit (padded arrays, halos
+   included) and through [Shmls.verify]. *)
 let test_engines_bit_exact () =
   let module Interp = Shmls_interp.Interp in
   let module Grid = Shmls_interp.Grid in
@@ -149,30 +149,17 @@ let test_engines_bit_exact () =
   List.iter
     (fun (sl : MD.slab) ->
       let c = sl.sl_compiled in
-      let run plan =
-        let st = Interp.alloc_state ~seed:7 c.c_lowered in
-        let ptr (_, g) = F.Ptr (g.Grid.data, 0) in
-        Shmls_fpga.Stage_compiler.run plan
-          ~args:
-            (Array.of_list
-               (List.map ptr st.fields @ List.map ptr st.smalls
-               @ List.map (fun (_, v) -> F.F v) st.params));
-        st
-      in
-      let a = run (Lazy.force c.c_plan)
-      and b = run (Lazy.force c.c_plan_batched) in
-      List.iter2
-        (fun (n, ga) (_, gb) ->
-          Array.iteri
-            (fun i x ->
-              if Int64.bits_of_float x <> Int64.bits_of_float gb.Grid.data.(i)
-              then
-                Alcotest.failf "slab %d %s[%d]: per-element %h <> batched %h"
-                  sl.sl_device n i x gb.Grid.data.(i))
-            ga.Grid.data)
-        a.fields b.fields;
+      let a = Interp.run_lowered ~seed:7 c.c_lowered in
+      let b = Interp.alloc_state ~seed:7 c.c_lowered in
+      let ptr (_, g) = F.Ptr (g.Grid.data, 0) in
+      Shmls_fpga.Stage_compiler.run (Lazy.force c.c_plan)
+        ~args:
+          (Array.of_list
+             (List.map ptr b.fields @ List.map ptr b.smalls
+             @ List.map (fun (_, v) -> F.F v) b.params));
+      H.check_states_identical (Printf.sprintf "slab %d" sl.sl_device) a b;
       check_exact
-        (Printf.sprintf "slab %d batched vs interpreter" sl.sl_device)
+        (Printf.sprintf "slab %d verify vs interpreter" sl.sl_device)
         (Shmls.verify c))
     p.mp_slabs
 

@@ -57,8 +57,8 @@ let qcheck_ir_parser_total =
 
 (* -- functional simulator detects mis-wired designs -------------------------- *)
 
-let run_batched d ~args =
-  F.Stage_compiler.run (F.Stage_compiler.compile_batched d) ~args
+let run_design d ~args =
+  F.Stage_compiler.run (F.Stage_compiler.compile d) ~args
 
 let sabotaged_design () =
   let c = Shmls.compile H.avg_1d ~grid:[ 12 ] in
@@ -80,7 +80,7 @@ let test_functional_detects_undrained () =
     List.map (fun (_, g) -> F.Functional.Ptr (g.Shmls.Grid.data, 0)) st.fields
     |> Array.of_list
   in
-  match run_batched d ~args with
+  match run_design d ~args with
   | exception Shmls_support.Err.Error _ -> ()
   | () -> Alcotest.fail "undrained streams must be reported"
 
@@ -102,7 +102,7 @@ let test_functional_detects_starved_read () =
     List.map (fun (_, g) -> F.Functional.Ptr (g.Shmls.Grid.data, 0)) st.fields
     |> Array.of_list
   in
-  match run_batched d ~args with
+  match run_design d ~args with
   | exception Shmls_support.Err.Error _ -> ()
   | () -> Alcotest.fail "reads from an unfed stream must be reported"
 
