@@ -1,29 +1,58 @@
 (* Common subexpression elimination.
 
-   Within each block, two Pure ops with the same name, attributes and
-   operands compute the same values; the later one is replaced by the
-   earlier.  Ops with regions are skipped (their equivalence would require
-   region isomorphism, which no current producer needs). *)
+   Within each block, two Pure ops with the same name, attributes,
+   operands and result types compute the same values; the later one is
+   replaced by the earlier.  The result types belong in the key: an
+   `arith.constant 1 : index` and an `arith.constant 1 : i64` share name,
+   attribute and (no) operands, yet are not interchangeable.  Ops with
+   regions are skipped (their equivalence would require region
+   isomorphism, which no current producer needs). *)
 
 type key = {
   k_name : string;
   k_operands : int list; (* value ids *)
-  k_attrs : (string * string) list; (* attr name -> printed form *)
+  k_attrs : (string * Attr.t) list; (* sorted by attribute name *)
+  k_result_tys : Ty.t list;
 }
 
-let key_of_op (op : Ir.op) =
+let key ~name ~operands ~attrs ~result_tys =
+  let k_operands = List.map Ir.Value.id operands in
   {
-    k_name = op.o_name;
-    k_operands = Array.to_list op.o_operands |> List.map Ir.Value.id;
-    k_attrs =
-      List.map (fun (k, v) -> (k, Attr.to_string v)) op.o_attrs
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    k_name = name;
+    k_operands =
+      (if Dialect.has_trait name Dialect.Commutative then
+         List.sort Int.compare k_operands
+       else k_operands);
+    k_attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) attrs;
+    k_result_tys = result_tys;
   }
 
-let commutative_normalise key op =
-  if Dialect.has_trait (Ir.Op.name op) Dialect.Commutative then
-    { key with k_operands = List.sort Int.compare key.k_operands }
-  else key
+let key_of_op (op : Ir.op) =
+  key ~name:op.o_name ~operands:(Ir.Op.operands op) ~attrs:op.o_attrs
+    ~result_tys:(List.map Ir.Value.ty (Ir.Op.results op))
+
+(* Attribute values match structurally, except that floats match by
+   their bits: 0.0 and -0.0 are different constants. *)
+let rec same_attr (a : Attr.t) (b : Attr.t) =
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal same_attr xs ys
+  | Dict xs, Dict ys -> List.equal same_named_attr xs ys
+  | _ -> Attr.equal a b
+
+and same_named_attr (k, x) (l, y) = String.equal k l && same_attr x y
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    String.equal a.k_name b.k_name
+    && List.equal Int.equal a.k_operands b.k_operands
+    && List.equal Ty.equal a.k_result_tys b.k_result_tys
+    && List.equal same_named_attr a.k_attrs b.k_attrs
+
+  let hash = Hashtbl.hash
+end)
 
 let eligible (op : Ir.op) =
   Dialect.has_trait op.o_name Dialect.Pure
@@ -31,17 +60,17 @@ let eligible (op : Ir.op) =
   && Array.length op.o_results > 0
 
 let run_on_block (b : Ir.block) =
-  let seen : (key, Ir.op) Hashtbl.t = Hashtbl.create 16 in
+  let seen : Ir.op Tbl.t = Tbl.create 16 in
   let replaced = ref 0 in
   List.iter
     (fun op ->
       if eligible op then begin
-        let key = commutative_normalise (key_of_op op) op in
-        match Hashtbl.find_opt seen key with
+        let key = key_of_op op in
+        match Tbl.find_opt seen key with
         | Some earlier ->
           Ir.replace_op op (Ir.Op.results earlier);
           incr replaced
-        | None -> Hashtbl.add seen key op
+        | None -> Tbl.add seen key op
       end)
     (Ir.Block.ops b);
   !replaced

@@ -52,8 +52,19 @@ if [[ ! -x $OPT || ! -x $COMPILE ]]; then
   exit 2
 fi
 
+# the nine hls-* steps in pipeline order, read off their "step N:"
+# descriptions
+STEPS=($("$OPT" --list-passes \
+  | sed -n 's/^\(hls-[a-z-]*\) *step \([0-9]*\):.*/\2 \1/p' \
+  | sort -n | cut -d' ' -f2))
+if [[ ${#STEPS[@]} -ne 9 ]]; then
+  echo "error: expected nine hls-* steps in --list-passes, got ${#STEPS[@]}" >&2
+  exit 2
+fi
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+DIRS=() # one dump directory per kernel[@variant], in run order
 
 dump () { # kernel grid [variant]
   local name=$1 grid=$2 variant=${3:-}
@@ -66,6 +77,7 @@ dump () { # kernel grid [variant]
     pipe="stencil-to-hls{variant=$variant}"
   fi
   mkdir -p "$dir"
+  DIRS+=("${dir#"$tmp/"}")
   "$COMPILE" "$name" --grid "$grid" --emit stencil \
     | tail -n +2 > "$dir/input.stencil.mlir"
   "$OPT" -p "$pipe" --verify-each --dump-after all --dump-dir "$dir" \
@@ -87,15 +99,22 @@ fi
 
 status=0
 
-# 1. per-step digests: the first line sha256sum flags is the first step
-#    (in pipeline order) whose output diverged
+# 1. per-step digests.  sha256sum reports failures in the order of
+#    $SUMS, which is sorted by path, not by step; name the first
+#    diverging step in pipeline order for each kernel[@variant]
 if ! (cd "$tmp" && sha256sum -c --quiet "$OLDPWD/$SUMS") > "$tmp/sums.out" 2>&1
 then
   status=1
   echo "step-level divergence (vs $SUMS):"
   sed 's/^/  /' "$tmp/sums.out"
-  first=$(grep -m1 'FAILED' "$tmp/sums.out" | cut -d: -f1 || true)
-  [[ -n $first ]] && echo "first diverging dump: $first"
+  for dir in "${DIRS[@]}"; do
+    for step in "${STEPS[@]}"; do
+      if grep -qF "./$dir/$step.after.mlir: FAILED" "$tmp/sums.out"; then
+        echo "first diverging step for $dir: $step"
+        break
+      fi
+    done
+  done
 fi
 
 # 2. final output must match the committed golden HLS modules

@@ -131,6 +131,107 @@ let test_steps_require_order () =
   | exception Shmls_support.Err.Error _ -> ()
   | _ -> Alcotest.fail "step 3 without step 2 must raise"
 
+(* -- fused (no-split) bodies: value-numbered address arithmetic ------- *)
+
+let no_split =
+  match Shmls_transforms.Variant.of_string "no-split" with
+  | Ok v -> v
+  | Error e -> failwith e
+
+let fused_kernels =
+  [
+    ("pw_advection", Shmls_kernels.Pw_advection.kernel);
+    ("tracer_advection", Shmls_kernels.Tracer_advection.kernel);
+    ("heat_3d", Shmls_kernels.Didactic.heat_3d);
+    ("acoustic_wave_3d", Shmls_kernels.Zoo.acoustic_wave_3d);
+  ]
+
+let fused_grid = [ 12; 10; 8 ]
+
+(* The loop bodies of the fused compute stage. *)
+let fused_bodies m =
+  Ir.Op.collect m (fun o ->
+      Ir.Op.name o = "hls.dataflow"
+      && Ir.Op.get_attr o "target" = Some (Attr.Str "fused"))
+  |> List.concat_map (fun df -> Ir.Op.collect df (fun o -> Ir.Op.name o = "scf.for"))
+  |> List.map (fun loop -> Ir.Region.entry (List.hd (Ir.Op.regions loop)))
+
+let test_fused_no_duplicate_address_ops () =
+  (* after step 5, no two index- or i1-typed ops and no two constants in
+     a fused loop body may compute the same value: every constant,
+     coordinate, clamp, range compare and stride product is built once *)
+  List.iter
+    (fun (name, kernel) ->
+      let m = prepared kernel fused_grid in
+      ignore
+        (Pass.run_pipeline
+           (Pass.parse_pipeline "stencil-to-hls{variant=no-split,steps=1-5}")
+           m);
+      let bodies = fused_bodies m in
+      if bodies = [] then Alcotest.failf "%s: no fused loop body" name;
+      List.iter
+        (fun body ->
+          let seen = Hashtbl.create 64 in
+          Ir.Block.iter_ops body (fun op ->
+              match Ir.Op.results op with
+              | [ r ]
+                when Ir.Op.name op = "arith.constant"
+                     || Ty.equal (Ir.Value.ty r) Ty.Index
+                     || Ty.equal (Ir.Value.ty r) Ty.I1 ->
+                let key =
+                  ( Ir.Op.name op,
+                    List.map Ir.Value.id (Ir.Op.operands op),
+                    List.map (fun (k, a) -> (k, Attr.to_string a)) (Ir.Op.attrs op),
+                    Ir.Value.ty r )
+                in
+                if Hashtbl.mem seen key then
+                  Alcotest.failf "%s: duplicate %s in a fused loop body" name
+                    (Printer.to_string op);
+                Hashtbl.add seen key ()
+              | _ -> ()))
+        bodies)
+    fused_kernels
+
+let value_defining_ops m =
+  List.length (Ir.Op.collect m (fun o -> Ir.Op.results o <> []))
+
+let test_fused_op_count () =
+  (* 352 value-defining ops when every access rebuilt its own address
+     arithmetic *)
+  let m = prepared Shmls_kernels.Didactic.heat_3d fused_grid in
+  let m_hls, _ = S2H.run ~variant:no_split m in
+  let n = value_defining_ops m_hls in
+  if n > 170 then
+    Alcotest.failf "heat_3d no-split %s: %d value-defining ops (want <= 170)"
+      (String.concat "x" (List.map string_of_int fused_grid))
+      n
+
+let test_fused_flops_unchanged () =
+  (* sharing never reaches float ops: the cost and cycle models price the
+     fused stage from its flop count (values as before value numbering) *)
+  let expected =
+    [
+      ("pw_advection", 63);
+      ("tracer_advection", 537);
+      ("heat_3d", 9);
+      ("acoustic_wave_3d", 28);
+    ]
+  in
+  List.iter
+    (fun (name, kernel) ->
+      let m = prepared kernel fused_grid in
+      let m_hls, _ = S2H.run ~variant:no_split m in
+      let flops =
+        Shmls_fpga.Extract.extract_module m_hls
+        |> List.concat_map (fun (d : Shmls_fpga.Design.t) -> d.Shmls_fpga.Design.d_stages)
+        |> List.filter_map (function
+             | Shmls_fpga.Design.Compute c -> Some c.flops
+             | _ -> None)
+      in
+      Alcotest.(check (list int)) (name ^ ": fused stage flops")
+        [ List.assoc name expected ] flops)
+    fused_kernels
+
 (* -- nb_index: the halo/boundary arithmetic of step 5 ----------------- *)
 
 let test_nb_index_cube_corners () =
@@ -186,6 +287,14 @@ let () =
           Alcotest.test_case "run_with_stats" `Quick test_run_with_stats;
           Alcotest.test_case "steps require order" `Quick
             test_steps_require_order;
+        ] );
+      ( "fused",
+        [
+          Alcotest.test_case "no duplicate address ops" `Quick
+            test_fused_no_duplicate_address_ops;
+          Alcotest.test_case "heat_3d op count" `Quick test_fused_op_count;
+          Alcotest.test_case "flops unchanged" `Quick
+            test_fused_flops_unchanged;
         ] );
       ( "nb_index",
         [

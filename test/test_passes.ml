@@ -116,6 +116,25 @@ let test_cse_respects_attrs () =
   let replaced = Cse.run_on_op m in
   Alcotest.(check int) "different constants kept" 0 replaced
 
+let test_cse_respects_result_types () =
+  (* equal name, attribute and (no) operands, different result type: an
+     index constant must not stand in for the i64 one the addi reads *)
+  let m =
+    Parser.parse_module
+      {|"builtin.module"() ({
+  "func.func"() ({
+  ^bb0(%0: i64):
+    %1 = "arith.constant"() {value = 1} : () -> (index)
+    %2 = "arith.constant"() {value = 1} : () -> (i64)
+    %3 = "arith.addi"(%0, %2) : (i64, i64) -> (i64)
+    "func.return"(%1, %3) : (index, i64) -> ()
+  }) {sym_name = "f", function_type = (i64) -> (index, i64)} : () -> ()
+}) : () -> ()|}
+  in
+  let replaced = Cse.run_on_op m in
+  Alcotest.(check int) "index and i64 constants kept apart" 0 replaced;
+  Test_common.Helpers.check_verifies "after cse" m
+
 let test_fold_constants () =
   let m =
     module_with_body (fun b _ ->
@@ -406,6 +425,8 @@ let () =
           Alcotest.test_case "dedups identical ops" `Quick test_cse_dedups;
           Alcotest.test_case "commutativity" `Quick test_cse_commutative;
           Alcotest.test_case "respects attributes" `Quick test_cse_respects_attrs;
+          Alcotest.test_case "respects result types" `Quick
+            test_cse_respects_result_types;
         ] );
       ( "fold",
         [

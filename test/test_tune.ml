@@ -232,6 +232,22 @@ let test_devices_resume () =
         "same frontier" true
         (r1.T.r_frontier = r2.T.r_frontier))
 
+(* One small multi-device search, pinned by the MD5 of its JSONL state:
+   every price, measured cycle count, max_diff and flag of every point
+   and validation.  A lowering change that moves none of them (sharing
+   the fused variant's address arithmetic, say) keeps this digest. *)
+let test_search_output_pinned () =
+  let path = Filename.temp_file "tune_pinned" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore
+        (T.run ~max_cu:2 ~jobs:1 ~devices:[ 1; 2; 4 ] ~state:path
+           Shmls_kernels.Didactic.heat_3d ~grids:[ [ 12; 10; 8 ] ]);
+      Alcotest.(check string)
+        "heat_3d 12x10x8 search JSONL" "cd441533d3c04cfbceecfb0a42604c5f"
+        (Digest.to_hex (Digest.file path)))
+
 (* ------------------------------------------------------------------ *)
 (* Resume *)
 
@@ -385,6 +401,8 @@ let () =
             `Quick test_devices_axis;
           Alcotest.test_case "devices axis resumes byte-identically" `Quick
             test_devices_resume;
+          Alcotest.test_case "search output pinned" `Quick
+            test_search_output_pinned;
         ] );
       ( "resume",
         [
