@@ -68,4 +68,12 @@ let () =
     c.c_fpp.pipelines c.c_fpp.interfaces;
   print_string c.c_connectivity;
   Printf.printf "\nLLVM-IR size: %d lines (try --emit llvm in shmls-compile to see it)\n"
-    (List.length (String.split_on_char '\n' (Shmls.emit_llvm_text c)))
+    (List.length (String.split_on_char '\n' (Shmls.emit_llvm_text c)));
+
+  (* 5. the same design as a CIRCT netlist (future-work path of the paper) *)
+  let circt = Shmls.emit_circt_text c in
+  Printf.printf "\nCIRCT lowering (%d lines), first lines:\n"
+    (List.length (String.split_on_char '\n' circt));
+  String.split_on_char '\n' circt
+  |> List.filteri (fun i _ -> i < 8)
+  |> List.iter (fun l -> print_endline ("  " ^ l))

@@ -268,18 +268,21 @@ let plan_of (c : compiled) =
 let run_design (c : compiled) ~args =
   Stage_compiler.run (plan_of c) ~args
 
+(* Kernel-argument order: fields, smalls, params *)
+let state_args (st : Interp.kernel_state) =
+  List.map (fun (_, g) -> Functional.Ptr (g.Grid.data, 0)) st.fields
+  @ List.map (fun (_, g) -> Functional.Ptr (g.Grid.data, 0)) st.smalls
+  @ List.map (fun (_, v) -> Functional.F v) st.params
+  |> Array.of_list
+
+let run_state (c : compiled) st = run_design c ~args:(state_args st)
+
 let verify ?(seed = 7) (c : compiled) =
   (* reference *)
   let ref_state = reference_state ~seed c in
   (* simulated design on identical fresh inputs *)
   let sim_state = Interp.alloc_state ~seed c.c_lowered in
-  let args =
-    List.map (fun (_, g) -> Functional.Ptr (g.Grid.data, 0)) sim_state.fields
-    @ List.map (fun (_, g) -> Functional.Ptr (g.Grid.data, 0)) sim_state.smalls
-    @ List.map (fun (_, v) -> Functional.F v) sim_state.params
-    |> Array.of_list
-  in
-  run_design c ~args;
+  run_state c sim_state;
   let interior = Ty.make_bounds ~lb:(List.map (fun _ -> 0) c.c_grid) ~ub:c.c_grid in
   let outputs =
     List.filter

@@ -141,6 +141,14 @@ type verification = {
     plan safely; the call is safe from several domains at once. *)
 val run_design : compiled -> args:Functional.value array -> unit
 
+(** The kernel's argument array for a state: its fields, smalls and
+    params, in that order, each in declaration order. *)
+val state_args : Interp.kernel_state -> Functional.value array
+
+(** [run_design c ~args:(state_args st)]: run the design in place on
+    the state's padded grids. *)
+val run_state : compiled -> Interp.kernel_state -> unit
+
 (** The reference interpreter's state after one run of the kernel on
     fresh inputs drawn with [seed] ({!Interp.run_lowered}), cached per
     (kernel, grid, seed) until {!reset_compile_cache}. The state is

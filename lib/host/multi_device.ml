@@ -84,6 +84,29 @@ let feedback_pairs (k : Shmls.Ast.kernel) =
       | Shmls.Ast.Input -> None)
     k.k_fields
 
+let mib = 1024 * 1024
+
+(* A slab device keeps every padded field grid and small-data array of
+   its slab in its own HBM. Checked before any slab is compiled, so an
+   oversized grid fails without allocating anything per point. *)
+let check_hbm (k : Shmls.Ast.kernel) ~device ~grid ~halo =
+  let padded = List.map2 (fun n h -> n + (2 * h)) grid halo in
+  let small_points =
+    List.fold_left
+      (fun acc (sd : Shmls.Ast.small_decl) -> acc + List.nth padded sd.sd_axis)
+      0 k.k_smalls
+  in
+  let bytes =
+    8 * ((List.length k.k_fields * List.fold_left ( * ) 1 padded) + small_points)
+  in
+  if bytes > Shmls_fpga.U280.hbm_bytes then
+    Err.raise_error ~loc:k.k_loc
+      "multi_device: device %d needs %d MB of HBM for its %s slab, more than \
+       the %d MB it has"
+      device (bytes / mib)
+      (String.concat "x" (List.map string_of_int grid))
+      (Shmls_fpga.U280.hbm_bytes / mib)
+
 let plan ?(variant = Shmls.Variant.default) ?(sweeps = 1)
     ?(link = Link.default) (kernel : Shmls.Ast.kernel) ~grid ~devices =
   if devices < 1 then
@@ -100,6 +123,10 @@ let plan ?(variant = Shmls.Variant.default) ?(sweeps = 1)
     List.fold_left (fun acc e -> (List.hd acc + e) :: acc) [ 0 ] extents
     |> List.tl |> List.rev
   in
+  List.iteri
+    (fun device extent ->
+      check_hbm kernel ~device ~grid:(extent :: List.tl grid) ~halo)
+    extents;
   let loaded = Shmls.Cost_model.loaded_field_names kernel in
   let slabs =
     List.mapi
@@ -162,23 +189,25 @@ let recv_bytes_per_phase (sl : slab) =
 (* Functional execution *)
 
 (* One dim-0 plane of a padded grid is contiguous (row-major layout):
-   strides.(0) elements starting at (row - lb0) * strides.(0). *)
+   strides.(0) elements starting at (row - lb0) * strides.(0), and
+   consecutive rows are consecutive planes. *)
 let plane_size (g : Grid.t) =
   if Array.length g.strides = 0 then 1 else g.strides.(0)
 
-let blit_plane ~(src : Grid.t) ~src_row ~(dst : Grid.t) ~dst_row =
+let blit_rows ~(src : Grid.t) ~src_row ~(dst : Grid.t) ~dst_row ~rows =
   let ps = plane_size dst in
   Array.blit src.data
     ((src_row - src.lb.(0)) * ps)
     dst.data
     ((dst_row - dst.lb.(0)) * ps)
-    ps
+    (rows * ps)
 
-let resolve_params (defaults : (string * float) list) overrides =
+let resolve_params (k : Shmls.Ast.kernel) (defaults : (string * float) list)
+    overrides =
   List.iter
     (fun (name, _) ->
       if not (List.mem_assoc name defaults) then
-        Err.raise_error "multi_device: unknown parameter %s" name)
+        Err.raise_error ~loc:k.k_loc "multi_device: unknown parameter %s" name)
     overrides;
   List.map
     (fun (name, v) ->
@@ -187,9 +216,19 @@ let resolve_params (defaults : (string * float) list) overrides =
       | None -> (name, v))
     defaults
 
+(* Host-level feedback: the new-state grid is copied onto the old-state
+   grid (ping-pong swap). *)
+let apply_feedback (p : plan) (st : Shmls.Interp.kernel_state) =
+  List.iter
+    (fun (dst, src) ->
+      if dst <> src then begin
+        let d = List.assoc dst st.fields and s = List.assoc src st.fields in
+        Array.blit s.Grid.data 0 d.Grid.data 0 (Array.length s.Grid.data)
+      end)
+    p.mp_feedback
+
 type run_result = {
   rr_outputs : (string * Grid.t) list;
-  rr_events : Host.event list;
   rr_exchange_phases : int;
   rr_exchanged_bytes : int;
 }
@@ -200,52 +239,38 @@ let run ?(seed = 7) ?(params = []) (p : plan) =
     Shmls.compile_cached ~variant:p.mp_variant kernel ~grid:p.mp_grid
   in
   let global = Shmls.Interp.alloc_state ~seed global_c.Shmls.c_lowered in
-  let params = resolve_params global.params params in
+  let params = resolve_params kernel global.params params in
   let h0 = List.hd p.mp_halo in
   let n0 = List.hd p.mp_grid in
   let slabs = Array.of_list p.mp_slabs in
-  (* per-slab devices, programs and buffers, seeded from the global
-     state shifted into slab coordinates (row-wise plane blits: the
-     non-streamed padded extents are shared with the global grids) *)
-  let devices =
+  (* each slab device's memory, seeded from the global state: the
+     slab's padded dim-0 rows of every field and dim-0 small (one
+     contiguous window, since the other padded extents are the global
+     ones), and a copy of every other small *)
+  let states =
     Array.map
       (fun sl ->
-        let device = Host.create_device () in
-        let prog = Host.build_program device sl.sl_compiled in
-        let field_bufs =
-          List.map
-            (fun (fd : Shmls.Ast.field_decl) ->
-              let buf = Host.alloc_field_buffer prog in
-              let g = List.assoc fd.fd_name global.fields in
-              for r = -h0 to sl.sl_extent + h0 - 1 do
-                blit_plane ~src:g ~src_row:(r + sl.sl_offset)
-                  ~dst:buf.Host.buf_grid ~dst_row:r
-              done;
-              (fd.fd_name, buf))
-            kernel.k_fields
+        let window (g : Grid.t) =
+          let ub = Array.to_list g.ub in
+          let s =
+            Grid.create
+              (Shmls.Ty.make_bounds ~lb:(Array.to_list g.lb)
+                 ~ub:((sl.sl_extent + h0) :: List.tl ub))
+          in
+          blit_rows ~src:g ~src_row:(sl.sl_offset - h0) ~dst:s ~dst_row:(-h0)
+            ~rows:(sl.sl_extent + (2 * h0));
+          s
         in
-        let small_bufs =
-          List.map
-            (fun (sd : Shmls.Ast.small_decl) ->
-              let buf = Host.alloc_small_buffer prog ~axis:sd.sd_axis in
-              let g = List.assoc sd.sd_name global.smalls in
-              Grid.iter_bounds buf.Host.buf_grid.bounds (fun idx ->
-                  match idx with
-                  | [ i ] ->
-                    let src = if sd.sd_axis = 0 then i + sl.sl_offset else i in
-                    Grid.set buf.Host.buf_grid idx (Grid.get g [ src ])
-                  | _ -> ());
-              (sd.sd_name, buf))
-            kernel.k_smalls
-        in
-        let args =
-          List.map (fun (_, b) -> Host.Buffer b) field_bufs
-          @ List.map (fun (_, b) -> Host.Buffer b) small_bufs
-          @ List.map
-              (fun name -> Host.Scalar (List.assoc name params))
-              kernel.k_params
-        in
-        (prog, field_bufs, args))
+        {
+          Shmls.Interp.fields =
+            List.map (fun (name, g) -> (name, window g)) global.fields;
+          smalls =
+            List.map2
+              (fun (sd : Shmls.Ast.small_decl) (name, g) ->
+                (name, if sd.sd_axis = 0 then window g else Grid.copy g))
+              kernel.k_smalls global.smalls;
+          params;
+        })
       slabs
   in
   let owner_of_row g0 =
@@ -265,7 +290,7 @@ let run ?(seed = 7) ?(params = []) (p : plan) =
      the slab memories mirror the global memory again *)
   let exchange () =
     Array.iteri
-      (fun i (_, field_bufs, _) ->
+      (fun i (st : Shmls.Interp.kernel_state) ->
         let sl = slabs.(i) in
         let halo_rows =
           List.init h0 (fun r -> -h0 + r)
@@ -276,68 +301,43 @@ let run ?(seed = 7) ?(params = []) (p : plan) =
             let g0 = sl.sl_offset + r in
             if g0 >= 0 && g0 < n0 then begin
               let j = owner_of_row g0 in
-              let _, src_bufs, _ = devices.(j) in
-              let src_off = slabs.(j).sl_offset in
-              List.iter
-                (fun (name, (dbuf : Host.buffer)) ->
-                  let sbuf = List.assoc name src_bufs in
-                  blit_plane ~src:sbuf.Host.buf_grid ~src_row:(g0 - src_off)
-                    ~dst:dbuf.Host.buf_grid ~dst_row:r;
-                  exchanged_bytes :=
-                    !exchanged_bytes + (8 * plane_size dbuf.Host.buf_grid))
-                field_bufs
+              List.iter2
+                (fun (_, dst) (_, src) ->
+                  blit_rows ~src ~src_row:(g0 - slabs.(j).sl_offset) ~dst
+                    ~dst_row:r ~rows:1;
+                  exchanged_bytes := !exchanged_bytes + (8 * plane_size dst))
+                st.fields states.(j).fields
             end)
           halo_rows)
-      devices
+      states
   in
-  (* host-level feedback: the new-state buffer is copied onto the
-     old-state buffer (ping-pong swap), identically on every device *)
-  let feedback () =
-    Array.iter
-      (fun (_, field_bufs, _) ->
-        List.iter
-          (fun (dst, src) ->
-            if dst <> src then begin
-              let d = (List.assoc dst field_bufs : Host.buffer).Host.buf_grid in
-              let s = (List.assoc src field_bufs : Host.buffer).Host.buf_grid in
-              Array.blit s.Grid.data 0 d.Grid.data 0 (Array.length s.Grid.data)
-            end)
-          p.mp_feedback)
-      devices
-  in
-  let events = ref [] in
   for sweep = 1 to p.mp_sweeps do
-    Array.iter
-      (fun (prog, _, args) -> events := Host.enqueue prog args :: !events)
-      devices;
+    Array.iteri (fun i st -> Shmls.run_state slabs.(i).sl_compiled st) states;
     if sweep < p.mp_sweeps then begin
-      feedback ();
+      Array.iter (apply_feedback p) states;
       exchange ()
     end
   done;
-  (* gather: every written field's slab interiors reassembled into a
-     copy of the global grid *)
+  (* gather: every written field's slab interiors reassembled into the
+     global grid, which nothing else reads after seeding *)
   let outputs =
     List.filter_map
       (fun (fd : Shmls.Ast.field_decl) ->
         if fd.fd_role = Shmls.Ast.Input then None
-        else Some (fd.fd_name, Grid.copy (List.assoc fd.fd_name global.fields)))
+        else Some (fd.fd_name, List.assoc fd.fd_name global.fields))
       kernel.k_fields
   in
   Array.iteri
-    (fun i (_, field_bufs, _) ->
+    (fun i (st : Shmls.Interp.kernel_state) ->
       let sl = slabs.(i) in
       List.iter
         (fun (name, dst) ->
-          let buf = (List.assoc name field_bufs : Host.buffer).Host.buf_grid in
-          for r = 0 to sl.sl_extent - 1 do
-            blit_plane ~src:buf ~src_row:r ~dst ~dst_row:(r + sl.sl_offset)
-          done)
+          blit_rows ~src:(List.assoc name st.fields) ~src_row:0 ~dst
+            ~dst_row:sl.sl_offset ~rows:sl.sl_extent)
         outputs)
-    devices;
+    states;
   {
     rr_outputs = outputs;
-    rr_events = List.rev !events;
     rr_exchange_phases = p.mp_sweeps - 1;
     rr_exchanged_bytes = !exchanged_bytes;
   }
@@ -348,21 +348,13 @@ let reference ?(seed = 7) ?(params = []) (p : plan) =
   in
   let st = Shmls.Interp.alloc_state ~seed c.Shmls.c_lowered in
   let st =
-    { st with Shmls.Interp.params = resolve_params st.params params }
+    { st with Shmls.Interp.params = resolve_params p.mp_kernel st.params params }
   in
   for sweep = 1 to p.mp_sweeps do
     ignore
       (Shmls.Interp.run_func c.Shmls.c_lowered.l_func
          ~args:(Shmls.Interp.state_args st));
-    if sweep < p.mp_sweeps then
-      List.iter
-        (fun (dst, src) ->
-          if dst <> src then begin
-            let d = List.assoc dst st.Shmls.Interp.fields in
-            let s = List.assoc src st.Shmls.Interp.fields in
-            Array.blit s.Grid.data 0 d.Grid.data 0 (Array.length s.Grid.data)
-          end)
-        p.mp_feedback
+    if sweep < p.mp_sweeps then apply_feedback p st
   done;
   st
 

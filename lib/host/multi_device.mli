@@ -65,7 +65,9 @@ val feedback_pairs : Shmls.Ast.kernel -> (string * string) list
 
 (** Build the multi-device plan: slab designs are compiled (cached) per
     distinct slab shape; raises {!Err.Error} for [devices < 1] or more
-    devices than dim-0 rows. *)
+    devices than dim-0 rows, and, at the kernel's location, before any
+    compile, for a slab whose padded fields and smalls exceed
+    {!Shmls_fpga.U280.hbm_bytes}. *)
 val plan :
   ?variant:Shmls.Variant.t ->
   ?sweeps:int ->
@@ -82,16 +84,17 @@ val recv_bytes_per_phase : slab -> int
 type run_result = {
   rr_outputs : (string * Shmls_interp.Grid.t) list;
       (** reassembled global padded grids of every written field *)
-  rr_events : Host.event list;  (** one per slab per sweep *)
   rr_exchange_phases : int;  (** [sweeps - 1] *)
   rr_exchanged_bytes : int;  (** halo bytes actually moved mid-run *)
 }
 
-(** Run the plan functionally: each slab on its own simulated device
-    (HBM accounted per device), seeded from the global initial state,
-    [mp_sweeps] runs with feedback + halo exchange between consecutive
-    sweeps, interiors gathered back at the end.  [params] overrides
-    the deterministic default parameter values by name. *)
+(** Run the plan functionally: each slab's design ({!Shmls.run_state})
+    on its own padded grids, seeded from the global initial state
+    ({!Shmls.Interp.alloc_state}), [mp_sweeps] runs with feedback +
+    halo exchange between consecutive sweeps, interiors gathered back
+    at the end.  [params] overrides the deterministic default parameter
+    values by name; an unknown name raises {!Err.Error} at the
+    kernel's location. *)
 val run :
   ?seed:int ->
   ?params:(string * float) list ->

@@ -1,12 +1,11 @@
 (* Tests for the alternative backend (CIRCT lowering, the paper's
-   further-work item 1) and the host runtime (the OpenCL host-code
-   stand-in). *)
+   further-work item 1), domain decomposition, the one-device host path,
+   occupancy tracing and the synthesis report. *)
 
 let () = Shmls_dialects.Register.all ()
 
 module H = Test_common.Helpers
 module Circt = Shmls_circt.Circt
-module Host = Shmls_host.Host
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -74,78 +73,42 @@ let test_circt_depths_survive () =
   Alcotest.(check bool) "deep buffer in the netlist" true
     (contains ~needle:(Printf.sprintf "{depth = %d}" deepest) text)
 
-(* -- host runtime ----------------------------------------------------------- *)
+(* -- domain decomposition ---------------------------------------------- *)
 
+module MD = Shmls_host.Multi_device
+
+(* The host path on one device, checked against an interpreter run built
+   here from the same seed and parameter values (not through
+   MD.reference), so the host's seeding and parameter plumbing are
+   checked too. *)
 let test_host_run_matches_interpreter () =
   let k = H.chain_3d in
   let grid = [ 8; 6; 6 ] in
+  let p = MD.plan k ~grid ~devices:1 in
+  let r = MD.run ~seed:7 ~params:[ ("alpha", 0.1) ] p in
   let c = Shmls.compile k ~grid in
-  let dev = Host.create_device () in
-  let prog = Host.build_program dev c in
-  let event, fields, _smalls =
-    Host.run_kernel prog ~params:[ ("alpha", 0.1) ]
-  in
-  Alcotest.(check string) "event kernel" "chain_3d" event.ev_kernel;
-  Alcotest.(check bool) "nonzero duration" true (Host.duration_s event > 0.0);
-  (* reference: interpreter with the same seed and parameter values *)
   let ref_state = Shmls.Interp.alloc_state ~seed:7 c.c_lowered in
   let ref_state =
     { ref_state with Shmls.Interp.params = [ ("alpha", 0.1) ] }
   in
-  ignore (Shmls.Interp.run_func c.c_lowered.l_func ~args:(Shmls.Interp.state_args ref_state));
+  ignore
+    (Shmls.Interp.run_func c.c_lowered.l_func
+       ~args:(Shmls.Interp.state_args ref_state));
   let interior = Shmls.Ty.make_bounds ~lb:[ 0; 0; 0 ] ~ub:grid in
+  let outputs =
+    List.filter
+      (fun (fd : Shmls.Ast.field_decl) -> fd.fd_role = Shmls.Ast.Output)
+      k.k_fields
+  in
+  Alcotest.(check bool) "kernel has outputs" true (outputs <> []);
   List.iter
     (fun (fd : Shmls.Ast.field_decl) ->
-      if fd.fd_role = Shmls.Ast.Output then begin
-        let dev_buf = List.assoc fd.fd_name fields in
-        let ref_grid = List.assoc fd.fd_name ref_state.fields in
-        let d =
-          Shmls.Grid.max_abs_diff_on interior ref_grid dev_buf.Host.buf_grid
-        in
-        if d <> 0.0 then
-          Alcotest.failf "host run of %s differs by %g" fd.fd_name d
-      end)
-    k.k_fields
-
-let test_host_buffer_transfers () =
-  let c = Shmls.compile H.avg_1d ~grid:[ 16 ] in
-  let dev = Host.create_device () in
-  let prog = Host.build_program dev c in
-  let buf = Host.alloc_field_buffer prog in
-  let src = Shmls.Grid.create buf.Host.buf_grid.bounds in
-  Shmls.Grid.init_hash ~seed:5 src;
-  Host.write_buffer buf src;
-  let back = Shmls.Grid.create buf.Host.buf_grid.bounds in
-  Host.read_buffer buf back;
-  Alcotest.(check (float 0.0)) "round trip" 0.0 (Shmls.Grid.max_abs_diff src back)
-
-let test_host_hbm_capacity () =
-  (* the device tracks allocations against the 8 GB of HBM; pretend most
-     of it is used and check the next allocation is refused before any
-     backing store is created *)
-  let c = Shmls.compile H.avg_1d ~grid:[ 16 ] in
-  let dev = Host.create_device () in
-  let prog = Host.build_program dev c in
-  dev.Host.allocated_bytes <- Shmls.U280.hbm_bytes - 64;
-  match Host.alloc_field_buffer prog with
-  | exception Shmls_support.Err.Error _ -> ()
-  | _ -> Alcotest.fail "HBM capacity not enforced"
-
-let test_host_event_consistency () =
-  (* the event's profiled time must equal the analytic model's *)
-  let c = Shmls.compile Shmls_kernels.Didactic.heat_3d ~grid:[ 12; 10; 8 ] in
-  let dev = Host.create_device () in
-  let prog = Host.build_program dev c in
-  let event, _, _ = Host.run_kernel prog ~params:[ ("alpha", 0.05) ] in
-  let est = Shmls.Perf_model.estimate_design c.c_design in
-  Alcotest.(check (float 1e-12)) "profiled = modelled" est.e_seconds
-    (Host.duration_s event);
-  let mpts = Host.mpts_of_event prog event in
-  Alcotest.(check (float 0.01)) "MPt/s consistent" est.e_mpts mpts
-
-(* -- domain decomposition ---------------------------------------------- *)
-
-module MD = Shmls_host.Multi_device
+      let got = List.assoc fd.fd_name r.rr_outputs in
+      let ref_grid = List.assoc fd.fd_name ref_state.fields in
+      let d = Shmls.Grid.max_abs_diff_on interior ref_grid got in
+      if d <> 0.0 then
+        Alcotest.failf "host run of %s differs by %g" fd.fd_name d)
+    outputs
 
 let test_partition_bit_exact () =
   List.iter
@@ -247,9 +210,5 @@ let () =
         [
           Alcotest.test_case "run matches interpreter" `Quick
             test_host_run_matches_interpreter;
-          Alcotest.test_case "buffer transfers" `Quick test_host_buffer_transfers;
-          Alcotest.test_case "HBM capacity enforced" `Quick test_host_hbm_capacity;
-          Alcotest.test_case "event = analytic model" `Quick
-            test_host_event_consistency;
         ] );
     ]

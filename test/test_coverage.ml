@@ -153,28 +153,38 @@ let test_connectivity_negative_bank () =
      let rec go i = i + nl <= hl && (String.sub cfg i nl = needle || go (i + 1)) in
      go 0)
 
-(* -- host error paths ------------------------------------------------------------ *)
+(* -- multi-device error paths ------------------------------------------------ *)
 
-let test_host_transfer_mismatch () =
-  let c = Shmls.compile H.avg_1d ~grid:[ 12 ] in
-  let dev = Shmls_host.Host.create_device () in
-  let prog = Shmls_host.Host.build_program dev c in
-  let buf = Shmls_host.Host.alloc_field_buffer prog in
-  let wrong = Grid.create (Ty.make_bounds ~lb:[ 0 ] ~ub:[ 3 ]) in
-  (match Shmls_host.Host.write_buffer buf wrong with
-  | exception Shmls_support.Err.Error _ -> ()
-  | _ -> Alcotest.fail "size mismatch on write must raise");
-  match Shmls_host.Host.read_buffer buf wrong with
-  | exception Shmls_support.Err.Error _ -> ()
-  | _ -> Alcotest.fail "size mismatch on read must raise"
+module MD = Shmls_host.Multi_device
 
-let test_host_missing_param () =
-  let c = Shmls.compile Shmls_kernels.Didactic.heat_3d ~grid:[ 8; 6; 6 ] in
-  let dev = Shmls_host.Host.create_device () in
-  let prog = Shmls_host.Host.build_program dev c in
-  match Shmls_host.Host.run_kernel prog ~params:[] with
-  | exception Shmls_support.Err.Error _ -> ()
-  | _ -> Alcotest.fail "missing parameter must raise"
+(* [f] must raise exactly [message], anchored at [loc]. *)
+let check_located_error ~message ~loc f =
+  match f () with
+  | exception Shmls_support.Err.Error e ->
+    Alcotest.(check string) "message" message e.Shmls_support.Diagnostic.d_message;
+    Alcotest.(check string) "loc" (Shmls_support.Loc.to_string loc)
+      (Shmls_support.Loc.to_string e.Shmls_support.Diagnostic.d_loc)
+  | _ -> Alcotest.fail "expected an error"
+
+let test_md_unknown_param () =
+  let k = Shmls_kernels.Didactic.heat_3d in
+  let p = MD.plan k ~grid:[ 8; 6; 6 ] ~devices:2 in
+  check_located_error ~message:"multi_device: unknown parameter beta"
+    ~loc:k.k_loc (fun () -> MD.run ~params:[ ("beta", 0.1) ] p)
+
+(* Two padded fields of 600M points need about 9.6 GB: too much for one
+   device's 8 GB of HBM, enough room on each of two.  Planning checks
+   before it compiles or allocates anything per point. *)
+let test_md_hbm_at_plan_time () =
+  let k = Shmls_kernels.Didactic.sum_neighbours_1d in
+  let grid = [ 600_000_000 ] in
+  check_located_error
+    ~message:
+      "multi_device: device 0 needs 9155 MB of HBM for its 600000000 slab, \
+       more than the 8192 MB it has"
+    ~loc:k.k_loc (fun () -> MD.plan k ~grid ~devices:1);
+  let p = MD.plan k ~grid ~devices:2 in
+  Alcotest.(check int) "two slabs" 2 (List.length p.mp_slabs)
 
 let () =
   Alcotest.run "coverage"
@@ -207,10 +217,10 @@ let () =
           Alcotest.test_case "connectivity shared bank" `Quick
             test_connectivity_negative_bank;
         ] );
-      ( "host-errors",
+      ( "multi-device-errors",
         [
-          Alcotest.test_case "transfer size mismatch" `Quick
-            test_host_transfer_mismatch;
-          Alcotest.test_case "missing parameter" `Quick test_host_missing_param;
+          Alcotest.test_case "unknown parameter" `Quick test_md_unknown_param;
+          Alcotest.test_case "HBM checked at plan time" `Quick
+            test_md_hbm_at_plan_time;
         ] );
     ]

@@ -8,23 +8,14 @@
 let () = Shmls_dialects.Register.all ()
 
 module H = Test_common.Helpers
-module Functional = Shmls_fpga.Functional
 module Stage_compiler = Shmls_fpga.Stage_compiler
 module Interp = Shmls_interp.Interp
 module Grid = Shmls_interp.Grid
 
-(* Fresh simulator arguments for [state]: same convention as
-   [Shmls.verify]. *)
-let args_of_state (st : Interp.kernel_state) =
-  List.map (fun (_, g) -> Functional.Ptr (g.Grid.data, 0)) st.fields
-  @ List.map (fun (_, g) -> Functional.Ptr (g.Grid.data, 0)) st.smalls
-  @ List.map (fun (_, v) -> Functional.F v) st.params
-  |> Array.of_list
-
 (* Run [plan] on fresh inputs for [c]; the state holds the outputs. *)
 let run_plan ?(seed = 7) (c : Shmls.compiled) plan =
   let st = Interp.alloc_state ~seed c.c_lowered in
-  Stage_compiler.run plan ~args:(args_of_state st);
+  Stage_compiler.run plan ~args:(Shmls.state_args st);
   st
 
 (* Run the reference interpreter and the engine on identical fresh
@@ -355,7 +346,7 @@ let test_starved_read_parity () =
           d.d_stages;
     }
   in
-  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
   check_error_parity "starved read" broken ~args_of
     ~message:"functional sim: read from empty stream" ~loc;
   (* a shift over one outer row too few: its window runs dry inside the
@@ -395,7 +386,7 @@ let test_starved_read_parity () =
           d.d_stages;
     }
   in
-  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
   check_error_parity "starved window read" short ~args_of
     ~message:"functional sim: read from empty stream"
     ~loc:(Shmls.Ir.Op.loc (List.hd window_read))
@@ -431,7 +422,7 @@ let test_zero_capacity_push () =
       }
     | _ -> Alcotest.fail "avg_1d: the design does not start with a load"
   in
-  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
   check_error_parity "zero-capacity push" broken ~args_of
     ~message:"functional sim: read from empty stream"
     ~loc:Shmls_support.Loc.unknown
@@ -450,7 +441,7 @@ let test_undrained_stream_parity () =
           d.d_stages;
     }
   in
-  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
   (* the write stage's input stream keeps every padded point: 16 + 2 *)
   let stream =
     List.find_map
@@ -474,7 +465,7 @@ let test_foreign_run_state () =
   let c = Shmls.compile_cached H.avg_1d ~grid:[ 16 ] in
   let other = Shmls.compile_cached H.chain_3d ~grid:[ 10; 8; 6 ] in
   let plan = Stage_compiler.compile c.c_design in
-  let args () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let args () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
   let e =
     run_expect_error "run state of another plan" (fun () ->
         Stage_compiler.run_with plan
@@ -520,10 +511,10 @@ let test_shared_plan_across_domains () =
                 (* explicit per-run state, created on this domain *)
                 Stage_compiler.run_with plan
                   (Stage_compiler.create_state plan)
-                  ~args:(args_of_state st)
+                  ~args:(Shmls.state_args st)
               else
                 (* the per-domain cached state behind [run] *)
-                Stage_compiler.run plan ~args:(args_of_state st)
+                Stage_compiler.run plan ~args:(Shmls.state_args st)
             done))
   in
   List.iter Domain.join domains;
@@ -580,7 +571,7 @@ let test_parallel_error_loc_parity () =
           d.d_stages;
     }
   in
-  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
   let seq_err =
     run_expect_error "sequential" (fun () ->
         Stage_compiler.run (Stage_compiler.compile broken) ~args:(args_of ()))

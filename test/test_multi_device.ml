@@ -39,6 +39,30 @@ let inout_1d =
       ];
   }
 
+(* A 1-D kernel whose small-data array runs along the streamed
+   dimension: each slab device holds only its own window of it. *)
+let weighted_1d =
+  let open Shmls_frontend.Ast in
+  {
+    k_loc = Shmls_support.Loc.unknown;
+    k_name = "weighted_1d";
+    k_rank = 1;
+    k_fields =
+      [ { fd_name = "u"; fd_role = Input }; { fd_name = "v"; fd_role = Output } ];
+    k_smalls = [ { sd_name = "w"; sd_axis = 0 } ];
+    k_params = [];
+    k_stencils =
+      [
+        {
+          sd_loc = Shmls_support.Loc.unknown;
+          sd_target = "v";
+          sd_expr =
+            (small "w" ~offset:(-1) *: fld "u" [ -1 ])
+            +: (small "w" ~offset:1 *: fld "u" [ 1 ]);
+        };
+      ];
+  }
+
 (* -- plan structure -------------------------------------------------- *)
 
 let test_slab_extents () =
@@ -99,16 +123,22 @@ let test_plan_structure () =
 
 let test_all_kernels_bit_exact () =
   List.iter
-    (fun (k, grid) ->
+    (fun (k, grid, params) ->
       List.iter
         (fun devices ->
           let p = MD.plan k ~grid ~devices in
           check_exact
             (Printf.sprintf "%s devices=%d" k.Shmls.Ast.k_name devices)
-            (MD.verify_vs_reference p))
+            (MD.verify_vs_reference ~params p))
         [ 1; 2; 3; 4 ])
-    (* PW advection sliced into three slabs along a longer dim 0 too *)
-    (H.all_test_kernels @ [ (Shmls_kernels.Pw_advection.kernel, [ 24; 10; 8 ]) ])
+    (List.map (fun (k, grid) -> (k, grid, [])) H.all_test_kernels
+    @ [
+        (* PW advection sliced into three slabs along a longer dim 0 *)
+        (Shmls_kernels.Pw_advection.kernel, [ 24; 10; 8 ], []);
+        (* a non-default parameter value reaches every slab design *)
+        (H.chain_3d, [ 8; 6; 6 ], [ ("alpha", 0.1) ]);
+        (weighted_1d, [ 24 ], []);
+      ])
 
 let test_multi_sweep_bit_exact () =
   (* time-stepping kernels: feedback + halo exchange between sweeps *)
@@ -138,8 +168,6 @@ let test_multi_sweep_bit_exact () =
    included) and through [Shmls.verify]. *)
 let test_engines_bit_exact () =
   let module Interp = Shmls_interp.Interp in
-  let module Grid = Shmls_interp.Grid in
-  let module F = Shmls_fpga.Functional in
   let p =
     MD.plan Shmls_kernels.Didactic.heat_3d ~grid:[ 12; 8; 6 ] ~devices:4
       ~sweeps:3
@@ -151,12 +179,7 @@ let test_engines_bit_exact () =
       let c = sl.sl_compiled in
       let a = Interp.run_lowered ~seed:7 c.c_lowered in
       let b = Interp.alloc_state ~seed:7 c.c_lowered in
-      let ptr (_, g) = F.Ptr (g.Grid.data, 0) in
-      Shmls_fpga.Stage_compiler.run (Lazy.force c.c_plan)
-        ~args:
-          (Array.of_list
-             (List.map ptr b.fields @ List.map ptr b.smalls
-             @ List.map (fun (_, v) -> F.F v) b.params));
+      Shmls.run_state c b;
       H.check_states_identical (Printf.sprintf "slab %d" sl.sl_device) a b;
       check_exact
         (Printf.sprintf "slab %d verify vs interpreter" sl.sl_device)
@@ -181,8 +204,6 @@ let test_run_accounting () =
       ~sweeps:3
   in
   let r = MD.run ~params:[ ("alpha", 0.05) ] p in
-  Alcotest.(check int) "one event per slab per sweep" 9
-    (List.length r.rr_events);
   Alcotest.(check int) "exchange phases" 2 r.rr_exchange_phases;
   Alcotest.(check bool) "halo bytes moved" true (r.rr_exchanged_bytes > 0);
   let single =

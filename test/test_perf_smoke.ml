@@ -222,17 +222,11 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-let args_of (st : Shmls.Interp.kernel_state) =
-  List.map (fun (_, g) -> Shmls.Functional.Ptr (g.Shmls.Grid.data, 0)) st.fields
-  @ List.map (fun (_, g) -> Shmls.Functional.Ptr (g.Shmls.Grid.data, 0)) st.smalls
-  @ List.map (fun (_, v) -> Shmls.Functional.F v) st.params
-  |> Array.of_list
-
 (* Run [plan] on fresh inputs; [weak] is pointed at one input grid. *)
 let[@inline never] run_on_fresh_inputs (c : Shmls.compiled) plan weak =
   let st = Shmls.Interp.alloc_state c.c_lowered in
   Weak.set weak 0 (Some (snd (List.hd st.fields)).Shmls.Grid.data);
-  Shmls.Stage_compiler.run plan ~args:(args_of st)
+  Shmls.Stage_compiler.run plan ~args:(Shmls.state_args st)
 
 let[@inline never] run_on_fresh_plan (c : Shmls.compiled) =
   run_on_fresh_inputs c
@@ -277,7 +271,7 @@ let test_first_run_allocation () =
        d.d_streams);
   let plan = Shmls.Stage_compiler.compile d in
   let st = Shmls.Interp.alloc_state c.c_lowered in
-  let args = args_of st in
+  let args = Shmls.state_args st in
   let before = Gc.allocated_bytes () in
   Shmls.Stage_compiler.run plan ~args;
   let bytes = Gc.allocated_bytes () -. before in

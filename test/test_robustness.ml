@@ -76,11 +76,7 @@ let sabotaged_design () =
 let test_functional_detects_undrained () =
   let d = sabotaged_design () in
   let st = Shmls.Interp.alloc_state (Shmls.compile H.avg_1d ~grid:[ 12 ]).c_lowered in
-  let args =
-    List.map (fun (_, g) -> F.Functional.Ptr (g.Shmls.Grid.data, 0)) st.fields
-    |> Array.of_list
-  in
-  match run_design d ~args with
+  match run_design d ~args:(Shmls.state_args st) with
   | exception Shmls_support.Err.Error _ -> ()
   | () -> Alcotest.fail "undrained streams must be reported"
 
@@ -98,11 +94,7 @@ let test_functional_detects_starved_read () =
     }
   in
   let st = Shmls.Interp.alloc_state c.c_lowered in
-  let args =
-    List.map (fun (_, g) -> F.Functional.Ptr (g.Shmls.Grid.data, 0)) st.fields
-    |> Array.of_list
-  in
-  match run_design d ~args with
+  match run_design d ~args:(Shmls.state_args st) with
   | exception Shmls_support.Err.Error _ -> ()
   | () -> Alcotest.fail "reads from an unfed stream must be reported"
 
