@@ -3,20 +3,29 @@
    The search driver enumerates variant x cu x grid-shape points from
    {!Variant.search_space}, prunes the ones the U280 shell can never
    host (cu x ports_per_cu beyond the AXI port budget) and the
-   duplicates (an explicit cu equal to the derived one compiles to the
-   same design), prices the survivors with {!Cost.evaluate} —
-   model-only: a point costs one cached compile and one cost
-   evaluation, never a simulation — and maintains the 2-D Pareto
-   frontier of throughput (MPt/s, up) against the tightest resource
-   fraction (down).
+   duplicates (an explicit cu equal to the derived one is the same
+   point), prices the survivors with {!Cost.evaluate} and
+   maintains the 2-D Pareto frontier of throughput (MPt/s, up) against
+   the tightest resource fraction (down).
+
+   Extra compute units are identical copies of one kernel: a [cu=N]
+   variant differs from its derived-CU sibling only in step 9's [cu]
+   attribute, which the cost evaluation reads and neither simulator
+   does.  So the points of one (grid, split, pack, devices) group share
+   one design: each point is compiled (cached) at its variant with
+   [v_cu = None], its CU count is priced through [Cost.evaluate ?cu],
+   and the group is measured once — one functional verification and
+   one cycle simulation — which every point of the group is judged
+   against.
 
    Validation used to be a frontier-only affair, because the tick-level
    cycle simulator priced each point at a whole per-cycle run.  The
    event-driven engine's steady-state fast-forward makes a validation
    cost roughly fill + drain, so the default scope is now [All]: every
    feasible point is validated bit-exact by the whole-stream batched
-   functional simulator and cycle-counted by {!Cycle_sim} on the
-   domain pool, and the measured cycles are compared against the
+   functional simulator and cycle-counted by {!Cycle_sim} (one
+   measurement per group, on the domain pool), and the measured cycles
+   are compared against the
    model's per-CU prediction (the cycle simulator executes one CU over
    the whole padded grid, so the comparison point is the cost
    evaluation at [~cu:1]); points diverging beyond the tolerance are
@@ -45,7 +54,9 @@ type point = { pt_grid : int list; pt_variant : Variant.t; pt_devices : int }
 
 type eval = {
   ev_point : point;
-  ev_cu : int;  (** resolved CU replication of the compiled design *)
+  ev_cu : int;
+      (** the CU count the point is priced at: its pinned [cu=N], or the
+          replication its design derives *)
   ev_ports_per_cu : int;
   ev_cost : Cost.t;
   ev_frac : float;  (** tightest resource column / budget *)
@@ -283,13 +294,23 @@ let show_point (p : point) =
     (String.concat "x" (List.map string_of_int p.pt_grid))
     p.pt_devices
 
+(* The first element of each [key] class, in order. *)
+let distinct_by key l =
+  List.rev
+    (List.fold_left
+       (fun acc x ->
+         if List.exists (fun y -> key y = key x) acc then acc else x :: acc)
+       [] l)
+
 let run ?(budget = U280.budget)
     ?(max_cu = 8) ?(jobs = 0) ?state ?(resume = false)
     ?(divergence_tolerance = default_divergence_tolerance)
     ?(validate = All) ?(devices = [ 1 ]) ?(link = Shmls_fpga.Link.default)
     (kernel : Ast.kernel) ~grids =
   let kname = kernel.Ast.k_name in
-  let devices = if devices = [] then [ 1 ] else devices in
+  (* a repeated grid or device count names points already searched *)
+  let grids = distinct_by Fun.id grids in
+  let devices = distinct_by Fun.id (if devices = [] then [ 1 ] else devices) in
   List.iter
     (fun d ->
       if d < 1 then Err.raise_error "tune: bad device count %d (want >= 1)" d)
@@ -327,18 +348,23 @@ let run ?(budget = U280.budget)
   let pruned_devices = ref 0 in
   let evaluated_new = ref 0 in
   let resumed = ref 0 in
+  (* The design a point shares with the other CU counts of its group:
+     its variant without the CU pin.  The group key is exactly what the
+     simulators read. *)
+  let design_variant (p : point) = { p.pt_variant with Variant.v_cu = None } in
+  let group_key (p : point) = (p.pt_grid, design_variant p, p.pt_devices) in
   (* A multi-device point is priced on its largest slab — the makespan
      lane — with the link model charging the halo exchange. *)
   let compile_point (p : point) =
     let slabs =
       Shmls_host.Multi_device.slab_extents (List.hd p.pt_grid) p.pt_devices
     in
-    Shmls.compile_cached ~variant:p.pt_variant kernel
+    Shmls.compile_cached ~variant:(design_variant p) kernel
       ~grid:(List.fold_left max 0 slabs :: List.tl p.pt_grid)
   in
   let loaded_fields = Shmls.Cost_model.loaded_fields kernel in
-  let cost_of ?cu (p : point) (c : Shmls.compiled) =
-    Shmls.Cost_model.evaluate_multi_device ?cu ~link ~devices:p.pt_devices
+  let cost_of ~cu (p : point) (c : Shmls.compiled) =
+    Shmls.Cost_model.evaluate_multi_device ~cu ~link ~devices:p.pt_devices
       ~global_grid:p.pt_grid ~fields:loaded_fields c.Shmls.c_design
   in
   let evaluate_point key (p : point) =
@@ -348,11 +374,12 @@ let run ?(budget = U280.budget)
       eval_of_row line p
     | None ->
       let c = compile_point p in
-      let cost = cost_of p c in
+      let cu = Option.value p.pt_variant.Variant.v_cu ~default:c.Shmls.c_cu in
+      let cost = cost_of ~cu p c in
       let e =
         {
           ev_point = p;
-          ev_cu = c.Shmls.c_cu;
+          ev_cu = cu;
           ev_ports_per_cu = c.Shmls.c_ports_per_cu;
           ev_cost = cost;
           ev_frac = Cost.max_fraction ~budget cost;
@@ -442,97 +469,96 @@ let run ?(budget = U280.budget)
       List.rev (take n with_frontier best)
   in
   (* Validate: batched functional sim (bit-exactness) plus the cycle
-     simulator, on the pool.  Designs are compiled (or fetched from the
-     compile cache) sequentially first — IR construction wants
+     simulator, once per group of points that share a design, on the
+     pool.  Designs and multi-device plans are compiled (or fetched from
+     the compile cache) sequentially first — IR construction wants
      deterministic ids — so the parallel phase only simulates. *)
-  let simulated = ref 0 in
   let validations_resumed = ref 0 in
   let todo =
     List.filter_map
       (fun e ->
         let key = point_key ~kernel:kname ~budget e.ev_point in
-        match Hashtbl.find_opt known_validations key with
-        | Some _ ->
+        if Hashtbl.mem known_validations key then begin
           incr validations_resumed;
           None
-        | None -> Some (key, e, compile_point e.ev_point))
+        end
+        else Some (key, e))
       to_validate
   in
-  (* Multi-device plans are built sequentially up front for the same
-     reason the designs are compiled up front: deterministic IR ids.
-     The parallel phase only simulates. *)
-  let todo =
+  (* Each group is measured for its first point, which names it in an
+     error: the point a per-point validation would have failed at. *)
+  let groups =
     List.map
-      (fun ((_, e, _) as item) ->
+      (fun (p : point) ->
         let plan =
-          if e.ev_point.pt_devices <= 1 then None
+          if p.pt_devices <= 1 then None
           else
             Some
-              (Shmls_host.Multi_device.plan ~variant:e.ev_point.pt_variant
-                 ~link kernel ~grid:e.ev_point.pt_grid
-                 ~devices:e.ev_point.pt_devices)
+              (Shmls_host.Multi_device.plan ~variant:(design_variant p) ~link
+                 kernel ~grid:p.pt_grid ~devices:p.pt_devices)
         in
-        (item, plan))
-      todo
+        (p, compile_point p, plan))
+      (distinct_by group_key (List.map (fun (_, e) -> e.ev_point) todo))
   in
-  let fresh =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_list pool
-          (fun ((key, e, c), plan) ->
-            let model_cycles = (cost_of ~cu:1 e.ev_point c).Cost.cycles in
-            let max_diff, measured, deadlocked, fill_divergence =
-              match plan with
-              | None ->
-                let verification = Shmls.verify c in
-                let cs = Shmls_fpga.Cycle_sim.run c.Shmls.c_design in
-                let fill_divergence =
-                  Option.map
-                    (fun fs -> fs.Shmls_fpga.Perf_model.fs_divergence)
-                    (Shmls_fpga.Perf_model.check_fill_steady c.Shmls.c_design
-                       cs)
-                in
-                ( verification.Shmls.v_max_diff,
-                  cs.Shmls_fpga.Cycle_sim.cycles,
-                  cs.Shmls_fpga.Cycle_sim.deadlocked,
-                  fill_divergence )
-              | Some plan ->
-                (* the reassembled N-slab run against the global
-                   reference, and the ensemble makespan with the link
-                   charge — the measured side of the model's own
-                   slab + link prediction *)
-                let verification =
-                  Shmls_host.Multi_device.verify_vs_reference plan
-                in
-                let mr = Shmls_host.Multi_device.estimate plan in
-                let makespan = Float.round mr.Shmls_fpga.Cycle_sim.mr_cycles in
-                (* [int_of_float] is unspecified on nan, inf and values
-                   beyond the int range *)
-                if not (Float.abs makespan < float_of_int max_int) then
-                  Err.raise_error ~loc:kernel.Ast.k_loc
-                    "tune: design %s has an ensemble makespan of %g cycles, \
-                     beyond the cycle counter (link %s)"
-                    (show_point e.ev_point) makespan
-                    (Shmls_fpga.Link.to_string link);
-                ( verification.Shmls.v_max_diff,
-                  int_of_float makespan,
-                  mr.Shmls_fpga.Cycle_sim.mr_deadlocked,
-                  None )
-            in
-            if deadlocked then
-              Err.raise_error "tune: design %s deadlocked in the cycle simulator"
-                (show_point e.ev_point);
-            ( key,
-              e.ev_point,
-              judge ~divergence_tolerance ~max_diff ~model_cycles
-                ~measured_cycles:measured ~fill_divergence () ))
-          todo)
+  let measure ((p : point), (c : Shmls.compiled), plan) =
+    let max_diff, measured, deadlocked, fill_divergence =
+      match plan with
+      | None ->
+        let verification = Shmls.verify c in
+        let cs = Shmls_fpga.Cycle_sim.run c.Shmls.c_design in
+        let fill_divergence =
+          Option.map
+            (fun fs -> fs.Shmls_fpga.Perf_model.fs_divergence)
+            (Shmls_fpga.Perf_model.check_fill_steady c.Shmls.c_design cs)
+        in
+        ( verification.Shmls.v_max_diff,
+          cs.Shmls_fpga.Cycle_sim.cycles,
+          cs.Shmls_fpga.Cycle_sim.deadlocked,
+          fill_divergence )
+      | Some plan ->
+        (* the reassembled N-slab run against the global reference, and
+           the ensemble makespan with the link charge — the measured
+           side of the model's own slab + link prediction *)
+        let verification = Shmls_host.Multi_device.verify_vs_reference plan in
+        let mr = Shmls_host.Multi_device.estimate plan in
+        let makespan = Float.round mr.Shmls_fpga.Cycle_sim.mr_cycles in
+        (* [int_of_float] is unspecified on nan, inf and values beyond
+           the int range *)
+        if not (Float.abs makespan < float_of_int max_int) then
+          Err.raise_error ~loc:kernel.Ast.k_loc
+            "tune: design %s has an ensemble makespan of %g cycles, beyond \
+             the cycle counter (link %s)"
+            (show_point p) makespan
+            (Shmls_fpga.Link.to_string link);
+        ( verification.Shmls.v_max_diff,
+          int_of_float makespan,
+          mr.Shmls_fpga.Cycle_sim.mr_deadlocked,
+          None )
+    in
+    if deadlocked then
+      Err.raise_error "tune: design %s deadlocked in the cycle simulator"
+        (show_point p);
+    (max_diff, measured, fill_divergence)
   in
+  let measurements = Hashtbl.create 16 in
+  List.iter2
+    (fun (p, c, _) m -> Hashtbl.replace measurements (group_key p) (c, m))
+    groups
+    (Pool.with_pool ~jobs (fun pool -> Pool.map_list pool measure groups));
   List.iter
-    (fun (key, p, v) ->
-      incr simulated;
-      emit (validation_row ~kernel:kname key p v);
+    (fun (key, e) ->
+      let c, (max_diff, measured_cycles, fill_divergence) =
+        Hashtbl.find measurements (group_key e.ev_point)
+      in
+      (* the model side is the point's own: the cost evaluation at one CU *)
+      let model_cycles = (cost_of ~cu:1 e.ev_point c).Cost.cycles in
+      let v =
+        judge ~divergence_tolerance ~max_diff ~model_cycles ~measured_cycles
+          ~fill_divergence ()
+      in
+      emit (validation_row ~kernel:kname key e.ev_point v);
       Hashtbl.replace known_validations key v)
-    fresh;
+    todo;
   let frontier_points =
     List.map
       (fun e ->
@@ -559,7 +585,7 @@ let run ?(budget = U280.budget)
     r_pruned_devices = !pruned_devices;
     r_evaluated_new = !evaluated_new;
     r_resumed = !resumed;
-    r_simulated = !simulated;
+    r_simulated = List.length groups;
     r_validations_resumed = !validations_resumed;
     r_evals = evals;
     r_validations = validations;

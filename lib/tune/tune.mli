@@ -1,10 +1,14 @@
 (** The design-space autotuner (DESIGN.md section 14.2): enumerates
     variant x cu x grid points, prunes against the U280 shell's AXI
-    port budget, prices survivors with one cost evaluation each
-    (model-only — no simulation), keeps the 2-D Pareto frontier
-    of MPt/s against the tightest resource fraction, and validates
-    points with the batched functional simulator and the cycle
-    simulator, flagging model/measured divergence beyond the tolerance.
+    port budget, prices survivors with one cost evaluation each, keeps
+    the 2-D Pareto frontier of MPt/s against the tightest resource
+    fraction, and validates points with the batched functional
+    simulator and the cycle simulator, flagging model/measured
+    divergence beyond the tolerance.  The CU counts of one (grid,
+    split, pack, devices) group share one design — they differ only in
+    the [cu] attribute, which neither simulator reads — so each group
+    is compiled once, its CU counts are priced through the cost
+    evaluation's [?cu], and it is measured once for all of its points.
     With the event-driven cycle engine a validation costs roughly fill
     + drain, so the default scope validates {e every} feasible point,
     not just the frontier ({!validate_scope}).  Search state is a
@@ -22,7 +26,9 @@ type point = {
 
 type eval = {
   ev_point : point;
-  ev_cu : int;  (** resolved CU replication of the compiled design *)
+  ev_cu : int;
+      (** the CU count the point is priced at: its pinned [cu=N], or the
+          replication its design derives *)
   ev_ports_per_cu : int;
   ev_cost : Cost.t;
   ev_frac : float;  (** tightest resource column / budget *)
@@ -63,7 +69,9 @@ type report = {
   r_pruned_devices : int;  (** device counts beyond the grid's dim-0 rows *)
   r_evaluated_new : int;  (** points evaluated this run *)
   r_resumed : int;  (** points reloaded from the resume state *)
-  r_simulated : int;  (** validations run this run *)
+  r_simulated : int;
+      (** measurements run this run: one per (grid, split, pack,
+          devices) group among the points validated this run *)
   r_validations_resumed : int;
   r_evals : eval list;  (** all evaluated points, enumeration order *)
   r_validations : (eval * validation) list;
@@ -110,7 +118,8 @@ val judge :
     zero re-simulations and leaves the file byte-identical). [jobs]
     sizes the validation pool ([0] adaptive, [1] sequential);
     [validate] narrows the validation scope (default [All] — the
-    frontier is validated in every scope).  A [divergence_tolerance]
+    frontier is validated in every scope).  A repeated grid or device
+    count is searched once, at its first position.  A [divergence_tolerance]
     that is negative or not finite raises {!Shmls_support.Err.Error}:
     it would flag every point, or none.
 
@@ -123,7 +132,7 @@ val judge :
     the ensemble cycle estimate.  Counts exceeding a grid's dim-0 rows
     are pruned ([r_pruned_devices]); an ensemble makespan that is not
     finite or does not fit an [int] raises {!Shmls_support.Err.Error}
-    naming the point. *)
+    naming the first point of its group. *)
 val run :
   ?budget:U280.budget ->
   ?max_cu:int ->

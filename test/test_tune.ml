@@ -236,6 +236,29 @@ let test_devices_resume () =
    every price, measured cycle count, max_diff and flag of every point
    and validation.  A lowering change that moves none of them (sharing
    the fused variant's address arithmetic, say) keeps this digest. *)
+(* Repeated grids and device counts are searched once: the report and
+   the state file are those of the call without the repeats. *)
+let test_repeats_searched_once () =
+  let search grids devices =
+    let path = Filename.temp_file "tune_repeats" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let r =
+          T.run ~max_cu:1 ~jobs:1 ~devices ~state:path
+            Shmls_kernels.Didactic.heat_3d ~grids
+        in
+        let ic = open_in_bin path in
+        let bytes = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        (Format.asprintf "%a" T.pp_report r, bytes))
+  in
+  let g = [ 12; 10; 8 ] in
+  let report, bytes = search [ g; g ] [ 1; 2; 2 ] in
+  let report', bytes' = search [ g ] [ 1; 2 ] in
+  Alcotest.(check string) "report" report' report;
+  Alcotest.(check string) "state file" bytes' bytes
+
 let test_search_output_pinned () =
   let path = Filename.temp_file "tune_pinned" ".jsonl" in
   Fun.protect
@@ -247,6 +270,116 @@ let test_search_output_pinned () =
       Alcotest.(check string)
         "heat_3d 12x10x8 search JSONL" "cd441533d3c04cfbceecfb0a42604c5f"
         (Digest.to_hex (Digest.file path)))
+
+(* ------------------------------------------------------------------ *)
+(* One design per (grid, split, pack, devices) group *)
+
+let show_cost (c : Cost.t) =
+  Printf.sprintf "cycles %h mpts %h lut %d ff %d bram %d uram %d dsp %d watts %h"
+    c.Cost.cycles c.Cost.mpts c.Cost.lut c.Cost.ff c.Cost.bram c.Cost.uram
+    c.Cost.dsp c.Cost.watts
+
+let kernel_func (m : Shmls.Ir.op) =
+  match
+    Shmls.Ir.Op.collect m (fun o -> Shmls.Ir.Op.get_attr o "hls_kernel" <> None)
+  with
+  | [ f ] -> f
+  | _ -> Alcotest.fail "expected one HLS kernel function"
+
+(* The tuner compiles each group once and prices a CU count through the
+   cost evaluation's [?cu].  That is sound only while the pinned-CU
+   compile differs from the derived one in nothing but step 9's [cu]
+   attribute, and only the cost evaluation reads it: every point's price
+   must equal the one of its own per-CU compile, and the simulators must
+   measure the two designs alike. *)
+let test_cu_is_priced_not_built () =
+  let small (k : Shmls.Ast.kernel) =
+    List.filteri (fun i _ -> i < k.k_rank) [ 12; 10; 8 ]
+  in
+  let kernels =
+    [ Shmls_kernels.Pw_advection.kernel; Shmls_kernels.Tracer_advection.kernel ]
+    @ List.map fst Shmls_kernels.Zoo.all
+    @ Shmls_kernels.Didactic.all
+  in
+  List.iter
+    (fun (kernel : Shmls.Ast.kernel) ->
+      let grid = small kernel in
+      let r = T.run ~max_cu:3 ~jobs:1 ~devices:[ 1; 2 ] kernel ~grids:[ grid ] in
+      let measured = Hashtbl.create 16 in
+      List.iter
+        (fun ((e : T.eval), (v : T.validation)) ->
+          Hashtbl.replace measured e.T.ev_point v.T.va_measured_cycles)
+        r.T.r_validations;
+      List.iter
+        (fun (e : T.eval) ->
+          let p = e.T.ev_point in
+          let what =
+            Printf.sprintf "%s %s dev=%d" kernel.k_name
+              (Shmls.Variant.to_string p.T.pt_variant)
+              p.T.pt_devices
+          in
+          let slab_grid =
+            List.fold_left max 0
+              (Shmls_host.Multi_device.slab_extents (List.hd grid)
+                 p.T.pt_devices)
+            :: List.tl grid
+          in
+          let own = Shmls.compile ~variant:p.T.pt_variant kernel ~grid:slab_grid in
+          Alcotest.(check string)
+            (what ^ ": cost of its own compile")
+            (show_cost
+               (Shmls.Cost_model.evaluate_multi_device
+                  ~devices:p.T.pt_devices ~global_grid:grid
+                  ~fields:(Shmls.Cost_model.loaded_fields kernel)
+                  own.Shmls.c_design))
+            (show_cost e.T.ev_cost);
+          Alcotest.(check (pair int int))
+            (what ^ ": cu and ports of its own compile")
+            (own.Shmls.c_cu, own.Shmls.c_ports_per_cu)
+            (e.T.ev_cu, e.T.ev_ports_per_cu);
+          if p.T.pt_devices = 1 then
+            Option.iter
+              (fun cycles ->
+                Alcotest.(check int)
+                  (what ^ ": the shared measurement is its own")
+                  (Shmls.Cycle_sim.run own.Shmls.c_design).Shmls.Cycle_sim.cycles
+                  cycles)
+              (Hashtbl.find_opt measured p);
+          match p.T.pt_variant.Shmls.Variant.v_cu with
+          | None -> ()
+          | Some n ->
+            let derived =
+              Shmls.compile
+                ~variant:{ p.T.pt_variant with Shmls.Variant.v_cu = None }
+                kernel ~grid:slab_grid
+            in
+            let f = kernel_func own.Shmls.c_hls_module in
+            Alcotest.(check bool)
+              (what ^ ": the cu attribute is the pin")
+              true
+              (Shmls.Ir.Op.get_attr f "cu" = Some (Shmls.Attr.Int n));
+            Shmls.Ir.Op.set_attr f "cu"
+              (Shmls.Ir.Op.get_attr_exn (kernel_func derived.Shmls.c_hls_module) "cu");
+            Alcotest.(check string)
+              (what ^ ": HLS module differs from the derived one only in cu")
+              (Shmls.Printer.to_string derived.Shmls.c_hls_module)
+              (Shmls.Printer.to_string own.Shmls.c_hls_module))
+        r.T.r_evals)
+    kernels
+
+(* A heat_3d search of 36 points in 12 (split, pack, devices) groups
+   compiles, plans and simulates 12 designs. *)
+let test_compile_budget () =
+  Shmls.reset_compile_cache ();
+  Shmls.Stage_compiler.reset_compile_count ();
+  let r =
+    T.run ~max_cu:2 ~devices:[ 1; 2; 4 ] Shmls_kernels.Didactic.heat_3d
+      ~grids:[ [ 12; 10; 8 ] ]
+  in
+  Alcotest.(check int) "compiles" 12 (Shmls.compile_runs ());
+  Alcotest.(check int) "engine plans" 12 (Shmls.Stage_compiler.compile_count ());
+  Alcotest.(check int) "validations" 36 (List.length r.T.r_validations);
+  Alcotest.(check int) "measurements" 12 r.T.r_simulated
 
 (* ------------------------------------------------------------------ *)
 (* Resume *)
@@ -403,6 +536,15 @@ let () =
             test_devices_resume;
           Alcotest.test_case "search output pinned" `Quick
             test_search_output_pinned;
+          Alcotest.test_case "repeated grids and devices searched once" `Quick
+            test_repeats_searched_once;
+        ] );
+      ( "shared",
+        [
+          Alcotest.test_case "a CU count is priced, not built" `Quick
+            test_cu_is_priced_not_built;
+          Alcotest.test_case "one compile and plan per group" `Quick
+            test_compile_budget;
         ] );
       ( "resume",
         [
