@@ -7,12 +7,28 @@
    written region into the destination field, so in-place (Inout) kernels
    behave like their PSyclone originals.
 
-   Each stencil.apply body is decoded once, before its point loop: every
-   SSA value gets a dense slot in an unboxed float file or an int file,
-   loop-invariant outer values are preloaded into slots, and each op
-   becomes a closure that reads and writes slots directly.  The decoder
-   shares no code with the stage compiler in lib/fpga, the engine this
-   interpreter checks, so the differential check keeps its meaning. *)
+   Each stencil.apply body is decoded once, before its rows run, into
+   steps that each run a block of lanes along the innermost dimension; a
+   row longer than [block_width] runs as several blocks, so no column
+   grows with the row.  Every SSA value gets a slot in an unboxed float
+   file or an int file: a column of [block_width] cells for a value that
+   varies along the row, one cell read at every lane for an invariant (a
+   body constant, a param, an outer value).  A corner-proven access is no
+   step at all: the steps that use it read its lanes in place, from the
+   grid's row base plus a fixed delta.  A covered stencil.return copies
+   its lanes into the result row.  stencil.index is an iota column on
+   the innermost dimension and a per-row cell on the others.  Every
+   other access is a checked gather, lane by lane.
+
+   A step that fails at lane j records its error and shrinks the block's
+   live length to j: later steps run only the lanes before it, and the
+   block raises the failure of its lowest lane.  That is the failure the
+   point loop meets first, in row-major point order and then body order,
+   with the same result writes before it.
+
+   The decoder shares no code with the stage compiler in lib/fpga, the
+   engine this interpreter checks, so the differential check keeps its
+   meaning. *)
 
 open Shmls_ir
 open Shmls_dialects
@@ -23,13 +39,32 @@ type rval =
   | B of bool
   | G of Grid.t
 
-(* Where a decoded value lives.  Ints, indices and booleans (0/1) share
-   the int file; grids are loop-invariant, so they are resolved while
+(* Lanes per block: a column never holds more, however long the row. *)
+let block_width = 64
+
+(* Where a float value lives, read lane by lane: lane l is
+   [data.(k + cur.(g) + (l land m))].  A value in the float file has
+   g = 0 (cur.(0) stays 0) and reads the file, not [data]; a proven
+   access reads its grid's row directly, from the row base of geometry
+   g plus its fixed delta k.  The lane mask m is [column] (all ones) for
+   a value that varies along the row and 0 for an invariant, one cell
+   read at every lane. *)
+type src = {
+  data : float array;
+  k : int;
+  g : int;
+  m : int;
+}
+
+let column = -1
+
+(* Ints, indices and booleans (0/1) share the int file, as a cell and a
+   lane mask; grids are loop-invariant, so they are resolved while
    decoding. *)
 type slot =
-  | SF of int
-  | SI of int
-  | SB of int
+  | SF of src
+  | SI of int * int
+  | SB of int * int
   | SG of Grid.t
 
 (* What a body is decoded into.  One decoder serves a whole function:
@@ -40,20 +75,26 @@ type decoder = {
   slots : (int, slot) Hashtbl.t; (* value id -> slot *)
   mutable fl : float array; (* the float file *)
   mutable it : int array; (* the int file *)
-  mutable n_f : int;
+  mutable n_f : int; (* cells in use *)
   mutable n_i : int;
   mutable space : (int array * int array) option; (* the apply's [lb, ub) *)
   mutable results : Grid.t array; (* the apply's result grids *)
-  mutable pos : int array; (* the current point *)
+  mutable pos : int array;
+  (* the current row; steps that need a whole point set its innermost
+     index lane by lane *)
+  mutable j0 : int; (* the block's first lane, as an offset along its row *)
   mutable cur : int array;
-  (* cur.(0): the point's offset along its row; cur.(g): linear index of
-     the row's first point in geometry g >= 1 *)
+  (* cur.(0) = 0; cur.(g): linear index of the block's first point in
+     geometry g >= 1 *)
   mutable geoms : (int array * int array) list;
   (* (lb, strides) of the linearly indexed grids, newest (= n_geoms)
      first *)
   mutable n_geoms : int;
-  mutable steps : (unit -> unit) array; (* the decoded body, in order *)
+  mutable steps : (int -> unit) array;
+  (* the decoded body, in order: [steps.(s) n] runs lanes [0, n) *)
   mutable n_steps : int;
+  mutable live : int; (* lanes of the block still running *)
+  mutable failure : exn option; (* what failed at lane [live] *)
 }
 
 (* Function-level values, plus the decoder for the bodies below them. *)
@@ -75,11 +116,14 @@ let make_env () =
       space = None;
       results = [||];
       pos = [||];
-      cur = [||];
+      j0 = 0;
+      cur = [| 0 |];
       geoms = [];
       n_geoms = 0;
       steps = [||];
       n_steps = 0;
+      live = 0;
+      failure = None;
     }
   in
   { vals; dec }
@@ -115,30 +159,10 @@ let temp_bounds v =
   | t -> Err.raise_error "interp: expected temp, got %s" (Ty.to_string t)
 
 (* ------------------------------------------------------------------ *)
-(* Decoding: ops to slot closures *)
+(* Decoding: ops to block steps *)
 
-(* What decoding [o] can take: each file gets at most one slot per
-   result and per operand (a preloaded outer value or a converted copy);
-   each access and each returned value needs at most one geometry. *)
-let slots_needed o = Ir.Op.num_results o + Ir.Op.num_operands o
-
-let geoms_needed o =
-  if Ir.Op.name o = "stencil.access" then 1
-  else if Ir.Op.name o = Stencil.return_op then Ir.Op.num_operands o
-  else 0
-
-let rec sum_ops f acc = function
-  | None -> acc
-  | Some o -> sum_ops f (acc + f o) (Ir.Op.next o)
-
-(* Start decoding: clear the slot table and make sure the files have
-   room for [slots] slots and the cursor for [geoms] geometries. *)
-let reset d ?space ?(results = [||]) ~slots ~geoms () =
-  if Array.length d.fl < slots then begin
-    d.fl <- Array.make slots 0.0;
-    d.it <- Array.make slots 0
-  end;
-  if Array.length d.cur <= geoms then d.cur <- Array.make (geoms + 1) 0;
+(* Start decoding: clear the slot table and the files' cursors. *)
+let reset d ?space ?(results = [||]) () =
   let rank = match space with Some (lb, _) -> Array.length lb | None -> 0 in
   if Array.length d.pos <> rank then d.pos <- Array.make rank 0;
   Hashtbl.clear d.slots;
@@ -150,50 +174,115 @@ let reset d ?space ?(results = [||]) ~slots ~geoms () =
   d.n_geoms <- 0;
   d.n_steps <- 0
 
-let nop () = ()
+let nop _ = ()
+
+(* [a], or a copy of it with room for [n] entries.  Steps read the files
+   through the decoder, so they all see a grown file. *)
+let grown a n zero =
+  if n <= Array.length a then a
+  else begin
+    let g = Array.make (Int.max n (2 * Array.length a)) zero in
+    Array.blit a 0 g 0 (Array.length a);
+    g
+  end
 
 let emit d step =
-  if d.n_steps = Array.length d.steps then begin
-    let grown = Array.make ((2 * d.n_steps) + 16) nop in
-    Array.blit d.steps 0 grown 0 d.n_steps;
-    d.steps <- grown
-  end;
+  d.steps <- grown d.steps (d.n_steps + 1) nop;
   d.steps.(d.n_steps) <- step;
   d.n_steps <- d.n_steps + 1
 
-(* Drop the decoded closures and the grids they hold. *)
+(* Drop the decoded steps and the grids they hold. *)
 let release d =
   Array.fill d.steps 0 d.n_steps nop;
   d.n_steps <- 0;
   d.results <- [||];
   d.geoms <- []
 
-let new_f d =
+let cells mask = if mask = 0 then 1 else block_width
+
+let new_f d mask =
   let s = d.n_f in
-  d.n_f <- s + 1;
+  d.n_f <- s + cells mask;
+  d.fl <- grown d.fl d.n_f 0.0;
   s
 
-let new_i d =
+let new_i d mask =
   let s = d.n_i in
-  d.n_i <- s + 1;
+  d.n_i <- s + cells mask;
+  d.it <- grown d.it d.n_i 0;
   s
 
 let set_slot d v s = Hashtbl.replace d.slots (Ir.Value.id v) s
 
-(* Preload a loop-invariant value into a fresh slot. *)
+(* Cell [s] (and the lanes after it, for a column) of the float file. *)
+let in_file s m = { data = [||]; k = s; g = 0; m }
+
+(* The array and the first index a float value's lanes are read from. *)
+let[@inline] arr d a = if a.g = 0 then d.fl else a.data
+let[@inline] base d a = a.k + Array.unsafe_get d.cur a.g
+
+(* Lane [l] from an array, a first index and a mask; lane [l] of a
+   column. *)
+let[@inline] fget (f : float array) b m l = Array.unsafe_get f (b + (l land m))
+let[@inline] fset (f : float array) r l x = Array.unsafe_set f (r + l) x
+let[@inline] iget (i : int array) s m l = Array.unsafe_get i (s + (l land m))
+let[@inline] iset (i : int array) r l x = Array.unsafe_set i (r + l) x
+
+(* Stop the block's lanes at [lane], which failed with [e]. *)
+let fail d lane e =
+  d.live <- lane;
+  d.failure <- Some e
+
+(* Emit a step over lanes [0, n).  A step whose result is an invariant
+   (mask 0) runs at lane 0 only: every lane would compute the same. *)
+let emit_lanes d mask step =
+  emit d (if mask = 0 then (fun n -> if n > 0 then step 1) else step)
+
+(* Emit a step over one or two float values: [step d r] gets their
+   arrays, first indices and masks.  The lane loops of decode_op capture
+   nothing, so they are allocated once, not once per op. *)
+let emit_f1 d mask a r step =
+  emit_lanes d mask (fun n -> step d r (arr d a) (base d a) a.m n)
+
+let emit_f2 d mask a b r step =
+  emit_lanes d mask (fun n ->
+      step d r (arr d a) (base d a) a.m (arr d b) (base d b) b.m n)
+
+(* Emit a step that may fail, run lane by lane: the first lane that
+   raises ends it and the block's live lanes. *)
+let emit_checked d mask lane =
+  emit_lanes d mask (fun n ->
+      let l = ref 0 in
+      try
+        while !l < n do
+          lane !l;
+          incr l
+        done
+      with e -> fail d !l e)
+
+(* Set the innermost index of [d.pos] to lane [l] of the block. *)
+let lane_pos d =
+  match d.space with
+  | Some (lb, _) when Array.length lb > 0 ->
+    let k = Array.length lb - 1 and pos = d.pos in
+    let lb_k = lb.(k) in
+    fun l -> pos.(k) <- lb_k + d.j0 + l
+  | Some _ | None -> nop
+
+(* Preload a loop-invariant value into a fresh cell. *)
 let slot_of_rval d = function
   | F x ->
-    let s = new_f d in
+    let s = new_f d 0 in
     d.fl.(s) <- x;
-    SF s
+    SF (in_file s 0)
   | I i ->
-    let s = new_i d in
+    let s = new_i d 0 in
     d.it.(s) <- i;
-    SI s
+    SI (s, 0)
   | B b ->
-    let s = new_i d in
-    d.it.(s) <- (if b then 1 else 0);
-    SB s
+    let s = new_i d 0 in
+    d.it.(s) <- Bool.to_int b;
+    SB (s, 0)
   | G g -> SG g
 
 let slot_of d v =
@@ -208,19 +297,27 @@ let slot_of d v =
       s
     | exception Not_found -> Err.raise_error "interp: unbound value %%v%d" id)
 
-(* The float slot holding [v]; an int operand is converted. *)
+(* Convert int slot [(s, m)] into float cells from [r] on, same mask. *)
+let emit_to_float d (s, m) r =
+  emit_lanes d m (fun n ->
+      let f = d.fl and i = d.it in
+      for l = 0 to n - 1 do
+        fset f r l (float_of_int (iget i s m l))
+      done)
+
+(* The float value [v]; an int operand is converted. *)
 let float_slot d v =
   match slot_of d v with
-  | SF s -> s
-  | SI s ->
-    let r = new_f d and fl = d.fl and it = d.it in
-    emit d (fun () -> fl.(r) <- float_of_int it.(s));
-    r
+  | SF a -> a
+  | SI (s, m) ->
+    let r = new_f d m in
+    emit_to_float d (s, m) r;
+    in_file r m
   | SB _ | SG _ -> Err.raise_error "interp: expected float"
 
 let int_slot d v =
   match slot_of d v with
-  | SI s -> s
+  | SI (s, m) -> (s, m)
   | SF _ | SB _ | SG _ -> Err.raise_error "interp: expected int"
 
 let grid_of d v =
@@ -241,6 +338,7 @@ let geometry_index d g =
   | 0 ->
     d.n_geoms <- d.n_geoms + 1;
     d.geoms <- (g.Grid.lb, g.Grid.strides) :: d.geoms;
+    d.cur <- grown d.cur (d.n_geoms + 1) 0;
     d.n_geoms
   | i -> i
 
@@ -265,214 +363,406 @@ let rec linear_delta (g : Grid.t) k = function
   | [] -> 0
   | o :: off -> (o * g.Grid.strides.(k)) + linear_delta g (k + 1) off
 
+(* A proven access is no step at all: its value is the grid's row, read
+   in place by the steps that use it. *)
 let decode_access d (op : Ir.op) =
   let g = grid_of d (Ir.Op.operand op 0) in
   let off = Stencil.access_offset op in
-  let r = new_f d and fl = d.fl and pos = d.pos in
-  set_slot d (Ir.Op.result op 0) (SF r);
-  if covers d g off then begin
-    (* pos + off in g, linearised: the row base plus a fixed delta *)
-    let gi = geometry_index d g and cur = d.cur and data = g.Grid.data in
-    let delta = linear_delta g 0 off in
-    emit d (fun () -> fl.(r) <- Array.unsafe_get data (cur.(gi) + cur.(0) + delta))
-  end
-  else
-    let off = Array.of_list off in
+  if covers d g off then
+    set_slot d (Ir.Op.result op 0)
+      (SF
+         {
+           data = g.Grid.data;
+           k = linear_delta g 0 off;
+           g = geometry_index d g;
+           m = column;
+         })
+  else begin
+    let r = new_f d column in
+    set_slot d (Ir.Op.result op 0) (SF (in_file r column));
+    let off = Array.of_list off and set_pos = lane_pos d and pos = d.pos in
     let p = Array.make (Array.length off) 0 in
-    emit d (fun () ->
+    emit_checked d column (fun l ->
+        set_pos l;
         for k = 0 to Array.length p - 1 do
           p.(k) <- pos.(k) + off.(k)
         done;
         Grid.check_index_arr g p;
-        fl.(r) <- Array.unsafe_get g.Grid.data (Grid.unsafe_linear g p))
+        fset d.fl r l (Array.unsafe_get g.Grid.data (Grid.unsafe_linear g p)))
+  end
 
 let decode_dyn_access d (op : Ir.op) =
   let g = grid_of d (Ir.Op.operand op 0) in
   let idx =
     List.tl (Ir.Op.operands op) |> List.map (int_slot d) |> Array.of_list
   in
-  let r = new_f d and fl = d.fl and it = d.it in
-  set_slot d (Ir.Op.result op 0) (SF r);
+  let r = new_f d column in
+  set_slot d (Ir.Op.result op 0) (SF (in_file r column));
   let p = Array.make (Array.length idx) 0 in
-  emit d (fun () ->
+  emit_checked d column (fun l ->
       for k = 0 to Array.length p - 1 do
-        p.(k) <- it.(idx.(k))
+        let s, m = idx.(k) in
+        p.(k) <- iget d.it s m l
       done;
       Grid.check_index_arr g p;
-      fl.(r) <- Array.unsafe_get g.Grid.data (Grid.unsafe_linear g p))
+      fset d.fl r l (Array.unsafe_get g.Grid.data (Grid.unsafe_linear g p)))
 
-(* stencil.return: operand i is the current point of result grid i. *)
+(* stencil.return: operand i is the current point of result grid i.
+   When every result covers the iteration space, each operand's lanes
+   are copied into its result row.  Otherwise each lane writes the
+   results in turn, checked, as the point loop did, and fails where an
+   operand could not be decoded. *)
 let decode_return d (op : Ir.op) =
-  let fl = d.fl and pos = d.pos in
-  List.iteri
-    (fun i v ->
-      let g = d.results.(i) and s = float_slot d v in
-      let data = g.Grid.data in
-      if covers d g (List.init (Array.length d.pos) (fun _ -> 0)) then
-        let gi = geometry_index d g and cur = d.cur in
-        emit d (fun () -> Array.unsafe_set data (cur.(gi) + cur.(0)) fl.(s))
-      else
-        emit d (fun () ->
-            Grid.check_index_arr g pos;
-            Array.unsafe_set data (Grid.unsafe_linear g pos) fl.(s)))
-    (Ir.Op.operands op)
+  let target i v =
+    let g = d.results.(i) in
+    (g, float_slot d v)
+  in
+  let rec targets i = function
+    | [] -> ([], None)
+    | v :: rest -> (
+      match target i v with
+      | t ->
+        let ts, broken = targets (i + 1) rest in
+        (t :: ts, broken)
+      | exception ((Err.Error _ | Invalid_argument _ | Failure _) as e) ->
+        ([], Some e))
+  in
+  let ts, broken = targets 0 (Ir.Op.operands op) in
+  let here = List.init (Array.length d.pos) (fun _ -> 0) in
+  if Option.is_none broken && List.for_all (fun (g, _) -> covers d g here) ts
+  then
+    List.iter
+      (fun ((g : Grid.t), a) ->
+        let gi = geometry_index d g and data = g.Grid.data in
+        emit_f1 d column a gi (fun d gi xa ba ma n ->
+            let r = d.cur.(gi) in
+            for l = 0 to n - 1 do
+              fset data r l (fget xa ba ma l)
+            done))
+      ts
+  else
+    let ts = Array.of_list ts and set_pos = lane_pos d and pos = d.pos in
+    emit_checked d column (fun l ->
+        set_pos l;
+        for i = 0 to Array.length ts - 1 do
+          let (g : Grid.t), a = ts.(i) in
+          Grid.check_index_arr g pos;
+          Array.unsafe_set g.Grid.data (Grid.unsafe_linear g pos)
+            (fget (arr d a) (base d a) a.m l)
+        done;
+        Option.iter raise broken)
 
-let def_f d op =
-  let r = new_f d in
-  set_slot d (Ir.Op.result op 0) (SF r);
+let def_f d op m =
+  let r = new_f d m in
+  set_slot d (Ir.Op.result op 0) (SF (in_file r m));
   r
 
-let def_i d op =
-  let r = new_i d in
-  set_slot d (Ir.Op.result op 0) (SI r);
+let def_i d op m =
+  let r = new_i d m in
+  set_slot d (Ir.Op.result op 0) (SI (r, m));
   r
 
-let def_b d op =
-  let r = new_i d in
-  set_slot d (Ir.Op.result op 0) (SB r);
+let def_b d op m =
+  let r = new_i d m in
+  set_slot d (Ir.Op.result op 0) (SB (r, m));
   r
 
-(* Operand [i] of [op] as a float or an int slot. *)
+(* Operand [i] of [op] as a float value or an int slot. *)
 let fop d op i = float_slot d (Ir.Op.operand op i)
 let iop d op i = int_slot d (Ir.Op.operand op i)
 
 (* The semantics of every op the interpreter runs, once: each case turns
-   the op into a closure over the slot files.  Each closure spells its
-   float operation out, so the point loop stays unboxed. *)
+   the op into a step over the slot files.  A result is an invariant when
+   every operand is one, and a column otherwise.  Each step spells its
+   float operation out, so the lane loops stay unboxed. *)
 let decode_op d (op : Ir.op) =
-  let fl = d.fl and it = d.it in
   match Ir.Op.name op with
   | "arith.constant" -> (
     match Ir.Op.get_attr_exn op "value" with
-    | Attr.Float f -> fl.(def_f d op) <- f
-    | Attr.Int i -> it.(def_i d op) <- i
+    | Attr.Float x ->
+      let r = def_f d op 0 in
+      d.fl.(r) <- x
+    | Attr.Int i ->
+      let r = def_i d op 0 in
+      d.it.(r) <- i
     | _ -> Err.raise_error "interp: bad arith.constant")
   | ( "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
     | "arith.maximumf" | "arith.minimumf" | "math.powf" ) as name ->
     let a = fop d op 0 in
     let b = fop d op 1 in
-    let r = def_f d op in
-    emit d
+    let m = a.m lor b.m in
+    emit_f2 d m a b (def_f d op m)
       (match name with
-      | "arith.addf" -> fun () -> fl.(r) <- fl.(a) +. fl.(b)
-      | "arith.subf" -> fun () -> fl.(r) <- fl.(a) -. fl.(b)
-      | "arith.mulf" -> fun () -> fl.(r) <- fl.(a) *. fl.(b)
-      | "arith.divf" -> fun () -> fl.(r) <- fl.(a) /. fl.(b)
-      | "arith.maximumf" -> fun () -> fl.(r) <- Float.max fl.(a) fl.(b)
-      | "arith.minimumf" -> fun () -> fl.(r) <- Float.min fl.(a) fl.(b)
-      | "math.powf" -> fun () -> fl.(r) <- fl.(a) ** fl.(b)
+      | "arith.addf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (fget xa ba ma l +. fget xb bb mb l)
+          done
+      | "arith.subf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (fget xa ba ma l -. fget xb bb mb l)
+          done
+      | "arith.mulf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (fget xa ba ma l *. fget xb bb mb l)
+          done
+      | "arith.divf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (fget xa ba ma l /. fget xb bb mb l)
+          done
+      | "arith.maximumf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (Float.max (fget xa ba ma l) (fget xb bb mb l))
+          done
+      | "arith.minimumf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (Float.min (fget xa ba ma l) (fget xb bb mb l))
+          done
+      | "math.powf" ->
+        fun d r xa ba ma xb bb mb n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (fget xa ba ma l ** fget xb bb mb l)
+          done
       | _ -> assert false)
   | ( "arith.negf" | "math.sqrt" | "math.exp" | "math.log" | "math.absf"
     | "math.tanh" ) as name ->
     let a = fop d op 0 in
-    let r = def_f d op in
-    emit d
+    emit_f1 d a.m a (def_f d op a.m)
       (match name with
-      | "arith.negf" -> fun () -> fl.(r) <- -.fl.(a)
-      | "math.sqrt" -> fun () -> fl.(r) <- sqrt fl.(a)
-      | "math.exp" -> fun () -> fl.(r) <- exp fl.(a)
-      | "math.log" -> fun () -> fl.(r) <- log fl.(a)
-      | "math.absf" -> fun () -> fl.(r) <- Float.abs fl.(a)
-      | "math.tanh" -> fun () -> fl.(r) <- tanh fl.(a)
+      | "arith.negf" ->
+        fun d r xa ba ma n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (-.fget xa ba ma l)
+          done
+      | "math.sqrt" ->
+        fun d r xa ba ma n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (sqrt (fget xa ba ma l))
+          done
+      | "math.exp" ->
+        fun d r xa ba ma n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (exp (fget xa ba ma l))
+          done
+      | "math.log" ->
+        fun d r xa ba ma n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (log (fget xa ba ma l))
+          done
+      | "math.absf" ->
+        fun d r xa ba ma n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (Float.abs (fget xa ba ma l))
+          done
+      | "math.tanh" ->
+        fun d r xa ba ma n ->
+          let f = d.fl in
+          for l = 0 to n - 1 do
+            fset f r l (tanh (fget xa ba ma l))
+          done
       | _ -> assert false)
   | ("arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi")
-    as name ->
-    let a = iop d op 0 in
-    let b = iop d op 1 in
-    let r = def_i d op in
-    emit d
-      (match name with
-      | "arith.addi" -> fun () -> it.(r) <- it.(a) + it.(b)
-      | "arith.subi" -> fun () -> it.(r) <- it.(a) - it.(b)
-      | "arith.muli" -> fun () -> it.(r) <- it.(a) * it.(b)
-      | "arith.divsi" -> fun () -> it.(r) <- it.(a) / it.(b)
-      | "arith.remsi" -> fun () -> it.(r) <- it.(a) mod it.(b)
-      | _ -> assert false)
+    as name -> (
+    let a, ma = iop d op 0 in
+    let b, mb = iop d op 1 in
+    let m = ma lor mb in
+    let r = def_i d op m in
+    match name with
+    | "arith.addi" ->
+      emit_lanes d m (fun n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (iget i a ma l + iget i b mb l)
+          done)
+    | "arith.subi" ->
+      emit_lanes d m (fun n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (iget i a ma l - iget i b mb l)
+          done)
+    | "arith.muli" ->
+      emit_lanes d m (fun n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (iget i a ma l * iget i b mb l)
+          done)
+    (* a zero divisor raises Division_by_zero at its lane *)
+    | "arith.divsi" ->
+      emit_checked d m (fun l ->
+          let i = d.it in
+          iset i r l (iget i a ma l / iget i b mb l))
+    | "arith.remsi" ->
+      emit_checked d m (fun l ->
+          let i = d.it in
+          iset i r l (iget i a ma l mod iget i b mb l))
+    | _ -> assert false)
   | "arith.cmpf" ->
     let a = fop d op 0 in
     let b = fop d op 1 in
-    let r = def_b d op in
-    emit d
+    let m = a.m lor b.m in
+    emit_f2 d m a b (def_b d op m)
       (match Attr.str_exn (Ir.Op.get_attr_exn op "predicate") with
-      | "olt" | "ult" -> fun () -> it.(r) <- Bool.to_int (fl.(a) < fl.(b))
-      | "ole" | "ule" -> fun () -> it.(r) <- Bool.to_int (fl.(a) <= fl.(b))
-      | "ogt" | "ugt" -> fun () -> it.(r) <- Bool.to_int (fl.(a) > fl.(b))
-      | "oge" | "uge" -> fun () -> it.(r) <- Bool.to_int (fl.(a) >= fl.(b))
-      | "oeq" | "ueq" -> fun () -> it.(r) <- Bool.to_int (fl.(a) = fl.(b))
-      | "one" | "une" -> fun () -> it.(r) <- Bool.to_int (fl.(a) <> fl.(b))
+      | "olt" | "ult" ->
+        fun d r xa ba ma xb bb mb n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (Bool.to_int (fget xa ba ma l < fget xb bb mb l))
+          done
+      | "ole" | "ule" ->
+        fun d r xa ba ma xb bb mb n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (Bool.to_int (fget xa ba ma l <= fget xb bb mb l))
+          done
+      | "ogt" | "ugt" ->
+        fun d r xa ba ma xb bb mb n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (Bool.to_int (fget xa ba ma l > fget xb bb mb l))
+          done
+      | "oge" | "uge" ->
+        fun d r xa ba ma xb bb mb n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (Bool.to_int (fget xa ba ma l >= fget xb bb mb l))
+          done
+      | "oeq" | "ueq" ->
+        fun d r xa ba ma xb bb mb n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (Bool.to_int (fget xa ba ma l = fget xb bb mb l))
+          done
+      | "one" | "une" ->
+        fun d r xa ba ma xb bb mb n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l (Bool.to_int (fget xa ba ma l <> fget xb bb mb l))
+          done
       | p -> Err.raise_error "interp: cmpf predicate %s" p)
   | "arith.sitofp" ->
     let a = iop d op 0 in
-    let r = def_f d op in
-    emit d (fun () -> fl.(r) <- float_of_int it.(a))
+    emit_to_float d a (def_f d op (snd a))
   | "arith.index_cast" ->
     (* the same integer: alias the slot *)
-    set_slot d (Ir.Op.result op 0) (SI (iop d op 0))
+    let a, m = iop d op 0 in
+    set_slot d (Ir.Op.result op 0) (SI (a, m))
   | "arith.select" -> (
-    let c =
+    let c, mc =
       match slot_of d (Ir.Op.operand op 0) with
-      | SB s | SI s -> s
+      | SB (s, m) | SI (s, m) -> (s, m)
       | SF _ | SG _ -> Err.raise_error "interp: select condition"
     in
     let x = slot_of d (Ir.Op.operand op 1) in
     let y = slot_of d (Ir.Op.operand op 2) in
+    let select_int r m a ma b mb =
+      emit_lanes d m (fun n ->
+          let i = d.it in
+          for l = 0 to n - 1 do
+            iset i r l
+              (if iget i c mc l <> 0 then iget i a ma l else iget i b mb l)
+          done)
+    in
     match (x, y) with
     | SF a, SF b ->
-      let r = def_f d op in
-      emit d (fun () -> fl.(r) <- (if it.(c) <> 0 then fl.(a) else fl.(b)))
-    | SI a, SI b ->
-      let r = def_i d op in
-      emit d (fun () -> it.(r) <- (if it.(c) <> 0 then it.(a) else it.(b)))
-    | SB a, SB b ->
-      let r = def_b d op in
-      emit d (fun () -> it.(r) <- (if it.(c) <> 0 then it.(a) else it.(b)))
+      let m = mc lor a.m lor b.m in
+      emit_f2 d m a b (def_f d op m) (fun d r xa ba ma xb bb mb n ->
+          let f = d.fl and i = d.it in
+          for l = 0 to n - 1 do
+            fset f r l
+              (if iget i c mc l <> 0 then fget xa ba ma l else fget xb bb mb l)
+          done)
+    | SI (a, ma), SI (b, mb) ->
+      let m = mc lor ma lor mb in
+      select_int (def_i d op m) m a ma b mb
+    | SB (a, ma), SB (b, mb) ->
+      let m = mc lor ma lor mb in
+      select_int (def_b d op m) m a ma b mb
     | SG g, SG h when g == h -> set_slot d (Ir.Op.result op 0) (SG g)
     | _ -> Err.raise_error "interp: select between values of different kinds")
-  | "stencil.index" ->
+  | "stencil.index" -> (
     let dim = Attr.int_exn (Ir.Op.get_attr_exn op "dim") in
-    let r = def_i d op and pos = d.pos in
-    emit d (fun () -> it.(r) <- pos.(dim))
+    match d.space with
+    (* the innermost index counts up along the block *)
+    | Some (lb, _) when dim = Array.length lb - 1 ->
+      let r = def_i d op column and lb_k = lb.(dim) in
+      emit_lanes d column (fun n ->
+          let i = d.it and j = lb_k + d.j0 in
+          for l = 0 to n - 1 do
+            iset i r l (j + l)
+          done)
+    | _ ->
+      (* constant along the row, read once per block; a dim outside the
+         space fails with the bounds error of pos.(dim) *)
+      let pos = d.pos in
+      if dim < 0 || dim >= Array.length pos then invalid_arg "index out of bounds";
+      let r = def_i d op 0 in
+      emit_lanes d 0 (fun _ -> d.it.(r) <- pos.(dim)))
   | "stencil.access" -> decode_access d op
   | "stencil.dyn_access" -> decode_dyn_access d op
   | name when name = Stencil.return_op -> decode_return d op
   | name -> Err.raise_error "interp: unsupported op %s in stencil body" name
 
-(* Decoding never fails by itself: an error becomes a step that raises
-   it when the op runs, so it surfaces at that point of the body and only
-   if the op runs at all (an empty iteration space runs nothing). *)
+(* Decoding never fails by itself: an error becomes a step that fails at
+   the block's first lane, so it surfaces at that point of the body and
+   only if the op runs at all (an empty iteration space runs nothing). *)
 let decode d op =
   try decode_op d op
   with (Err.Error _ | Invalid_argument _ | Failure _) as e ->
-    emit d (fun () -> raise e)
+    emit d (fun n -> if n > 0 then fail d 0 e)
+
+(* Run the decoded body over lanes [0, n) of a block, then raise the
+   failure of its lowest failing lane, if any. *)
+let run_block d n =
+  d.live <- n;
+  let steps = d.steps in
+  for s = 0 to d.n_steps - 1 do
+    (Array.unsafe_get steps s) d.live
+  done;
+  if d.live < n then Option.iter raise d.failure
 
 (* Evaluate one op outside any apply (function-level constants, the
-   CPU-lowered executor): decode it, run it once, and box its results
-   back into [env]. *)
+   CPU-lowered executor): decode it, run it at one lane, and box its
+   results back into [env]. *)
 let eval_simple_op env (op : Ir.op) =
   let d = env.dec in
-  reset d ~slots:(slots_needed op) ~geoms:(geoms_needed op) ();
+  reset d ();
   decode d op;
-  for s = 0 to d.n_steps - 1 do
-    d.steps.(s) ()
-  done;
+  run_block d 1;
   List.iter
     (fun v ->
       match Hashtbl.find_opt d.slots (Ir.Value.id v) with
-      | Some (SF s) -> bind env v (F d.fl.(s))
-      | Some (SI s) -> bind env v (I d.it.(s))
-      | Some (SB s) -> bind env v (B (d.it.(s) <> 0))
+      | Some (SF a) -> bind env v (F (fget (arr d a) (base d a) a.m 0))
+      | Some (SI (s, _)) -> bind env v (I d.it.(s))
+      | Some (SB (s, _)) -> bind env v (B (d.it.(s) <> 0))
       | Some (SG g) -> bind env v (G g)
       | None -> ())
     (Ir.Op.results op);
   release d
 
-(* One row of the point loop: set each geometry's row base, then run
-   the steps at every point along the innermost dimension. *)
+(* One row: set each geometry's first index, then run the body block by
+   block along the innermost dimension. *)
 let run_row d geoms (lb : int array) (ub : int array) =
   let rank = Array.length lb and pos = d.pos and cur = d.cur in
-  let steps = d.steps and n_steps = d.n_steps in
   if rank > 0 then pos.(rank - 1) <- lb.(rank - 1);
-  for g = 0 to Array.length geoms - 1 do
+  let n_geoms = Array.length geoms in
+  for g = 0 to n_geoms - 1 do
     let glb, strides = geoms.(g) in
     let base = ref 0 in
     for k = 0 to rank - 1 do
@@ -481,11 +771,13 @@ let run_row d geoms (lb : int array) (ub : int array) =
     cur.(g + 1) <- !base
   done;
   let row_len = if rank = 0 then 1 else ub.(rank - 1) - lb.(rank - 1) in
-  for j = 0 to row_len - 1 do
-    cur.(0) <- j;
-    if rank > 0 then pos.(rank - 1) <- lb.(rank - 1) + j;
-    for s = 0 to n_steps - 1 do
-      (Array.unsafe_get steps s) ()
+  d.j0 <- 0;
+  while d.j0 < row_len do
+    let n = Int.min block_width (row_len - d.j0) in
+    run_block d n;
+    d.j0 <- d.j0 + n;
+    for g = 1 to n_geoms do
+      cur.(g) <- cur.(g) + n
     done
   done
 
@@ -509,20 +801,16 @@ let run_apply env (op : Ir.op) =
      results fails here, naming the op) *)
   ignore (Ir.Op.result op 0);
   let space = results.(0) in
-  let first = Ir.Block.first_op block in
   let d = env.dec in
-  reset d ~space:(space.Grid.lb, space.Grid.ub) ~results
-    ~slots:(sum_ops slots_needed n_args first)
-    ~geoms:(sum_ops geoms_needed 0 first)
-    ();
+  reset d ~space:(space.Grid.lb, space.Grid.ub) ~results ();
   Array.iteri
     (fun i rv -> set_slot d (Ir.Block.arg block i) (slot_of_rval d rv))
     arg_vals;
   Ir.Block.iter_ops block (decode d);
-  (* Run the steps at every point, row-major.  Along a row each grid's
+  (* Run the steps over every row, row-major.  Along a row each grid's
      linear index advances by one, so the row's first index per geometry
-     is computed once per row and a proven access adds cur.(0) and its
-     fixed delta. *)
+     is computed once per row and a proven access reads the block's
+     lanes from there plus its fixed delta. *)
   if Array.length space.Grid.data > 0 then
     run_rows d (Array.of_list (List.rev d.geoms)) space.Grid.lb space.Grid.ub 0;
   release d;

@@ -13,6 +13,10 @@ type rval = F of float | I of int | B of bool | G of Grid.t
 
 type env
 
+(** Lanes per block: each stencil.apply runs its rows along the
+    innermost dimension in blocks of at most this many points. *)
+val block_width : int
+
 (** Execute one stencil-dialect function; grids are mutated in place. *)
 val run_func : Ir.op -> args:rval list -> env
 

@@ -218,14 +218,15 @@ let test_golden_digests () =
 
 (* -- error parity ------------------------------------------------------- *)
 
-(* The first op named [name] in the kernel function, apply bodies
-   included. *)
-let first_op_named (l : Lower.lowered) name =
-  let found = ref None in
+(* The ops named [name] in the kernel function, apply bodies included,
+   in body order. *)
+let ops_named (l : Lower.lowered) name =
+  let found = ref [] in
   Shmls_ir.Ir.Op.walk l.l_func (fun o ->
-      if Option.is_none !found && Shmls_ir.Ir.Op.name o = name then
-        found := Some o);
-  Option.get !found
+      if Shmls_ir.Ir.Op.name o = name then found := o :: !found);
+  List.rev !found
+
+let first_op_named l name = List.hd (ops_named l name)
 
 let raises_on_run msg (l : Lower.lowered) =
   let st = Interp.alloc_state l in
@@ -246,6 +247,83 @@ let test_error_unsupported_body_op () =
   let l = prepared H.avg_1d [ 16 ] in
   (first_op_named l "arith.addf").o_name <- "arith.frobf";
   raises_on_run "interp: unsupported op arith.frobf in stencil body" l
+
+(* -- first-failure parity ------------------------------------------------ *)
+
+(* The error a run raises is the one the point loop meets first: the
+   earliest point in row-major order, then the earliest op of the body at
+   that point.  Accesses are numbered in body order. *)
+
+let set_offset (l : Lower.lowered) i off =
+  Shmls_ir.Ir.Op.set_attr
+    (List.nth (ops_named l "stencil.access") i)
+    "offset" (Shmls_ir.Attr.Ints off)
+
+(* avg_1d reads a[i-1] and a[i+1] over [0, n); a spans [-1, n+1).  The
+   first access, given offset +10, fails from point 7 on; the second,
+   given offset -5, fails from point 0: the later op's lower point wins. *)
+let test_first_failure_lowest_lane () =
+  let l = prepared H.avg_1d [ 16 ] in
+  set_offset l 0 [ 10 ];
+  set_offset l 1 [ -5 ];
+  raises_on_run "Grid: index -5 outside [-1,17)" l;
+  set_offset l 0 [ -5 ];
+  set_offset l 1 [ 12 ];
+  raises_on_run "Grid: index -5 outside [-1,17)" l
+
+(* laplace_2d over [0,8)x[0,6); phi spans [-1,9)x[-1,7).  The first
+   access fails in rows 3 and up at their first point; the last fails in
+   every row from point 3 on: row 0 comes first. *)
+let test_first_failure_earlier_row () =
+  let l = prepared Shmls_kernels.Didactic.laplace_2d [ 8; 6 ] in
+  set_offset l 0 [ 6; 0 ];
+  set_offset l 3 [ 0; 4 ];
+  raises_on_run "Grid: index 7 outside [-1,7)" l;
+  set_offset l 3 [ 0; 0 ];
+  raises_on_run "Grid: index 9 outside [-1,9)" l
+
+(* Put [k / (i - k)] ahead of avg_1d's accesses, [i] the point's index:
+   it divides by zero at point [k] exactly. *)
+let with_division_at (l : Lower.lowered) k =
+  let open Shmls_dialects in
+  let first = List.hd (ops_named l "stencil.access") in
+  let b =
+    Shmls_ir.Builder.before (Option.get (Shmls_ir.Ir.Op.parent first)) first
+  in
+  let i = Stencil.index b ~dim:0 in
+  let c = Arith.constant_index b k in
+  ignore (Arith.divsi b c (Arith.subi b i c))
+
+let raises_division (l : Lower.lowered) =
+  let st = Interp.alloc_state l in
+  Alcotest.check_raises "division by zero" Division_by_zero (fun () ->
+      ignore (Interp.run_func l.l_func ~args:(Interp.state_args st)))
+
+(* The division fails at point k; the access after it, at offset +12 on
+   a row of n, fails from point n+1-12 on.  Short and long rows. *)
+let test_first_failure_division () =
+  List.iter
+    (fun (n, k_late, k_early) ->
+      let late = prepared H.avg_1d [ n ] in
+      with_division_at late k_late;
+      set_offset late 0 [ 12 ];
+      raises_on_run (Printf.sprintf "Grid: index %d outside [-1,%d)" (n + 1) (n + 1))
+        late;
+      let early = prepared H.avg_1d [ n ] in
+      with_division_at early k_early;
+      set_offset early 0 [ 12 ];
+      raises_division early)
+    [ (16, 10, 3); (300, 295, 200) ]
+
+(* An op the interpreter cannot run fails at the first point it runs
+   at, even after an access that fails at a later point. *)
+let test_first_failure_decode_error () =
+  let l = prepared H.avg_1d [ 16 ] in
+  set_offset l 0 [ 10 ];
+  (first_op_named l "arith.addf").o_name <- "arith.frobf";
+  raises_on_run "interp: unsupported op arith.frobf in stencil body" l;
+  set_offset l 0 [ -5 ];
+  raises_on_run "Grid: index -5 outside [-1,17)" l
 
 (* -- CPU lowering cross-check ------------------------------------------- *)
 
@@ -276,13 +354,28 @@ let cpu_matches_reference (k : Shmls_frontend.Ast.kernel) grid =
 let test_cpu_lowering_all_kernels () =
   List.iter (fun (k, grid) -> cpu_matches_reference k grid) H.all_test_kernels
 
+(* The interpreter runs each row in blocks of [Interp.block_width] lanes;
+   the CPU-lowered executor runs one point at a time.  Successive cases
+   give the innermost dimension every tail a block can have: one lane,
+   one short of a block, a whole block, one over, and two blocks and a
+   partial one. *)
+let block_tail_extents =
+  let w = Interp.block_width in
+  [ 1; w - 1; w; w + 1; (2 * w) + 3 ]
+
 let qcheck_cpu_lowering_random =
+  let case = ref 0 in
   H.qtest ~count:30 "cpu lowering matches interpreter on random kernels"
     H.gen_kernel (fun k ->
       match Shmls_frontend.Ast.validate k with
       | Error _ -> QCheck2.assume_fail ()
       | Ok () ->
-        cpu_matches_reference k (H.small_grid k.k_rank);
+        let inner =
+          List.nth block_tail_extents (!case mod List.length block_tail_extents)
+        in
+        incr case;
+        let outer = List.filteri (fun d _ -> d < k.k_rank - 1) [ 3; 2 ] in
+        cpu_matches_reference k (outer @ [ inner ]);
         true)
 
 (* -- generic executor --------------------------------------------------- *)
@@ -400,6 +493,16 @@ let () =
             test_error_out_of_range_access;
           Alcotest.test_case "unsupported body op error" `Quick
             test_error_unsupported_body_op;
+        ] );
+      ( "first failure",
+        [
+          Alcotest.test_case "lowest point of a row" `Quick
+            test_first_failure_lowest_lane;
+          Alcotest.test_case "earlier row" `Quick test_first_failure_earlier_row;
+          Alcotest.test_case "division by zero" `Quick
+            test_first_failure_division;
+          Alcotest.test_case "decode error" `Quick
+            test_first_failure_decode_error;
         ] );
       ( "cpu-lowering",
         [

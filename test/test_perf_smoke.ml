@@ -294,12 +294,17 @@ let test_first_run_allocation () =
 
 (* Minor words a warm [Interp.run_func] allocates per interior point, on
    the shape-inferred, apply-split module --verify interprets.  Decoding
-   each apply body is paid once per run; the point loop itself must not
-   allocate. *)
-let interp_words_per_point (kernel : Shmls_frontend.Ast.kernel) ~grid =
+   each apply body is paid once per run; the block loop itself must not
+   allocate, on short 3-D rows, on 2-D rows of several blocks and on one
+   1-D row of 4096 blocks. *)
+let prepared (kernel : Shmls_frontend.Ast.kernel) ~grid =
   let l = Shmls_frontend.Lower.lower kernel ~grid in
   Shmls_transforms.Shape_inference.run_on_module l.l_module;
   ignore (Shmls_transforms.Apply_split.run_on_module l.l_module);
+  l
+
+let interp_words_per_point (kernel : Shmls_frontend.Ast.kernel) ~grid =
+  let l = prepared kernel ~grid in
   let args = Shmls.Interp.state_args (Shmls.Interp.alloc_state l) in
   let run () = ignore (Shmls.Interp.run_func l.l_func ~args) in
   run ();
@@ -320,7 +325,26 @@ let test_interp_allocation () =
       ("heat_3d 48x32x24", Shmls_kernels.Didactic.heat_3d, [ 48; 32; 24 ]);
       ("pw_advection 32x24x16", PW.kernel, [ 32; 24; 16 ]);
       ("tracer_advection 32x24x16", TA.kernel, [ 32; 24; 16 ]);
+      ("shallow_water_2d 512x256", Shmls_kernels.Zoo.shallow_water_2d, [ 512; 256 ]);
+      ( "sum_neighbours_1d 262144",
+        Shmls_kernels.Didactic.sum_neighbours_1d,
+        [ 262144 ] );
     ]
+
+(* Major words of a warm [Interp.run_lowered] on one row of 262144
+   points: the two fields and the apply's result grid, 786,562 words
+   before rows ran in blocks.  Block columns hold a fixed number of
+   lanes, so the slot files add a few hundred words, not a row's worth. *)
+let test_interp_major_words () =
+  let l = prepared Shmls_kernels.Didactic.sum_neighbours_1d ~grid:[ 262144 ] in
+  ignore (Shmls.Interp.run_lowered l);
+  let before = (Gc.quick_stat ()).major_words in
+  ignore (Shmls.Interp.run_lowered l);
+  let words = (Gc.quick_stat ()).major_words -. before in
+  let pinned = 786_562.0 in
+  if Float.abs (words -. pinned) > 0.05 *. pinned then
+    Alcotest.failf "a warm run allocates %.0f major words (pinned %.0f +- 5%%)"
+      words pinned
 
 (* ------------------------------------------------------------------ *)
 (* Pass-result memo *)
@@ -429,6 +453,7 @@ let () =
         [
           Alcotest.test_case "point loop allocation" `Quick
             test_interp_allocation;
+          Alcotest.test_case "column storage" `Quick test_interp_major_words;
         ] );
       ( "pass manager",
         [
