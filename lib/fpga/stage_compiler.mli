@@ -8,7 +8,9 @@
     resolves every SSA value in the compute-stage IR to a dense slot in
     an unboxed register array and emits a specialized step closure per
     op; stream buffers become [float array] ring buffers with O(1)
-    push/pop/length, sized from the design. [run] then executes the
+    push/pop/length, sized from the design, whose storage is recycled
+    by liveness: an owning ring holds it only from its producer stage
+    to its last reader. [run] then executes the
     design with no hashtable lookups or token boxing in the element
     loops.
 
@@ -41,8 +43,10 @@ end
 (** Compile a design into an immutable plan. Compute-stage loops whose
     bodies are independent per element (no nested loops, no stores, at
     most one read/write per stream) run in whole-stream blocks over
-    dense unboxed columns — constants and loop-invariant operands read
-    once per block, stream reads/writes blitted in bulk. Each shift
+    dense unboxed columns — each op's lane loop chosen per opcode and
+    operand form at compile time, constants and loop-invariant operands
+    filled into columns once per loop run, stream reads/writes blitted
+    in bulk. Each shift
     stage outputs a window — one NaN-padded copy of its input that
     neighbourhood lanes read at a fixed offset from each token's padded
     index — instead of materialising every neighbourhood. Loops outside
@@ -59,9 +63,11 @@ val compile : Design.t -> t
 val compile_batched : Design.t -> t
 
 (** A fresh run state for this plan: registers seeded from the plan's
-    constant pools, empty rings sized from the design (one token per
-    padded point per stream; shift windows are allocated by their first
-    run). *)
+    constant pools and empty rings. Stream storage (one token per
+    padded point per stream) is taken by each producer stage from the
+    state's free lists, allocated only when they are empty, and
+    returned after the stream's last reader, so the state keeps the
+    plan's peak live storage ({!stats}[.cs_peak_floats]) across runs. *)
 val create_state : t -> Run_state.t
 
 (** Execute the plan in the given state. [args] follow the kernel's
@@ -91,6 +97,9 @@ type stats = {
   cs_steps : int;  (** compiled step closures across compute stages *)
   cs_folded : int;  (** constants folded into the pools at compile time *)
   cs_batched : int;  (** compute loops compiled to whole-stream batches *)
+  cs_peak_floats : int;
+      (** stream storage live at once, in floats: what the first run on
+          a fresh state allocates for its rings and windows *)
 }
 
 val stats : t -> stats

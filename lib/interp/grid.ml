@@ -135,18 +135,25 @@ let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 (* Deterministic pseudo-random initialisation (splitmix-style hash of the
    linear index), so every flow sees identical input data without carrying
-   an RNG around. *)
-let init_hash ?(seed = 42) t =
-  let n = Array.length t.data in
-  for i = 0 to n - 1 do
-    let z = ref (Int64.of_int ((i + 1) * 0x9E3779B9 + seed)) in
-    z := Int64.mul !z 0xBF58476D1CE4E5B9L;
-    z := Int64.logxor !z (Int64.shift_right_logical !z 31);
-    let u =
-      Int64.to_float (Int64.logand !z 0xFFFFFFFFL) /. 4294967296.0
-    in
-    t.data.(i) <- (2.0 *. u) -. 1.0
+   an RNG around.  Scaling by 2^-32 is exact, as the division it replaces
+   was. *)
+let hash_fill ~seed (data : float array) =
+  for i = 0 to Array.length data - 1 do
+    let z = Int64.of_int (((i + 1) * 0x9E3779B9) + seed) in
+    let z = Int64.mul z 0xBF58476D1CE4E5B9L in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    let u = Int64.to_float (Int64.logand z 0xFFFFFFFFL) *. 0x1p-32 in
+    Array.unsafe_set data i ((2.0 *. u) -. 1.0)
   done
+
+let init_hash ?(seed = 42) t = hash_fill ~seed t.data
+
+(* [create] then [init_hash], without zeroing cells the hash overwrites. *)
+let create_hashed ?(seed = 42) bounds =
+  let lb, ub, strides = geometry bounds in
+  let data = Array.create_float (Ty.bounds_points bounds) in
+  hash_fill ~seed data;
+  { bounds; data; lb; ub; strides }
 
 (* Reindex from [lb, ub) to [0, ub-lb) sharing the same storage: the
    row-major layout is unchanged (same extent, hence same strides), so
@@ -171,6 +178,21 @@ let max_abs_diff a b =
 
 let equal_within ~tol a b = max_abs_diff a b <= tol
 
+(* [Float.max] folded over [d] and |a - b| for [n] cells from [ia] and
+   [ib], bit for bit but without its sign-bit calls.  Every |a - b| and
+   so the running maximum has a clear sign bit, and then [Float.max d v]
+   is [v] exactly when [v > d] or [v] is NaN (a later NaN replaces an
+   earlier one); the [v <= d] test alone settles the common lane. *)
+let max_abs_diff_row (da : float array) ia (db : float array) ib n d =
+  let d = ref d in
+  for j = 0 to n - 1 do
+    let v =
+      Float.abs (Array.unsafe_get da (ia + j) -. Array.unsafe_get db (ib + j))
+    in
+    if (not (v <= !d)) && (v > !d || Float.is_nan v) then d := v
+  done;
+  !d
+
 (* Restrict comparison to the interior region [lb, ub).  When the region
    sits inside both grids (validated once at the corners), the innermost
    extent is contiguous in each, so the comparison runs over whole rows;
@@ -194,16 +216,10 @@ let max_abs_diff_on bounds a b =
     let d = ref 0.0 in
     let pos = Array.copy lb in
     let rec go dim =
-      if dim = rank - 1 then begin
-        let ba = unsafe_linear a pos and bb = unsafe_linear b pos in
-        let da = a.data and db = b.data in
-        for j = 0 to inner - 1 do
-          d :=
-            Float.max !d
-              (Float.abs
-                 (Array.unsafe_get da (ba + j) -. Array.unsafe_get db (bb + j)))
-        done
-      end
+      if dim = rank - 1 then
+        d :=
+          max_abs_diff_row a.data (unsafe_linear a pos) b.data
+            (unsafe_linear b pos) inner !d
       else
         for i = lb.(dim) to ub.(dim) - 1 do
           pos.(dim) <- i;

@@ -53,6 +53,10 @@ val fill : t -> float -> unit
     of the linear index), so every flow sees identical input data. *)
 val init_hash : ?seed:int -> t -> unit
 
+(** A grid over [bounds] with {!init_hash}'s contents, the cells
+    written once. *)
+val create_hashed : ?seed:int -> Ty.bounds -> t
+
 (** Reindex from [lb, ub) to [0, ub-lb) sharing the same storage (the
     row-major layout is unchanged, so writes alias). *)
 val rebase_zero : t -> t

@@ -1008,9 +1008,8 @@ let alloc_state ?(seed = 7) (l : Shmls_frontend.Lower.lowered) =
   let fields =
     List.mapi
       (fun i fd ->
-        let g = Grid.create bounds in
-        Grid.init_hash ~seed:(seed + i) g;
-        (fd.Shmls_frontend.Ast.fd_name, g))
+        ( fd.Shmls_frontend.Ast.fd_name,
+          Grid.create_hashed ~seed:(seed + i) bounds ))
       k.k_fields
   in
   let smalls =
@@ -1018,9 +1017,9 @@ let alloc_state ?(seed = 7) (l : Shmls_frontend.Lower.lowered) =
       (fun i sd ->
         let axis = sd.Shmls_frontend.Ast.sd_axis in
         let n = List.nth l.l_grid axis and h = List.nth halo axis in
-        let g = Grid.create (Ty.make_bounds ~lb:[ -h ] ~ub:[ n + h ]) in
-        Grid.init_hash ~seed:(seed + 100 + i) g;
-        (sd.sd_name, g))
+        ( sd.sd_name,
+          Grid.create_hashed ~seed:(seed + 100 + i)
+            (Ty.make_bounds ~lb:[ -h ] ~ub:[ n + h ]) ))
       k.k_smalls
   in
   let params =

@@ -125,8 +125,12 @@ let check_states_identical what (expected : Shmls_interp.Interp.kernel_state)
 
 (* -- qcheck generators ----------------------------------------------- *)
 
-(* Random expression over the given field/small/param names. *)
-let gen_expr ~rank ~fields ~smalls ~params =
+(* Random expression over the given field/small/param names.  Its
+   operators are Add, Sub, Mul and Abs; with [~all_ops:true], every
+   binary and unary operator of the frontend, so Div, Min, Max, Neg,
+   Sqrt and Exp (and the NaNs and infinities they make) reach the
+   engines too. *)
+let gen_expr ?(all_ops = false) ~rank ~fields ~smalls ~params () =
   let open QCheck2.Gen in
   let offset = list_repeat rank (int_range (-1) 1) in
   let leaf =
@@ -149,17 +153,23 @@ let gen_expr ~rank ~fields ~smalls ~params =
           ( 3,
             map3
               (fun op a b -> Binop (op, a, b))
-              (oneofl [ Add; Sub; Mul ])
+              (oneofl
+                 (if all_ops then [ Add; Sub; Mul; Div; Min; Max ]
+                  else [ Add; Sub; Mul ]))
               (expr (depth - 1))
               (expr (depth - 1)) );
-          (1, map (fun a -> Unop (Abs, a)) (expr (depth - 1)));
+          ( 1,
+            map2
+              (fun op a -> Unop (op, a))
+              (oneofl (if all_ops then [ Neg; Sqrt; Exp; Abs ] else [ Abs ]))
+              (expr (depth - 1)) );
         ]
   in
   expr 3
 
 (* Random multi-stage kernel: 1-3 inputs, 1-2 outputs, 0-2 intermediates,
-   optional small array and parameter. *)
-let gen_kernel =
+   optional small array and parameter; [all_ops] as for [gen_expr]. *)
+let gen_kernel_ops ~all_ops =
   let open QCheck2.Gen in
   let* rank = int_range 1 3 in
   let* n_in = int_range 1 3 in
@@ -177,7 +187,7 @@ let gen_kernel =
     if i >= n_mid + n_out then return (List.rev acc)
     else
       let target = if i < n_mid then List.nth mids i else List.nth outputs (i - n_mid) in
-      let* e = gen_expr ~rank ~fields:readable ~smalls ~params in
+      let* e = gen_expr ~all_ops ~rank ~fields:readable ~smalls ~params () in
       build_stencils (i + 1)
         (if i < n_mid then readable @ [ target ] else readable)
         ({ sd_loc = Shmls_support.Loc.unknown; sd_target = target; sd_expr = e } :: acc)
@@ -218,6 +228,8 @@ let gen_kernel =
       k_stencils = stencils;
     }
 
+let gen_kernel = gen_kernel_ops ~all_ops:false
+
 let small_grid rank = List.init rank (fun d -> 8 - d)
 
 (* Random single-stencil kernels (1 input, 1 output, no intermediates):
@@ -225,7 +237,7 @@ let small_grid rank = List.init rank (fun d -> 8 - d)
 let gen_single_stencil_kernel =
   let open QCheck2.Gen in
   let* rank = int_range 1 3 in
-  let* e = gen_expr ~rank ~fields:[ "in0" ] ~smalls:[] ~params:[ "p" ] in
+  let* e = gen_expr ~rank ~fields:[ "in0" ] ~smalls:[] ~params:[ "p" ] () in
   return
     {
       k_loc = Shmls_support.Loc.unknown;

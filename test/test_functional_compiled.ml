@@ -156,16 +156,198 @@ let test_zoo_bit_identical () =
     (List.combine window_kernels exposed_digests)
     designs
 
+(* -- stream storage ----------------------------------------------- *)
+
+(* Stream storage is recycled by liveness: a window is released after
+   the last stage reading it or a dup alias of it, and a later window
+   of the same geometry takes it.  On tracer advection both happen many
+   times; the design is checked to have the shapes that an early
+   release (at the dup that drains the window) or a wrong reuse would
+   corrupt. *)
+let storage_kernel = (Shmls_kernels.Tracer_advection.kernel, [ 12; 10; 8 ])
+
+let stage_reads = function
+  | Shmls.Design.Load _ -> []
+  | Shmls.Design.Shift s -> [ s.input ]
+  | Shmls.Design.Dup s -> [ s.input ]
+  | Shmls.Design.Compute cc -> cc.in_streams
+  | Shmls.Design.Write w -> w.in_streams
+
+(* (stage index, output, halo and extent) of every shift *)
+let shifts (d : Shmls.Design.t) =
+  List.concat
+    (List.mapi
+       (fun i -> function
+         | Shmls.Design.Shift s -> [ (i, s.output, (s.halo, s.extent)) ]
+         | _ -> [])
+       d.d_stages)
+
+(* the last stage reading [stream] *)
+let last_read (d : Shmls.Design.t) stream =
+  List.fold_left max (-1)
+    (List.mapi
+       (fun i st -> if List.mem stream (stage_reads st) then i else -1)
+       d.d_stages)
+
+(* the dup aliases of [stream] *)
+let aliases (d : Shmls.Design.t) stream =
+  List.concat_map
+    (function
+      | Shmls.Design.Dup { input; outputs } when input = stream -> outputs
+      | _ -> [])
+    d.d_stages
+
+(* MD5 of the tracer outputs with halo points written (see
+   [exposed_digests]), from the engine that gave every stream a buffer
+   of its own *)
+let storage_exposed_digest = "6579fbeeced96f655ac1f92e3bfe953c"
+
+(* A fresh plan of [k] on [grid]: its first run allocates, the second
+   reuses the free lists, and both are bit-exact against the
+   interpreter.  With the write stage storing halo points too, the
+   lanes halo points read past the extent come from the windows' NaN
+   pads, and the outputs match [digest]. *)
+let check_recycled_runs ((k : Shmls.Ast.kernel), grid) digest =
+  let c = Shmls.compile_cached k ~grid in
+  let d = c.c_design in
+  let plan = Stage_compiler.compile d in
+  let rs = Stage_compiler.create_state plan in
+  let oracle = Interp.run_lowered ~seed:7 c.c_lowered in
+  for run = 1 to 2 do
+    let st = Interp.alloc_state ~seed:7 c.c_lowered in
+    Stage_compiler.run_with plan rs ~args:(Shmls.state_args st);
+    H.check_states_identical (Printf.sprintf "run %d" run) oracle st
+  done;
+  let exposed =
+    Stage_compiler.compile
+      {
+        d with
+        d_stages =
+          List.map
+            (function
+              | Shmls.Design.Write w ->
+                Shmls.Design.Write { w with halo = List.map (fun _ -> 0) w.halo }
+              | st -> st)
+            d.d_stages;
+      }
+  in
+  let rs = Stage_compiler.create_state exposed in
+  for run = 1 to 2 do
+    let st = Interp.alloc_state ~seed:7 c.c_lowered in
+    Stage_compiler.run_with exposed rs ~args:(Shmls.state_args st);
+    Alcotest.(check string)
+      (Printf.sprintf "run %d with halo points written: output digest" run)
+      digest (outputs_digest k st);
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: halo points read the pad" run)
+      true
+      (List.exists
+         (fun (_, (g : Grid.t)) -> Array.exists Float.is_nan g.Grid.data)
+         st.fields)
+  done
+
+let test_storage_recycling () =
+  let k, grid = storage_kernel in
+  let c = Shmls.compile_cached k ~grid in
+  let d = c.c_design in
+  let sh = shifts d in
+  (* a dup alias of a window read after a later window of the same
+     geometry was produced: releasing at the dup would hand the
+     storage over while the alias still has tokens to read *)
+  Alcotest.(check bool) "an alias outlives a dup and a same-geometry shift"
+    true
+    (List.exists
+       (fun (i, w, g) ->
+         List.exists
+           (fun (j, _, g') ->
+             j > i
+             && g' = g
+             && List.exists
+                  (fun (k, st) ->
+                    k < j
+                    && (match st with
+                       | Shmls.Design.Dup { input; _ } -> input = w
+                       | _ -> false))
+                  (List.mapi (fun k st -> (k, st)) d.d_stages)
+             && List.exists (fun a -> last_read d a > j) (aliases d w))
+           sh)
+       sh);
+  (* two windows of one geometry whose live ranges do not overlap, so
+     the second takes the first one's storage *)
+  Alcotest.(check bool) "two same-geometry windows live apart" true
+    (List.exists
+       (fun (i, w, g) ->
+         List.exists
+           (fun (j, _, g') ->
+             j > i
+             && g' = g
+             && List.for_all (fun s -> last_read d s < j) (w :: aliases d w))
+           sh)
+       sh);
+  check_recycled_runs storage_kernel storage_exposed_digest
+
+(* Windows of one size but two geometries: [skew_2d]'s first shift pads
+   dimension 0, its second dimension 1, so on a square grid both take
+   the same number of floats.  Their pads lie in different places, so
+   the second must not reuse the first one's storage. *)
+let skew_2d =
+  let open Shmls.Ast in
+  {
+    k_loc = Shmls_support.Loc.unknown;
+    k_name = "skew_2d";
+    k_rank = 2;
+    k_fields =
+      [ { fd_name = "a"; fd_role = Input }; { fd_name = "b"; fd_role = Output } ];
+    k_smalls = [];
+    k_params = [];
+    k_stencils =
+      [
+        {
+          sd_loc = Shmls_support.Loc.unknown;
+          sd_target = "m";
+          sd_expr = fld "a" [ -1; 0 ] +: fld "a" [ 1; 0 ];
+        };
+        {
+          sd_loc = Shmls_support.Loc.unknown;
+          sd_target = "b";
+          sd_expr = fld "m" [ 0; -1 ] -: fld "m" [ 0; 1 ];
+        };
+      ];
+  }
+
+let skew_exposed_digest = "c7f4e6ca171d07be2f887b46d9fdfa62"
+
+let test_storage_window_geometry () =
+  let grid = [ 9; 9 ] in
+  let d = (Shmls.compile_cached skew_2d ~grid).c_design in
+  let size (halo, extent) =
+    List.fold_left2 (fun n h e -> n * (e + (2 * h))) 1 halo extent
+  in
+  let sh = shifts d in
+  Alcotest.(check bool) "two windows of one size and two geometries" true
+    (List.exists
+       (fun (i, w, g) ->
+         List.exists
+           (fun (j, _, g') ->
+             j > i && g' <> g && size g' = size g
+             && List.for_all (fun s -> last_read d s < j) (w :: aliases d w))
+           sh)
+       sh);
+  check_recycled_runs (skew_2d, grid) skew_exposed_digest
+
 let test_seeds_bit_identical () =
   List.iter
     (fun seed -> check_bit_identical ~seed H.chain_3d ~grid:[ 10; 8; 6 ])
     [ 0; 1; 42; 1234 ]
 
 (* Random kernels through every pipeline variant, so no-split, no-pack
-   and cu=N designs meet shapes the fixed suites do not have. *)
+   and cu=N designs meet shapes the fixed suites do not have.  They draw
+   every frontend operator, so each lane loop of the engine (opcode by
+   operand form) meets columns, loop invariants ([Const], [Param_ref])
+   and window lanes, and NaNs and infinities flow through them. *)
 let qcheck_random_kernels_bit_identical =
   H.qtest ~count:25 "compiled sim is bit-identical on random kernels"
-    QCheck2.Gen.(pair H.gen_kernel (int_range 0 1000))
+    QCheck2.Gen.(pair (H.gen_kernel_ops ~all_ops:true) (int_range 0 1000))
     (fun (k, seed) ->
       match Shmls_frontend.Ast.validate k with
       | Error _ -> QCheck2.assume_fail ()
@@ -458,6 +640,39 @@ let test_undrained_stream_parity () =
          stream)
     ~loc:Shmls_support.Loc.unknown
 
+let test_second_producer_parity () =
+  (* the load also pushes into the shift's output window: a window is
+     filled only by its shift, so the push is a second producer *)
+  let c = Shmls.compile_cached H.avg_1d ~grid:[ 16 ] in
+  let d = c.c_design in
+  let window =
+    List.find_map
+      (function Shmls.Design.Shift s -> Some s.output | _ -> None)
+      d.d_stages
+    |> Option.get
+  in
+  let broken =
+    {
+      d with
+      Shmls.Design.d_stages =
+        List.map
+          (function
+            | Shmls.Design.Load { out_streams; ptr_args } ->
+              Shmls.Design.Load
+                {
+                  out_streams = out_streams @ [ window ];
+                  ptr_args = ptr_args @ [ List.hd ptr_args ];
+                }
+            | st -> st)
+          d.d_stages;
+    }
+  in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
+  check_error_parity "second producer" broken ~args_of
+    ~message:
+      (Printf.sprintf "functional sim: stream %d has a second producer" window)
+    ~loc:Shmls_support.Loc.unknown
+
 (* [run_with] indexes the state's slots and rings without bounds checks,
    so a state created for another plan is refused, at the kernel
    function; the plan's own state still runs. *)
@@ -604,6 +819,10 @@ let () =
           Alcotest.test_case "verify both engines" `Quick
             test_verify_both_plans;
           qcheck_random_kernels_bit_identical;
+          Alcotest.test_case "stream storage recycled by liveness" `Quick
+            test_storage_recycling;
+          Alcotest.test_case "window storage keyed by geometry" `Quick
+            test_storage_window_geometry;
         ] );
       ( "pipeline variants",
         [
@@ -625,6 +844,8 @@ let () =
             test_zero_capacity_push;
           Alcotest.test_case "undrained stream" `Quick
             test_undrained_stream_parity;
+          Alcotest.test_case "second producer" `Quick
+            test_second_producer_parity;
           Alcotest.test_case "run state of another plan" `Quick
             test_foreign_run_state;
         ] );

@@ -48,6 +48,63 @@ let test_grid_init_deterministic () =
   Grid.iter g1 (fun _ v ->
       if v < -1.0 || v > 1.0 then Alcotest.fail "init_hash out of [-1,1]")
 
+(* [Grid.max_abs_diff_on] must equal the [Float.max] fold of |a - b|
+   over the region in row-major order, bit for bit: NaNs of several
+   payloads and signs (a later NaN replaces an earlier one), -0.0
+   against 0.0, and infinities (inf - inf is NaN), placed at random in
+   the interior and the halo, on a region of one row and of several. *)
+let test_grid_max_abs_diff_fold () =
+  let specials =
+    [|
+      Float.nan;
+      -.Float.nan;
+      Int64.float_of_bits 0x7FF0_0000_0000_0F00L;
+      Int64.float_of_bits 0xFFF8_0000_0000_0123L;
+      -0.0;
+      0.0;
+      Float.infinity;
+      Float.neg_infinity;
+      1.5;
+      -2.25;
+    |]
+  in
+  let fold bounds (a : Grid.t) (b : Grid.t) =
+    let d = ref 0.0 in
+    Grid.iter_bounds bounds (fun idx ->
+        d := Float.max !d (Float.abs (Grid.get a idx -. Grid.get b idx)));
+    !d
+  in
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun (lb, ub, region_ub) ->
+      let bounds = Ty.make_bounds ~lb ~ub in
+      let region =
+        Ty.make_bounds ~lb:(List.map (fun _ -> 0) region_ub) ~ub:region_ub
+      in
+      for trial = 0 to 199 do
+        let a = Grid.create bounds and b = Grid.create bounds in
+        Grid.init_hash ~seed:trial a;
+        Grid.init_hash ~seed:(trial + 1000) b;
+        (* a few special cells on most trials, none on some *)
+        for _ = 1 to Random.State.int rng 6 do
+          let g = if Random.State.bool rng then a else b in
+          let i = Random.State.int rng (Array.length g.Grid.data) in
+          g.Grid.data.(i) <-
+            specials.(Random.State.int rng (Array.length specials))
+        done;
+        let want = fold region a b and got = Grid.max_abs_diff_on region a b in
+        if Int64.bits_of_float want <> Int64.bits_of_float got then
+          Alcotest.failf "trial %d: fold %h (bits %Lx), max_abs_diff_on %h \
+                          (bits %Lx)"
+            trial want (Int64.bits_of_float want) got
+            (Int64.bits_of_float got)
+      done)
+    [
+      ([ -1 ], [ 9 ], [ 8 ]);
+      ([ -1; -2 ], [ 5; 8 ], [ 4; 6 ]);
+      ([ 0; 0; 0 ], [ 3; 4; 5 ], [ 3; 4; 5 ]);
+    ]
+
 (* -- closed-form interpreter checks ------------------------------------ *)
 
 let prepared k grid =
@@ -475,6 +532,8 @@ let () =
           Alcotest.test_case "row-major iteration" `Quick test_grid_iter_order;
           Alcotest.test_case "rebase aliases storage" `Quick test_grid_rebase_aliases;
           Alcotest.test_case "deterministic init" `Quick test_grid_init_deterministic;
+          Alcotest.test_case "max |diff| equals the Float.max fold" `Quick
+            test_grid_max_abs_diff_fold;
         ] );
       ( "stencil-interp",
         [

@@ -289,6 +289,43 @@ let test_first_run_allocation () =
        padded point per stream)"
       bytes budget
 
+(* Stream storage is recycled by liveness: the first run of a fresh
+   state allocates the storage live at once (the plan's peak), not one
+   buffer per stream, plus its register files and columns.  On tracer
+   advection 40x16x12 the peak is 4.5 MB, where one buffer per owning
+   stream took 9.7 MB. *)
+let test_first_run_peak_storage () =
+  let c = Shmls.compile TA.kernel ~grid:[ 40; 16; 12 ] in
+  let d = c.c_design in
+  let plan = Shmls.Stage_compiler.compile d in
+  let peak = 8 * (Shmls.Stage_compiler.stats plan).cs_peak_floats in
+  let per_stream = 8 * Shmls.Design.total_padded d in
+  Alcotest.(check bool) "the peak is below half a buffer per stream" true
+    (peak * 2 < per_stream * List.length d.Shmls.Design.d_streams);
+  let st = Shmls.Interp.alloc_state c.c_lowered in
+  let args = Shmls.state_args st in
+  let before = Gc.allocated_bytes () in
+  Shmls.Stage_compiler.run plan ~args;
+  let bytes = Gc.allocated_bytes () -. before in
+  Test_common.Helpers.check_states_identical "first run"
+    (Shmls.Interp.run_lowered c.c_lowered)
+    st;
+  (* register files, columns (64 lanes each) and free-list cells *)
+  let allowance = 256 * 1024 in
+  if bytes > float_of_int (peak + allowance) then
+    Alcotest.failf
+      "the first run allocates %.0f bytes (budget %d: peak live storage %d \
+       + %d)"
+      bytes (peak + allowance) peak allowance;
+  (* a second run on the same state takes every buffer from the free
+     lists *)
+  let before = Gc.allocated_bytes () in
+  Shmls.Stage_compiler.run plan ~args:(Shmls.state_args st);
+  let again = Gc.allocated_bytes () -. before in
+  if again > float_of_int allowance then
+    Alcotest.failf "a second run allocates %.0f bytes (budget %d)" again
+      allowance
+
 (* ------------------------------------------------------------------ *)
 (* Reference interpreter allocation *)
 
@@ -448,6 +485,8 @@ let () =
             test_state_releases_args_and_plan;
           Alcotest.test_case "first batched run allocation" `Quick
             test_first_run_allocation;
+          Alcotest.test_case "first run allocates the peak live storage"
+            `Quick test_first_run_peak_storage;
         ] );
       ( "interp allocation",
         [
