@@ -12,14 +12,13 @@
    A one-time pre-pass per design turns that IR into a specialized
    closure pipeline:
 
-     - every SSA value is resolved at compile time to a dense slot in an
-       unboxed [float array] (floats), an [int array] (ints and i1s), a
-       base/offset pair (pointers and BRAM memrefs) or a flat scratch
-       [float array] (shift-buffer neighbourhood tokens) — no hashtable
-       lookup and no [value] boxing happens in the element loop;
-     - each region op becomes a step closure capturing its slot indices
-       (constants are folded into the plan's constant pool at compile
-       time and emit no step at all);
+     - every SSA value outside the loops is resolved at compile time to
+       a dense slot in an unboxed [float array] (floats), an [int array]
+       (ints and i1s) or a base/offset pair (pointers and BRAM memrefs),
+       and every value inside a loop to a column of those (see below) —
+       no hashtable lookup and no [value] boxing happens at run time;
+     - constants are folded into the plan's constant pool at compile
+       time and emit no step at all;
      - stream buffers are [float array] ring buffers with O(1)
        push/pop/length.  Every stream carries one token per padded
        point, but storage is recycled by liveness: each load or compute
@@ -32,9 +31,9 @@
        materialised: a shift stage's output is a window, one NaN-padded
        copy of its input that consumers index by neighbour offset (see
        {!window});
-     - a compute loop whose body is independent per element runs in
-       whole-stream blocks over dense columns (see "Batched compute-loop
-       compilation"); any other loop runs its per-element compilation.
+     - every compute loop runs in whole-stream blocks over dense
+       columns (see "Batched compute-loop compilation"); a loop body
+       outside that subset is refused when the plan is compiled.
 
    The compiled artefact is split in two:
 
@@ -45,7 +44,7 @@
        instead of recompiling a private one per job.
      - {!Run_state.t} holds every mutable word a run touches: register
        files (seeded from the plan's constant pools), ring buffers and
-       the free lists of their storage, neighbourhood scratch.  States
+       the free lists of their storage, column files.  States
        are cheap to allocate, reusable across runs, and cached per
        (domain, plan) so repeated runs on the same worker reuse one
        allocation ({!run}).
@@ -157,11 +156,6 @@ let ring_reserve r extra =
     r.rg_head <- 0
   end
 
-let ring_push r v =
-  if r.rg_head + r.rg_len >= Array.length r.rg_data then ring_reserve r 1;
-  Array.unsafe_set r.rg_data (r.rg_head + r.rg_len) v;
-  r.rg_len <- r.rg_len + 1
-
 (* Append [n] floats from [src.(srcoff ..)] in one blit. *)
 let ring_push_blit r src srcoff n =
   ring_reserve r n;
@@ -188,13 +182,12 @@ type run_state = {
   rs_iregs : int array; (* seeded from the plan's int constant pool *)
   rs_pbase : float array array;
   rs_poff : int array;
-  rs_vecs : float array array; (* neighbourhood scratch, one per KV slot *)
   rs_rings : ring array; (* plan ring-descriptor order (ascending id) *)
   rs_owned : float array array;
       (* per ring: the storage its owner took for the current run, or
          [[||]] *)
   rs_free : float array list array; (* per storage class: free storage *)
-  (* Column files.  A batched compute loop processes the stream in
+  (* Column files.  A compute loop processes the stream in
      blocks of up to [batch_width] elements: every in-loop SSA value
      becomes a dense column, one lane per element of the current
      block. *)
@@ -215,10 +208,12 @@ type kind =
   | KF of int (* float slot *)
   | KI of int (* int / i1 slot *)
   | KP of int (* pointer or memref slot: base array + offset *)
-  | KV of int (* vector-token slot: a private scratch array *)
+  | KV of int
+      (* vector-token slot: a neighbourhood token, never materialised;
+         its lanes are read in place from the window *)
   | KS of int * int * int
-      (* batched loops only: an extracted neighbourhood lane left in
-         its window — (ring, padded-index column, lane offset).  Lane
+      (* an extracted neighbourhood lane left in its window — (ring,
+         padded-index column, lane offset).  Lane
          [j] of the block is [rg_data.(pidx.(j) + offset)]; consumers
          read it in place instead of gathering it into a dense column
          first. *)
@@ -228,7 +223,7 @@ type alloc = {
   mutable nf : int;
   mutable ni : int;
   mutable np : int;
-  mutable vec_widths : int list; (* reversed; scratch sizes in slot order *)
+  mutable vec_widths : int list; (* reversed; lanes per KV slot *)
   mutable nv : int;
 }
 
@@ -305,7 +300,6 @@ type t = {
   pl_const_f : float array; (* constant pool: initial float registers *)
   pl_const_i : int array; (* constant pool: initial int registers *)
   pl_np : int;
-  pl_vec_widths : int array;
   pl_n_fcols : int; (* column-file sizes *)
   pl_n_icols : int;
   pl_n_pcols : int;
@@ -334,7 +328,6 @@ let create_state (t : t) : run_state =
     rs_iregs = Array.copy t.pl_const_i;
     rs_pbase = Array.make (max 1 t.pl_np) [||];
     rs_poff = Array.make (max 1 t.pl_np) 0;
-    rs_vecs = Array.map (fun w -> Array.make w 0.0) t.pl_vec_widths;
     rs_rings =
       Array.map
         (fun rd ->
@@ -355,14 +348,15 @@ type cctx = {
   al : alloc;
   const_f : float array; (* compile-time constant folding writes here *)
   const_i : int array;
-  vec_w : int array; (* scratch width per KV slot *)
+  vec_w : int array; (* lanes per KV slot *)
   ring_index : int Tbl.t; (* SSA stream id -> rs_rings index *)
   ring_win : window option array; (* per rs_rings index *)
   mutable folded : int;
   (* batched-loop compilation state *)
   cols : kind Tbl.t; (* in-loop SSA id -> column slot *)
-  vec_ring : (int * int * window) Tbl.t;
-      (* KV slot -> (ring idx, padded-index column, window) *)
+  vec_ring : (int * int * window) option Tbl.t;
+      (* KV slot -> (ring idx, padded-index column, window), or [None]
+         for a read of a stream no shift produces *)
   mutable nfc : int; (* column-file sizes *)
   mutable nic : int;
   mutable npc : int;
@@ -392,17 +386,15 @@ let islot c v =
   | KI i -> i
   | _ -> Err.raise_error "functional sim: expected int"
 
-let pslot c v =
-  match slot_exn c v with
-  | KP i -> i
-  | _ -> Err.raise_error "functional sim: expected pointer"
-
-(* A float getter; an int operand is coerced to float. *)
-let getf c v =
-  match slot_exn c v with
-  | KF i -> fun rs -> Array.unsafe_get rs.rs_fregs i
-  | KI i -> fun rs -> float_of_int (Array.unsafe_get rs.rs_iregs i)
-  | _ -> Err.raise_error "functional sim: expected float"
+(* Fold a constant into the plan's constant pools: SSA values never
+   change, and every fresh run state copies the pools into its register
+   files, so the fold survives across runs. *)
+let fold_constant c op =
+  c.folded <- c.folded + 1;
+  match Ir.Op.get_attr_exn op "value" with
+  | Attr.Float f -> c.const_f.(fslot c (Ir.Op.result op 0)) <- f
+  | Attr.Int i -> c.const_i.(islot c (Ir.Op.result op 0)) <- i
+  | _ -> Err.raise_error ~loc:(Ir.Op.loc op) "functional sim: bad constant"
 
 let ring_idx c v =
   let id = Ir.Value.id v in
@@ -413,25 +405,29 @@ let ring_idx c v =
 (* ------------------------------------------------------------------ *)
 (* Batched compute-loop compilation.
 
-   A compute stage's [scf.for] is batched when every body op is in the
-   independent-per-element subset below (no nested loops, no stores, at
-   most one read and one write per stream — the only op forms whose
-   per-element interleaving is observable through the rings).  The loop
-   then runs in blocks of up to [batch_width] elements: each op becomes
-   one closure looping its lanes over dense columns, loop-invariant
-   operands (including folded constants) are read once per block, and
-   stream reads/writes move whole blocks through the rings with blits.
+   Every [scf.for] of a compute stage runs in blocks, and its body ops
+   must lie in the independent-per-element subset below: no nested
+   loops, at most one read and one write per stream, and a BRAM buffer
+   stored by at most one op and then not loaded in the same loop — the
+   op forms whose per-element interleaving would be observable through
+   the rings and buffers.  A body op outside the subset raises when the
+   plan is compiled, at its [Loc].  Each op becomes one closure looping
+   the block's lanes over dense columns, loop-invariant operands
+   (including folded constants) are read once per block, and stream
+   reads/writes move whole blocks through the rings with blits.
    Neighbourhood (vector) reads never materialise: a window read fills
    one int column with the block's padded indices, and an
    [extractvalue] lane reads the window at that column plus the lane's
    offset.
 
-   Every lane's dataflow is the float expression the per-element body
-   evaluates, op-at-a-time instead of element-at-a-time, and batchable
-   loops contain no stores, so no partial-block state is observable.
-   Starved reads are detected before a block touches anything; the
-   remainder then re-runs through the per-element body, so the raised
-   error carries the [Loc] of the read that starves first. *)
+   Every lane's dataflow is the float expression an element-at-a-time
+   loop would evaluate, op-at-a-time instead, and a store writes its
+   lanes in element order into a buffer nothing else in the loop
+   touches, so no partial-block state is observable.  Before a block
+   touches anything, each read counts the tokens its ring holds; a
+   starved block runs only the lanes every read can feed and then
+   raises at the [Loc] of the read that starves first (see
+   [compile_for]). *)
 
 exception Not_batchable
 
@@ -820,12 +816,26 @@ let f1_step k a d =
     let f = f1_w k in
     fun rs n -> f (wdata rs ra) (icol rs xa) oa (fcol rs d) n
 
-(* Compile one batchable-loop body op into an optional per-block step
+(* A read of a compute loop: its ring, floats per token (0 for a vector
+   read of a stream no shift produces, which holds no token it can
+   take) and its location, where a starved block raises. *)
+type bread = { br_ring : int; br_width : int; br_loc : Loc.t }
+
+(* What one loop body reads, writes, and loads and stores in BRAM
+   (pointer slots). *)
+type loop = {
+  mutable reads : bread list; (* reversed body order *)
+  mutable writes : int list;
+  mutable loaded : int list;
+  mutable stored : int list;
+}
+
+(* Compile one loop body op into an optional per-block step
    [fun rs n -> ...] over the first [n] lanes.  An op that cannot raise,
    over uniform columns only, goes to the loop's entry steps instead and
    its result is uniform.  Raises [Not_batchable] on anything outside
-   the subset; the caller then runs the loop per element. *)
-let compile_bop c ~reads ~writes (op : Ir.op) :
+   the subset; [compile_for] turns that into an error at the op. *)
+let compile_bop c lp (op : Ir.op) :
     (run_state -> int -> unit) option =
   let preps = ref [] in
   let finish body =
@@ -886,18 +896,11 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
         f (icol rs a) (icol rs b) (icol rs d) n)
   in
   match Ir.Op.name op with
-  | "arith.constant" -> (
-    (* folded into the pools, as [compile_op] folds it; the value stays
-       out of [c.cols], so operand resolution sees it as a
-       loop-invariant register *)
-    match Ir.Op.get_attr_exn op "value" with
-    | Attr.Float f ->
-      c.const_f.(fslot c (Ir.Op.result op 0)) <- f;
-      None
-    | Attr.Int i ->
-      c.const_i.(islot c (Ir.Op.result op 0)) <- i;
-      None
-    | _ -> raise Not_batchable)
+  | "arith.constant" ->
+    (* the value stays out of [c.cols], so operand resolution sees it
+       as a loop-invariant register *)
+    fold_constant c op;
+    None
   | "arith.addf" -> bin F2Add
   | "arith.subf" -> bin F2Sub
   | "arith.mulf" -> bin F2Mul
@@ -961,10 +964,16 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
   | "scf.yield" -> None
   | "hls.read" -> (
     let ri = ring_idx c (Ir.Op.operand op 0) in
-    if List.mem_assoc ri !reads then raise Not_batchable;
+    if List.exists (fun rd -> rd.br_ring = ri) lp.reads then
+      raise Not_batchable;
+    c.st_reads <- ri :: c.st_reads;
+    let read width =
+      let rd = { br_ring = ri; br_width = width; br_loc = Ir.Op.loc op } in
+      lp.reads <- rd :: lp.reads
+    in
     match slot_exn c (Ir.Op.result op 0) with
     | KF _ ->
-      reads := (ri, 1) :: !reads;
+      read 1;
       let d = bind_fcol c (Ir.Op.result op 0) in
       finish (fun rs n ->
           (* the block driver checked availability up front *)
@@ -973,13 +982,20 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
           r.rg_head <- r.rg_head + n;
           r.rg_len <- r.rg_len - n)
     | KV s -> (
+      Tbl.replace c.cols (Ir.Value.id (Ir.Op.result op 0)) (KV s);
       match c.ring_win.(ri) with
+      | None ->
+        (* a stream no shift produces (a mis-wired design) holds no
+           token a vector read can take: the block driver raises before
+           any lane runs *)
+        read 0;
+        Tbl.replace c.vec_ring s None;
+        None
       | Some win when Array.length win.wn_pdelta = c.vec_w.(s) ->
         let w = c.vec_w.(s) in
-        reads := (ri, w) :: !reads;
+        read w;
         let pc = new_icol c in
-        Tbl.replace c.vec_ring s (ri, pc, win);
-        Tbl.replace c.cols (Ir.Value.id (Ir.Op.result op 0)) (KV s);
+        Tbl.replace c.vec_ring s (Some (ri, pc, win));
         (* no materialisation: record the block's padded indices and
            let extracted lanes read the window at an offset from them *)
         finish (fun rs n ->
@@ -994,25 +1010,28 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
       ( Tbl.find_opt c.cols (Ir.Value.id (Ir.Op.operand op 0)),
         Ir.Op.get_attr_exn op "indices" )
     with
-    | Some (KV s), Attr.Ints [ i ] ->
-      let ri, pc, win =
-        match Tbl.find_opt c.vec_ring s with
-        | Some (ri, pc, win) when i >= 0 && i < Array.length win.wn_pdelta ->
-          (ri, pc, win)
-        | _ -> raise Not_batchable
-      in
+    | Some (KV s), Attr.Ints [ i ] -> (
       (* no step at all: the lane stays in the window and consumers read
          it in place (the lane loops directly, anything else through a
          one-time gather in [bfcol]) *)
-      Tbl.replace c.cols
-        (Ir.Value.id (Ir.Op.result op 0))
-        (KS (ri, pc, win.wn_pdelta.(i)));
-      None
+      match Tbl.find_opt c.vec_ring s with
+      | Some (Some (ri, pc, win)) when i >= 0 && i < Array.length win.wn_pdelta
+        ->
+        Tbl.replace c.cols
+          (Ir.Value.id (Ir.Op.result op 0))
+          (KS (ri, pc, win.wn_pdelta.(i)));
+        None
+      | Some None ->
+        (* a lane of a windowless read: no lane of its loop ever runs *)
+        ignore (bind_fcol c (Ir.Op.result op 0));
+        None
+      | _ -> raise Not_batchable)
     | _ -> raise Not_batchable)
   | "hls.write" ->
     let ri = ring_idx c (Ir.Op.operand op 1) in
-    if List.mem ri !writes then raise Not_batchable;
-    writes := ri :: !writes;
+    if List.mem ri lp.writes then raise Not_batchable;
+    lp.writes <- ri :: lp.writes;
+    c.st_writes <- ri :: c.st_writes;
     let s = bfcol c preps (Ir.Op.operand op 0) in
     finish (fun rs n ->
         ring_push_blit (Array.unsafe_get rs.rs_rings ri) (fcol rs s) 0 n)
@@ -1089,11 +1108,12 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
                (Array.unsafe_get rs.rs_pbase s)
                (Array.unsafe_get rs.rs_poff s))))
   | "memref.load" -> (
-    let m = bpsrc c (Ir.Op.operand op 0) in
-    let i = bicol c (Ir.Op.operand op 1) in
-    let d = bind_fcol c (Ir.Op.result op 0) in
-    match m with
+    match bpsrc c (Ir.Op.operand op 0) with
     | PInv m ->
+      if List.mem m lp.stored then raise Not_batchable;
+      lp.loaded <- m :: lp.loaded;
+      let i = bicol c (Ir.Op.operand op 1) in
+      let d = bind_fcol c (Ir.Op.result op 0) in
       finish (fun rs n ->
           let arr = Array.unsafe_get rs.rs_pbase m
           and ic = icol rs i
@@ -1102,345 +1122,129 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
             fset fd j arr.(iget ic j)
           done)
     | PCol _ -> raise Not_batchable)
+  | "memref.store" -> (
+    (* a column write into a BRAM buffer, lanes in element order; a
+       buffer the loop also loads or stores elsewhere would make that
+       order observable *)
+    match bpsrc c (Ir.Op.operand op 1) with
+    | PInv m ->
+      if List.mem m lp.stored || List.mem m lp.loaded then raise Not_batchable;
+      lp.stored <- m :: lp.stored;
+      let s = bfcol c preps (Ir.Op.operand op 0) in
+      let i = bicol c (Ir.Op.operand op 2) in
+      finish (fun rs n ->
+          let arr = Array.unsafe_get rs.rs_pbase m
+          and ic = icol rs i
+          and fs = fcol rs s in
+          for j = 0 to n - 1 do
+            arr.(iget ic j) <- cget fs j
+          done)
+    | PCol _ -> raise Not_batchable)
   | _ -> raise Not_batchable
 
-(* Attempt to batch one [scf.for] of a compute stage.
-   [scalar_body]/[iv_slot] are the per-element compilation of the same
-   loop: the loop's steps when the body is not batchable, and the
-   replay path when a block's input rings are starved (so the error is
-   raised by the read that starves first, at its [Loc]). *)
-let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
+(* One [scf.for] of a compute stage, compiled to run in blocks.  Before
+   each block every read counts the tokens its ring holds; a block that
+   some read cannot feed runs only the lanes every read can, then
+   raises at the read holding the fewest tokens, the earlier in body
+   order on a tie: the read an element-at-a-time loop reaches first. *)
+let compile_for c op =
+  let lb = islot c (Ir.Op.operand op 0) in
+  let ub = islot c (Ir.Op.operand op 1) in
+  let step = islot c (Ir.Op.operand op 2) in
   let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
   let iv =
     match Ir.Block.args block with
     | a :: _ -> a
-    | [] -> raise Not_batchable
+    | [] ->
+      Err.raise_error ~loc:(Ir.Op.loc op) "functional sim: scf.for without args"
   in
-  let reads = ref [] and writes = ref [] in
+  let lp = { reads = []; writes = []; loaded = []; stored = [] } in
   let ivc = new_icol c in
   Tbl.replace c.cols (Ir.Value.id iv) (KI ivc);
   c.inv <- [];
   c.entry <- [];
-  let compiled =
-    match
-      List.fold_left
-        (fun acc o ->
-          match compile_bop c ~reads ~writes o with
-          | None -> acc
-          | Some step -> step :: acc)
-        [] (Ir.Block.ops block)
-    with
-    | steps -> Some (Array.of_list (List.rev steps))
-    | exception Not_batchable -> None
+  let bsteps =
+    List.fold_left
+      (fun acc o ->
+        match compile_bop c lp o with
+        | None -> acc
+        | Some step -> step :: acc
+        | exception Not_batchable ->
+          Err.raise_error ~loc:(Ir.Op.loc o)
+            "functional sim: %s in a compute loop cannot run in blocks"
+            (Ir.Op.name o))
+      [] (Ir.Block.ops block)
+    |> List.rev |> Array.of_list
   in
   (* an invariant's column is filled by this loop's entry steps only *)
   List.iter (Tbl.remove c.cols) c.inv;
-  match compiled with
-  | None -> None
-  | Some bsteps ->
-    c.batched_loops <- c.batched_loops + 1;
-    let nb = Array.length bsteps in
-    let entry = Array.of_list (List.rev c.entry) in
-    let reads = Array.of_list (List.rev !reads) in
-    let nreads = Array.length reads in
-    let nscal = Array.length scalar_body in
-    Some
-      (fun rs ->
-        let ir = rs.rs_iregs in
-        let ub = Array.unsafe_get ir ub and st = Array.unsafe_get ir step in
-        let ivcol = Array.unsafe_get rs.rs_icols ivc in
-        (* uniform columns: filled or computed once per loop run *)
-        for k = 0 to Array.length entry - 1 do
-          (Array.unsafe_get entry k) rs batch_width
+  c.batched_loops <- c.batched_loops + 1;
+  let nb = Array.length bsteps in
+  let entry = Array.of_list (List.rev c.entry) in
+  let reads = Array.of_list (List.rev lp.reads) in
+  let nreads = Array.length reads in
+  fun rs ->
+    let ir = rs.rs_iregs in
+    let ub = Array.unsafe_get ir ub and st = Array.unsafe_get ir step in
+    let ivcol = Array.unsafe_get rs.rs_icols ivc in
+    (* uniform columns: filled or computed once per loop run *)
+    for k = 0 to Array.length entry - 1 do
+      (Array.unsafe_get entry k) rs batch_width
+    done;
+    let i = ref (Array.unsafe_get ir lb) in
+    while !i < ub do
+      let rem = (ub - !i + st - 1) / st in
+      (* the lanes every read can feed, and the read that runs dry first *)
+      let n = ref (if rem < batch_width then rem else batch_width) in
+      let dry = ref (-1) in
+      for k = 0 to nreads - 1 do
+        let rd = Array.unsafe_get reads k in
+        let len = (Array.unsafe_get rs.rs_rings rd.br_ring).rg_len in
+        let held = if rd.br_width = 0 then 0 else len / rd.br_width in
+        if held < !n then begin
+          n := held;
+          dry := k
+        end
+      done;
+      let n = !n in
+      for j = 0 to n - 1 do
+        Array.unsafe_set ivcol j (!i + (j * st))
+      done;
+      if n > 0 then
+        for k = 0 to nb - 1 do
+          (Array.unsafe_get bsteps k) rs n
         done;
-        let i = ref (Array.unsafe_get ir lb) in
-        while !i < ub do
-          let rem = (ub - !i + st - 1) / st in
-          let n = if rem < batch_width then rem else batch_width in
-          let enough = ref true in
-          for k = 0 to nreads - 1 do
-            let ri, w = Array.unsafe_get reads k in
-            if (Array.unsafe_get rs.rs_rings ri).rg_len < n * w then
-              enough := false
-          done;
-          if !enough then begin
-            for j = 0 to n - 1 do
-              Array.unsafe_set ivcol j (!i + (j * st))
-            done;
-            for k = 0 to nb - 1 do
-              (Array.unsafe_get bsteps k) rs n
-            done;
-            i := !i + (n * st)
-          end
-          else
-            (* a starved block: replay the remainder per element, so
-               the error is raised by the first read that starves *)
-            while !i < ub do
-              Array.unsafe_set ir iv_slot !i;
-              for k = 0 to nscal - 1 do
-                (Array.unsafe_get scalar_body k) rs
-              done;
-              i := !i + st
-            done
-        done)
+      if !dry >= 0 then starved reads.(!dry).br_loc;
+      i := !i + (n * st)
+    done
 
-(* Compile one region op into an optional step closure over the run
-   state.  Constants are folded straight into the plan's constant pools
-   (SSA values never change, and every fresh run state copies the pools
-   into its register files, so the fold survives across runs). *)
-let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
-  let bin f =
-    let d = fslot c (Ir.Op.result op 0) in
-    match (slot_exn c (Ir.Op.operand op 0), slot_exn c (Ir.Op.operand op 1)) with
-    | KF a, KF b ->
-      Some
-        (fun rs ->
-          let fr = rs.rs_fregs in
-          Array.unsafe_set fr d
-            (f (Array.unsafe_get fr a) (Array.unsafe_get fr b)))
-    | _ ->
-      let ga = getf c (Ir.Op.operand op 0) and gb = getf c (Ir.Op.operand op 1) in
-      Some (fun rs -> Array.unsafe_set rs.rs_fregs d (f (ga rs) (gb rs)))
-  in
-  let bini f =
-    let d = islot c (Ir.Op.result op 0) in
-    let a = islot c (Ir.Op.operand op 0) and b = islot c (Ir.Op.operand op 1) in
-    Some
-      (fun rs ->
-        let ir = rs.rs_iregs in
-        Array.unsafe_set ir d
-          (f (Array.unsafe_get ir a) (Array.unsafe_get ir b)))
-  in
-  let un f =
-    let d = fslot c (Ir.Op.result op 0) in
-    let g = getf c (Ir.Op.operand op 0) in
-    Some (fun rs -> Array.unsafe_set rs.rs_fregs d (f (g rs)))
-  in
+(* The top level of a compute stage: constants, its BRAM buffers (a
+   fresh zeroed array on every run, held in the run state's pointer
+   file, never in the shared plan), their partition pragmas, and the
+   loops. *)
+let compile_stage_op c (op : Ir.op) : (run_state -> unit) option =
   match Ir.Op.name op with
-  | "arith.constant" -> (
-    c.folded <- c.folded + 1;
-    match Ir.Op.get_attr_exn op "value" with
-    | Attr.Float f ->
-      c.const_f.(fslot c (Ir.Op.result op 0)) <- f;
-      None
-    | Attr.Int i ->
-      c.const_i.(islot c (Ir.Op.result op 0)) <- i;
-      None
-    | _ -> Err.raise_error "functional sim: bad constant")
-  | "arith.addf" -> bin ( +. )
-  | "arith.subf" -> bin ( -. )
-  | "arith.mulf" -> bin ( *. )
-  | "arith.divf" -> bin ( /. )
-  | "arith.maximumf" -> bin Float.max
-  | "arith.minimumf" -> bin Float.min
-  | "arith.negf" -> un (fun x -> -.x)
-  | "arith.addi" -> bini ( + )
-  | "arith.subi" -> bini ( - )
-  | "arith.muli" -> bini ( * )
-  | "arith.divsi" -> bini ( / )
-  | "arith.remsi" -> bini (fun a b -> a mod b)
-  | "math.sqrt" -> un sqrt
-  | "math.exp" -> un exp
-  | "math.log" -> un log
-  | "math.absf" -> un Float.abs
-  | "math.tanh" -> un tanh
-  | "math.powf" -> bin ( ** )
-  | "arith.cmpi" ->
-    let d = islot c (Ir.Op.result op 0) in
-    let a = islot c (Ir.Op.operand op 0) and b = islot c (Ir.Op.operand op 1) in
-    let p = Attr.str_exn (Ir.Op.get_attr_exn op "predicate") in
-    let cmp : int -> int -> bool =
-      match p with
-      | "slt" -> ( < )
-      | "sle" -> ( <= )
-      | "sgt" -> ( > )
-      | "sge" -> ( >= )
-      | "eq" -> ( = )
-      | "ne" -> ( <> )
-      | _ -> Err.raise_error "functional sim: cmpi predicate %s" p
-    in
-    Some
-      (fun rs ->
-        let ir = rs.rs_iregs in
-        ir.(d) <- (if cmp ir.(a) ir.(b) then 1 else 0))
-  | "arith.select" -> (
-    let cnd = islot c (Ir.Op.operand op 0) in
-    match slot_exn c (Ir.Op.result op 0) with
-    | KF d ->
-      let a = fslot c (Ir.Op.operand op 1) and b = fslot c (Ir.Op.operand op 2) in
-      Some
-        (fun rs ->
-          let fr = rs.rs_fregs in
-          fr.(d) <- (if rs.rs_iregs.(cnd) <> 0 then fr.(a) else fr.(b)))
-    | KI d ->
-      let a = islot c (Ir.Op.operand op 1) and b = islot c (Ir.Op.operand op 2) in
-      Some
-        (fun rs ->
-          let ir = rs.rs_iregs in
-          ir.(d) <- (if ir.(cnd) <> 0 then ir.(a) else ir.(b)))
-    | _ -> Err.raise_error "functional sim: select condition")
-  | "hls.pipeline" | "hls.unroll" | "hls.array_partition" -> None
-  | "hls.read" -> (
-    let ri = ring_idx c (Ir.Op.operand op 0) in
-    c.st_reads <- ri :: c.st_reads;
-    let loc = Ir.Op.loc op in
-    match slot_exn c (Ir.Op.result op 0) with
-    | KF d ->
-      Some
-        (fun rs ->
-          let r = Array.unsafe_get rs.rs_rings ri in
-          if r.rg_len = 0 then starved loc;
-          Array.unsafe_set rs.rs_fregs d (Array.unsafe_get r.rg_data r.rg_head);
-          r.rg_head <- r.rg_head + 1;
-          r.rg_len <- r.rg_len - 1)
-    | KV d -> (
-      let w = c.vec_w.(d) in
-      match c.ring_win.(ri) with
-      | None ->
-        (* a stream no shift produces (a mis-wired design) *)
-        Some
-          (fun rs ->
-            let r = Array.unsafe_get rs.rs_rings ri in
-            if r.rg_len < w then starved loc;
-            Array.blit r.rg_data r.rg_head rs.rs_vecs.(d) 0 w;
-            r.rg_head <- r.rg_head + w;
-            r.rg_len <- r.rg_len - w)
-      | Some win ->
-        (* a window token: gather its lanes *)
-        let pdelta = win.wn_pdelta and inner = win.wn_inner in
-        let nl = min w (Array.length pdelta) in
-        Some
-          (fun rs ->
-            let r = Array.unsafe_get rs.rs_rings ri in
-            if r.rg_len < w then starved loc;
-            let t = r.rg_head / r.rg_width in
-            let p = window_row win (t / inner) + (t mod inner) in
-            let buf = r.rg_data and v = rs.rs_vecs.(d) in
-            for k = 0 to nl - 1 do
-              Array.unsafe_set v k
-                (Array.unsafe_get buf (p + Array.unsafe_get pdelta k))
-            done;
-            r.rg_head <- r.rg_head + w;
-            r.rg_len <- r.rg_len - w))
-    | _ -> Err.raise_error "functional sim: bad hls.read result")
-  | "hls.write" -> (
-    let ri = ring_idx c (Ir.Op.operand op 1) in
-    c.st_writes <- ri :: c.st_writes;
-    match slot_exn c (Ir.Op.operand op 0) with
-    | KF s ->
-      Some (fun rs -> ring_push rs.rs_rings.(ri) rs.rs_fregs.(s))
-    | KV s ->
-      let w = c.vec_w.(s) in
-      Some (fun rs -> ring_push_blit rs.rs_rings.(ri) rs.rs_vecs.(s) 0 w)
-    | _ -> Err.raise_error "functional sim: bad hls.write value")
-  | "llvm.extractvalue" -> (
-    match (slot_exn c (Ir.Op.operand op 0), Ir.Op.get_attr_exn op "indices") with
-    | KV s, Attr.Ints [ i ] ->
-      let d = fslot c (Ir.Op.result op 0) in
-      Some
-        (fun rs ->
-          Array.unsafe_set rs.rs_fregs d
-            (Array.unsafe_get (Array.unsafe_get rs.rs_vecs s) i))
-    | _ -> Err.raise_error "functional sim: bad extractvalue")
-  | "llvm.getelementptr" -> (
-    let s = pslot c (Ir.Op.operand op 0) in
-    let d = pslot c (Ir.Op.result op 0) in
-    match
-      (Attr.ints_exn (Ir.Op.get_attr_exn op "indices"), Ir.Op.num_operands op)
-    with
-    | [], 2 ->
-      let k = islot c (Ir.Op.operand op 1) in
-      Some
-        (fun rs ->
-          let pb = rs.rs_pbase and po = rs.rs_poff in
-          Array.unsafe_set pb d (Array.unsafe_get pb s);
-          Array.unsafe_set po d
-            (Array.unsafe_get po s + Array.unsafe_get rs.rs_iregs k))
-    | idx, 1 ->
-      let delta = List.fold_left ( + ) 0 idx in
-      Some
-        (fun rs ->
-          let pb = rs.rs_pbase and po = rs.rs_poff in
-          pb.(d) <- pb.(s);
-          po.(d) <- po.(s) + delta)
-    | _ -> Err.raise_error "functional sim: unsupported gep form")
-  | "llvm.load" ->
-    let s = pslot c (Ir.Op.operand op 0) in
-    let d = fslot c (Ir.Op.result op 0) in
-    Some
-      (fun rs ->
-        Array.unsafe_set rs.rs_fregs d
-          (Array.unsafe_get
-             (Array.unsafe_get rs.rs_pbase s)
-             (Array.unsafe_get rs.rs_poff s)))
-  | "llvm.store" ->
-    let g = getf c (Ir.Op.operand op 0) in
-    let s = pslot c (Ir.Op.operand op 1) in
-    Some
-      (fun rs ->
-        (Array.unsafe_get rs.rs_pbase s).(Array.unsafe_get rs.rs_poff s) <-
-          g rs)
-  | "memref.alloca" | "memref.alloc" -> (
+  | "arith.constant" ->
+    fold_constant c op;
+    None
+  | "memref.alloca" -> (
     match Ir.Value.ty (Ir.Op.result op 0) with
     | Ty.Memref (shape, _) ->
       let size = List.fold_left ( * ) 1 shape in
-      let d = pslot c (Ir.Op.result op 0) in
-      (* executing the alloca yields a fresh zeroed array on every run;
-         the array lives in the run state's pointer file, never in the
-         shared plan *)
+      let d =
+        match slot_exn c (Ir.Op.result op 0) with
+        | KP d -> d
+        | _ -> Err.raise_error "functional sim: expected pointer"
+      in
       Some
         (fun rs ->
           rs.rs_pbase.(d) <- Array.make size 0.0;
           rs.rs_poff.(d) <- 0)
     | _ -> Err.raise_error "functional sim: alloca result not memref")
-  | "memref.load" ->
-    let m = pslot c (Ir.Op.operand op 0) in
-    let i = islot c (Ir.Op.operand op 1) in
-    let d = fslot c (Ir.Op.result op 0) in
-    Some
-      (fun rs ->
-        Array.unsafe_set rs.rs_fregs d
-          (Array.unsafe_get rs.rs_pbase m).(Array.unsafe_get rs.rs_iregs i))
-  | "memref.store" ->
-    let g = getf c (Ir.Op.operand op 0) in
-    let m = pslot c (Ir.Op.operand op 1) in
-    let i = islot c (Ir.Op.operand op 2) in
-    Some
-      (fun rs -> (Array.unsafe_get rs.rs_pbase m).(rs.rs_iregs.(i)) <- g rs)
-  | "scf.for" ->
-    let lb = islot c (Ir.Op.operand op 0) in
-    let ub = islot c (Ir.Op.operand op 1) in
-    let step = islot c (Ir.Op.operand op 2) in
-    let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
-    let iv =
-      match Ir.Block.args block with
-      | a :: _ -> islot c a
-      | [] -> Err.raise_error "functional sim: scf.for without args"
-    in
-    let body = compile_block c block in
-    let nbody = Array.length body in
-    let scalar_step rs =
-      let ir = rs.rs_iregs in
-      let ub = ir.(ub) and step = ir.(step) in
-      let i = ref ir.(lb) in
-      while !i < ub do
-        Array.unsafe_set ir iv !i;
-        for k = 0 to nbody - 1 do
-          (Array.unsafe_get body k) rs
-        done;
-        i := !i + step
-      done
-    in
-    Some
-      (Option.value ~default:scalar_step
-         (compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv ~scalar_body:body))
-  | "scf.yield" -> None
-  | name -> Err.raise_error "functional sim: unsupported op %s" name
-
-and compile_block c block =
-  Ir.Block.ops block
-  |> List.filter_map (fun o -> compile_op c o)
-  |> Array.of_list
+  | "hls.array_partition" -> None
+  | "scf.for" -> Some (compile_for c op)
+  | name ->
+    Err.raise_error ~loc:(Ir.Op.loc op) "functional sim: unsupported op %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Structural stages (the native runtime: load_data, shift_buffer,
@@ -1920,7 +1724,11 @@ let compile (d : Design.t) : t =
         | Design.Compute cc ->
           c.st_reads <- [];
           c.st_writes <- [];
-          let body = compile_block c (Hls.dataflow_body cc.df_op) in
+          let body =
+            Ir.Block.ops (Hls.dataflow_body cc.df_op)
+            |> List.filter_map (compile_stage_op c)
+            |> Array.of_list
+          in
           n_steps := !n_steps + Array.length body;
           let nbody = Array.length body in
           ( (fun rs ->
@@ -1952,7 +1760,6 @@ let compile (d : Design.t) : t =
     pl_const_f = c.const_f;
     pl_const_i = c.const_i;
     pl_np = al.np;
-    pl_vec_widths = c.vec_w;
     pl_n_fcols = c.nfc;
     pl_n_icols = c.nic;
     pl_n_pcols = c.npc;

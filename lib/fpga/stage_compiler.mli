@@ -23,7 +23,7 @@
       compiling a private one per job.
     - {!Run_state.t} holds every mutable word a run touches: register
       files seeded from the plan's constant pools, stream ring buffers,
-      neighbourhood scratch. States are cheap to allocate, reusable
+      column files. States are cheap to allocate, reusable
       across runs, but must never be shared between two domains.
 
     There is one kind of plan. Its oracle is the reference stencil
@@ -37,24 +37,26 @@ type t
 module Run_state : sig
   type t
   (** Mutable per-run execution state for one plan: register files, ring
-      buffers, scratch arrays. *)
+      buffers, column files. *)
 end
 
-(** Compile a design into an immutable plan. Compute-stage loops whose
-    bodies are independent per element (no nested loops, no stores, at
-    most one read/write per stream) run in whole-stream blocks over
-    dense unboxed columns — each op's lane loop chosen per opcode and
-    operand form at compile time, constants and loop-invariant operands
-    filled into columns once per loop run, stream reads/writes blitted
-    in bulk. Each shift
-    stage outputs a window — one NaN-padded copy of its input that
-    neighbourhood lanes read at a fixed offset from each token's padded
-    index — instead of materialising every neighbourhood. Loops outside
-    that subset (e.g. BRAM small-copy loops) run their per-element
-    compilation, so the engine is always complete; a block whose input
-    runs dry is replayed per element, so a starved read raises its
-    {!Err.Error} at the {!Loc} of the read that starves first. Raises
-    {!Err.Error} on unsupported ops. *)
+(** Compile a design into an immutable plan. Every compute-stage loop
+    runs in whole-stream blocks over dense unboxed columns — each op's
+    lane loop chosen per opcode and operand form at compile time,
+    constants and loop-invariant operands filled into columns once per
+    loop run, stream reads/writes blitted in bulk, BRAM small-copy
+    stores written a column at a time. Each shift stage outputs a
+    window — one NaN-padded copy of its input that neighbourhood lanes
+    read at a fixed offset from each token's padded index — instead of
+    materialising every neighbourhood. Before each block every read
+    counts the tokens its ring holds; a block some read cannot feed
+    runs the lanes every read can, then raises {!Err.Error} at the
+    {!Loc} of the read holding the fewest tokens (the earlier in body
+    order on a tie), which is the read an element-at-a-time run would
+    starve first. Raises {!Err.Error} at an op's {!Loc} when the plan is
+    compiled if the op is unsupported, or if a loop body op lies outside
+    the block subset (a nested loop, a second read or write of one
+    stream, a BRAM buffer both loaded and stored in one loop). *)
 val compile : Design.t -> t
 
 (** [compile_batched] is {!compile}. It stays for the benchmark

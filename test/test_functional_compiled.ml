@@ -446,24 +446,50 @@ let test_variant_designs_differ () =
   Alcotest.(check int) "cu=2 is baked into the design" 2
     cu2.Shmls.Design.d_cu
 
-(* The engine must actually batch the paper kernels' compute loops — if
-   the whole-stream subset check started rejecting them the loops would
-   silently run per element and the headline speedup would evaporate
-   without any output diff.  [c_plan_batched] is the same plan. *)
+(* The twelve built-in kernels: the paper's two, the didactic and the
+   zoo ones. *)
+let builtin_kernels =
+  variant_kernels
+  @ List.map
+      (fun (k : Shmls.Ast.kernel) -> (k, H.small_grid k.k_rank))
+      Shmls_kernels.Didactic.all
+  @ Shmls_kernels.Zoo.all
+
+(* Every compute loop runs in blocks: the plan batches as many loops as
+   the design's compute stages hold, on every built-in kernel and
+   variant, BRAM small-copy loops included.  [c_plan_batched] is the
+   same plan. *)
 let test_batched_plans_actually_batch () =
+  Alcotest.(check int) "twelve built-in kernels" 12 (List.length builtin_kernels);
   List.iter
-    (fun ((k : Shmls.Ast.kernel), grid) ->
-      let c = Shmls.compile_cached k ~grid in
-      let plan = Lazy.force c.c_plan in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: the plan has whole-stream loops" k.k_name)
-        true
-        ((Stage_compiler.stats plan).Stage_compiler.cs_batched >= 1);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: c_plan_batched is c_plan" k.k_name)
-        true
-        (Lazy.force c.c_plan_batched == plan))
-    variant_kernels
+    (fun variant ->
+      List.iter
+        (fun ((k : Shmls.Ast.kernel), grid) ->
+          let c = Shmls.compile_cached ~variant k ~grid in
+          let name =
+            Printf.sprintf "%s{%s}" k.k_name (Shmls.Variant.to_string variant)
+          in
+          let plan = Lazy.force c.c_plan in
+          let loops =
+            List.fold_left
+              (fun n -> function
+                | Shmls.Design.Compute cc ->
+                  n
+                  + List.length
+                      (Shmls.Ir.Op.collect cc.df_op (fun o ->
+                           Shmls.Ir.Op.name o = "scf.for"))
+                | _ -> n)
+              0 c.c_design.d_stages
+          in
+          Alcotest.(check int)
+            (name ^ ": every compute loop runs in blocks")
+            loops (Stage_compiler.stats plan).Stage_compiler.cs_batched;
+          Alcotest.(check bool)
+            (name ^ ": c_plan_batched is c_plan")
+            true
+            (Lazy.force c.c_plan_batched == plan))
+        builtin_kernels)
+    Shmls.Variant.ablation_set
 
 (* Variant syntax round-trips, so pipeline strings and CLI flags agree. *)
 let test_variant_parsing () =
@@ -493,7 +519,8 @@ let run_expect_error what run =
   | exception Shmls.Err.Error e -> e
 
 (* A mis-wired design must fail with exactly [message] at [loc]; a
-   starved block reaches it through the per-element replay path. *)
+   starved block runs the lanes every read can feed, then raises at the
+   read that starves first. *)
 let check_error_parity what (d : Shmls.Design.t) ~args_of ~message ~loc =
   let e =
     run_expect_error what (fun () ->
@@ -533,8 +560,8 @@ let test_starved_read_parity () =
     ~message:"functional sim: read from empty stream" ~loc;
   (* a shift over one outer row too few: its window runs dry inside the
      compute loop, whose read of the window fires the diagnostic (the
-     engine detects the short block and replays it per element,
-     gathering window tokens) *)
+     engine finds the block short before it runs, runs the lanes the
+     window can feed, and raises at that read) *)
   let c = Shmls.compile_cached Shmls_kernels.Didactic.laplace_2d ~grid:[ 7; 30 ] in
   let d = c.c_design in
   let window =
@@ -572,6 +599,135 @@ let test_starved_read_parity () =
   check_error_parity "starved window read" short ~args_of
     ~message:"functional sim: read from empty stream"
     ~loc:(Shmls.Ir.Op.loc (List.hd window_read))
+
+(* One compute loop reading two windows, [a]'s and [c]'s. *)
+let two_windows_2d =
+  let open Shmls.Ast in
+  {
+    k_loc = Shmls_support.Loc.unknown;
+    k_name = "two_windows_2d";
+    k_rank = 2;
+    k_fields =
+      [
+        { fd_name = "a"; fd_role = Input };
+        { fd_name = "c"; fd_role = Input };
+        { fd_name = "b"; fd_role = Output };
+      ];
+    k_smalls = [];
+    k_params = [];
+    k_stencils =
+      [
+        {
+          sd_loc = Shmls_support.Loc.unknown;
+          sd_target = "b";
+          sd_expr =
+            fld "a" [ -1; 0 ] +: fld "a" [ 1; 0 ] +: fld "c" [ 0; -1 ]
+            +: fld "c" [ 0; 1 ];
+        };
+      ];
+  }
+
+(* Which read a starved block blames: the one that holds the fewest
+   tokens, and of two holding the same count the earlier in body order —
+   the read an element-at-a-time loop reaches first.  Both window reads of
+   [two_windows_2d] get a location of their own, and their shifts lose
+   [drop_first] and [drop_second] outer rows. *)
+let check_first_starved what ~drop_first ~drop_second ~blame_second =
+  (* a private compile: the reads' locations are rewritten below *)
+  let c = Shmls.compile two_windows_2d ~grid:[ 7; 30 ] in
+  let d = c.c_design in
+  let window_reads =
+    List.concat_map
+      (function
+        | Shmls.Design.Compute cc ->
+          Shmls.Ir.Op.collect cc.df_op (fun o ->
+              Shmls.Ir.Op.name o = "hls.read"
+              && List.exists
+                   (function
+                     | Shmls.Design.Shift s ->
+                       s.output = Shmls.Ir.Value.id (Shmls.Ir.Op.operand o 0)
+                     | _ -> false)
+                   d.d_stages)
+        | _ -> [])
+      d.d_stages
+  in
+  let first, second =
+    match window_reads with
+    | [ r1; r2 ] -> (r1, r2)
+    | rs -> Alcotest.failf "%s: %d window reads, expected 2" what (List.length rs)
+  in
+  Alcotest.(check bool) (what ^ ": one loop reads both windows") true
+    (Option.equal ( == ) (Shmls.Ir.Op.parent first) (Shmls.Ir.Op.parent second));
+  Shmls.Ir.Op.set_loc first (Shmls_support.Loc.File ("first_read", 1, 1));
+  Shmls.Ir.Op.set_loc second (Shmls_support.Loc.File ("second_read", 2, 1));
+  let stream r = Shmls.Ir.Value.id (Shmls.Ir.Op.operand r 0) in
+  let short =
+    {
+      d with
+      Shmls.Design.d_stages =
+        List.map
+          (function
+            | Shmls.Design.Shift s ->
+              let drop =
+                if s.output = stream first then drop_first else drop_second
+              in
+              Shmls.Design.Shift
+                { s with extent = (List.hd s.extent - drop) :: List.tl s.extent }
+            | st -> st)
+          d.d_stages;
+    }
+  in
+  let args_of () = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
+  check_error_parity what short ~args_of
+    ~message:"functional sim: read from empty stream"
+    ~loc:(Shmls.Ir.Op.loc (if blame_second then second else first))
+
+let test_first_starved_read () =
+  check_first_starved "later read holds fewer" ~drop_first:1 ~drop_second:2
+    ~blame_second:true;
+  check_first_starved "earlier read holds fewer" ~drop_first:2 ~drop_second:1
+    ~blame_second:false;
+  check_first_starved "both hold the same count" ~drop_first:1 ~drop_second:1
+    ~blame_second:false
+
+(* A loop body outside the block subset fails when the plan is
+   compiled, at the offending op: here a second read of the loop's input
+   stream, which would make per-element order observable. *)
+let test_unbatchable_loop_rejected () =
+  let c = Shmls.compile H.avg_1d ~grid:[ 16 ] in
+  let read =
+    List.concat_map
+      (function
+        | Shmls.Design.Compute cc ->
+          Shmls.Ir.Op.collect cc.df_op (fun o -> Shmls.Ir.Op.name o = "hls.read")
+        | _ -> [])
+      c.c_design.d_stages
+    |> List.hd
+  in
+  let loc = Shmls_support.Loc.File ("second_read", 3, 7) in
+  let again =
+    Shmls.Ir.Op.create ~name:"hls.read"
+      ~operands:(Shmls.Ir.Op.operands read)
+      ~result_tys:[ Shmls.Ir.Value.ty (Shmls.Ir.Op.result read 0) ]
+      ~attrs:(Shmls.Ir.Op.attrs read) ~loc ()
+  in
+  Shmls.Ir.Block.insert_after
+    (Option.get (Shmls.Ir.Op.parent read))
+    ~anchor:read again;
+  let e =
+    run_expect_error "second read of one stream" (fun () ->
+        ignore (Stage_compiler.compile c.c_design))
+  in
+  Alcotest.(check string) "location" (Shmls_support.Loc.to_string loc)
+    (Shmls_support.Loc.to_string e.Shmls_support.Diagnostic.d_loc);
+  let msg = e.Shmls_support.Diagnostic.d_message in
+  Alcotest.(check bool)
+    (Printf.sprintf "message names the op: %s" msg)
+    true
+    (let n = String.length "hls.read" in
+     List.exists
+       (fun i -> String.sub msg i n = "hls.read")
+       (List.init (max 0 (String.length msg - n + 1)) Fun.id))
 
 let test_zero_capacity_push () =
   (* the load also writes the output stream of a dup it feeds: a stream
@@ -848,6 +1004,9 @@ let () =
             test_second_producer_parity;
           Alcotest.test_case "run state of another plan" `Quick
             test_foreign_run_state;
+          Alcotest.test_case "first starved read" `Quick test_first_starved_read;
+          Alcotest.test_case "unbatchable loop rejected at compile" `Quick
+            test_unbatchable_loop_rejected;
         ] );
       ( "parallel sweep",
         [
