@@ -110,8 +110,8 @@ let render ~plan ?cycle_result (d : Design.t) =
   let s = Stage_compiler.stats plan in
   rule ();
   line "* Functional simulation (plan)";
-  line "    register slots      : %d float, %d int, %d pointer, %d vector"
-    s.cs_fregs s.cs_iregs s.cs_pregs s.cs_vregs;
+  line "    register slots      : %d float, %d int, %d pointer" s.cs_fregs
+    s.cs_iregs s.cs_pregs;
   line "    compiled steps      : %d closure(s) across compute stages" s.cs_steps;
   line "    batched loops       : %d whole-stream loop(s)" s.cs_batched;
   line "    folded constants    : %d" s.cs_folded;

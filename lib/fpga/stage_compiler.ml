@@ -59,15 +59,6 @@
 open Shmls_ir
 open Shmls_dialects
 
-(* Tables keyed by SSA value, stream or slot ids: int keys, hashed and
-   compared without the polymorphic primitives. *)
-module Tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (x : int) = x land max_int
-end)
-
 (* ------------------------------------------------------------------ *)
 (* Ring buffers *)
 
@@ -209,8 +200,8 @@ type kind =
   | KI of int (* int / i1 slot *)
   | KP of int (* pointer or memref slot: base array + offset *)
   | KV of int
-      (* vector-token slot: a neighbourhood token, never materialised;
-         its lanes are read in place from the window *)
+      (* a neighbourhood token in a loop, keyed by its SSA id: never
+         materialised, its lanes are read in place from the window *)
   | KS of int * int * int
       (* an extracted neighbourhood lane left in its window — (ring,
          padded-index column, lane offset).  Lane
@@ -219,12 +210,10 @@ type kind =
          first. *)
 
 type alloc = {
-  slots : kind Tbl.t; (* SSA value id -> slot *)
+  slots : kind Int_tbl.t; (* SSA value id -> slot *)
   mutable nf : int;
   mutable ni : int;
   mutable np : int;
-  mutable vec_widths : int list; (* reversed; lanes per KV slot *)
-  mutable nv : int;
 }
 
 let kind_of_ty (ty : Ty.t) =
@@ -239,31 +228,32 @@ let kind_of_ty (ty : Ty.t) =
 
 let alloc_value a v =
   let id = Ir.Value.id v in
-  if not (Tbl.mem a.slots id) then
+  if not (Int_tbl.mem a.slots id) then
     match kind_of_ty (Ir.Value.ty v) with
     | `F ->
-      Tbl.add a.slots id (KF a.nf);
+      Int_tbl.add a.slots id (KF a.nf);
       a.nf <- a.nf + 1
     | `I ->
-      Tbl.add a.slots id (KI a.ni);
+      Int_tbl.add a.slots id (KI a.ni);
       a.ni <- a.ni + 1
     | `P ->
-      Tbl.add a.slots id (KP a.np);
+      Int_tbl.add a.slots id (KP a.np);
       a.np <- a.np + 1
-    | `V w ->
-      Tbl.add a.slots id (KV a.nv);
-      a.vec_widths <- w :: a.vec_widths;
-      a.nv <- a.nv + 1
-    | `S | `Skip -> ()
+    | `V _ | `S | `Skip -> ()
 
-let rec alloc_op a (op : Ir.op) =
-  List.iter (alloc_value a) (Ir.Op.results op);
+(* Registers hold the values a stage computes outside its loops and the
+   constants folded anywhere in it; every other value inside a loop
+   lives in a column ([cctx.cols]). *)
+let rec alloc_op a ~in_loop (op : Ir.op) =
+  if (not in_loop) || Ir.Op.name op = Arith.constant_op then
+    List.iter (alloc_value a) (Ir.Op.results op);
+  let in_loop = in_loop || Ir.Op.name op = Scf.for_op in
   List.iter
     (fun r ->
       List.iter
         (fun b ->
-          List.iter (alloc_value a) (Ir.Block.args b);
-          List.iter (alloc_op a) (Ir.Block.ops b))
+          if not in_loop then List.iter (alloc_value a) (Ir.Block.args b);
+          List.iter (alloc_op a ~in_loop) (Ir.Block.ops b))
         (Ir.Region.blocks r))
     (Ir.Op.regions op)
 
@@ -280,7 +270,6 @@ type stats = {
   cs_fregs : int;
   cs_iregs : int;
   cs_pregs : int;
-  cs_vregs : int;
   cs_steps : int; (* compiled step closures across all stages *)
   cs_folded : int; (* constants folded into the pools at compile time *)
   cs_batched : int; (* compute loops compiled to whole-stream batches *)
@@ -348,14 +337,13 @@ type cctx = {
   al : alloc;
   const_f : float array; (* compile-time constant folding writes here *)
   const_i : int array;
-  vec_w : int array; (* lanes per KV slot *)
-  ring_index : int Tbl.t; (* SSA stream id -> rs_rings index *)
+  ring_index : int Int_tbl.t; (* SSA stream id -> rs_rings index *)
   ring_win : window option array; (* per rs_rings index *)
   mutable folded : int;
   (* batched-loop compilation state *)
-  cols : kind Tbl.t; (* in-loop SSA id -> column slot *)
-  vec_ring : (int * int * window) option Tbl.t;
-      (* KV slot -> (ring idx, padded-index column, window), or [None]
+  cols : kind Int_tbl.t; (* in-loop SSA id -> column slot *)
+  vec_ring : (int * int * window) option Int_tbl.t;
+      (* KV token -> (ring idx, padded-index column, window), or [None]
          for a read of a stream no shift produces *)
   mutable nfc : int; (* column-file sizes *)
   mutable nic : int;
@@ -363,8 +351,8 @@ type cctx = {
   mutable batched_loops : int;
   (* per batched loop: uniform columns and the steps that fill them *)
   mutable inv : int list; (* invariant values bound to uniform columns *)
-  uni_f : unit Tbl.t; (* uniform float / int columns *)
-  uni_i : unit Tbl.t;
+  uni_f : unit Int_tbl.t; (* uniform float / int columns *)
+  uni_i : unit Int_tbl.t;
   mutable entry : (run_state -> int -> unit) list; (* reversed *)
   (* rings the compute stage being compiled reads and writes *)
   mutable st_reads : int list;
@@ -372,7 +360,7 @@ type cctx = {
 }
 
 let slot_exn c v =
-  match Tbl.find_opt c.al.slots (Ir.Value.id v) with
+  match Int_tbl.find_opt c.al.slots (Ir.Value.id v) with
   | Some k -> k
   | None -> Err.raise_error "functional sim: unbound value"
 
@@ -398,7 +386,7 @@ let fold_constant c op =
 
 let ring_idx c v =
   let id = Ir.Value.id v in
-  match Tbl.find_opt c.ring_index id with
+  match Int_tbl.find_opt c.ring_index id with
   | Some i -> i
   | None -> Err.raise_error "functional sim: read of unknown stream %d" id
 
@@ -483,17 +471,17 @@ let new_pcol c =
 
 let bind_fcol c v =
   let i = new_fcol c in
-  Tbl.replace c.cols (Ir.Value.id v) (KF i);
+  Int_tbl.replace c.cols (Ir.Value.id v) (KF i);
   i
 
 let bind_icol c v =
   let i = new_icol c in
-  Tbl.replace c.cols (Ir.Value.id v) (KI i);
+  Int_tbl.replace c.cols (Ir.Value.id v) (KI i);
   i
 
 let bind_pcol c v =
   let i = new_pcol c in
-  Tbl.replace c.cols (Ir.Value.id v) (KP i);
+  Int_tbl.replace c.cols (Ir.Value.id v) (KP i);
   i
 
 (* Lane [j] of a column; lane [j] of a window lane, at its padded-index
@@ -516,13 +504,13 @@ let[@inline] wdata rs ri = (Array.unsafe_get rs.rs_rings ri).rg_data
    once per loop run too.  Column numbers are never reused, so the
    sets need no reset between loops. *)
 let uniform c = function
-  | KF i -> Tbl.mem c.uni_f i
-  | KI i -> Tbl.mem c.uni_i i
+  | KF i -> Int_tbl.mem c.uni_f i
+  | KI i -> Int_tbl.mem c.uni_i i
   | _ -> false
 
 let set_uniform c = function
-  | KF i -> Tbl.replace c.uni_f i ()
-  | KI i -> Tbl.replace c.uni_i i ()
+  | KF i -> Int_tbl.replace c.uni_f i ()
+  | KI i -> Int_tbl.replace c.uni_i i ()
   | _ -> invalid_arg "set_uniform"
 
 (* Bind loop-invariant register [v] to a new uniform column [kind d],
@@ -530,14 +518,14 @@ let set_uniform c = function
    this loop only (see [compile_for_batched]). *)
 let inv_col c v new_col kind fill =
   let d = new_col c in
-  Tbl.replace c.cols (Ir.Value.id v) (kind d);
+  Int_tbl.replace c.cols (Ir.Value.id v) (kind d);
   c.inv <- Ir.Value.id v :: c.inv;
   set_uniform c (kind d);
   c.entry <- fill d :: c.entry;
   d
 
 let bicol c v =
-  match Tbl.find_opt c.cols (Ir.Value.id v) with
+  match Int_tbl.find_opt c.cols (Ir.Value.id v) with
   | Some (KI i) -> i
   | Some _ -> raise Not_batchable
   | None -> (
@@ -561,11 +549,11 @@ let rec bfcol c preps v =
     d
   in
   let id = Ir.Value.id v in
-  match Tbl.find_opt c.cols id with
+  match Int_tbl.find_opt c.cols id with
   | Some (KF i) -> i
   | Some (KS (ri, pc, off)) ->
     let d = new_fcol c in
-    Tbl.replace c.cols id (KF d);
+    Int_tbl.replace c.cols id (KF d);
     converted d (fun rs n ->
         let buf = wdata rs ri and px = icol rs pc and fd = fcol rs d in
         for j = 0 to n - 1 do
@@ -593,12 +581,12 @@ let rec bfcol c preps v =
     | _ -> raise Not_batchable)
 
 let bfsrc c preps v =
-  match Tbl.find_opt c.cols (Ir.Value.id v) with
+  match Int_tbl.find_opt c.cols (Ir.Value.id v) with
   | Some (KS (ri, pc, off)) -> FWin (ri, pc, off)
   | _ -> FCol (bfcol c preps v)
 
 let bpsrc c v =
-  match Tbl.find_opt c.cols (Ir.Value.id v) with
+  match Int_tbl.find_opt c.cols (Ir.Value.id v) with
   | Some (KP i) -> PCol i
   | Some _ -> raise Not_batchable
   | None -> (
@@ -932,8 +920,8 @@ let compile_bop c lp (op : Ir.op) :
     (* a uniform condition picks a side once per block *)
     let cnd = bicol c (Ir.Op.operand op 0) in
     let pick rs = Array.unsafe_get (icol rs cnd) 0 <> 0 in
-    match slot_exn c (Ir.Op.result op 0) with
-    | KF _ ->
+    match kind_of_ty (Ir.Value.ty (Ir.Op.result op 0)) with
+    | `F ->
       let a = bfcol c preps (Ir.Op.operand op 1) in
       let b = bfcol c preps (Ir.Op.operand op 2) in
       let d = bind_fcol c (Ir.Op.result op 0) in
@@ -946,7 +934,7 @@ let compile_bop c lp (op : Ir.op) :
            for j = 0 to n - 1 do
              fset fd j (if iget ic j <> 0 then cget fa j else cget fb j)
            done)
-    | KI _ ->
+    | `I ->
       let a = bicol c (Ir.Op.operand op 1) in
       let b = bicol c (Ir.Op.operand op 2) in
       let d = bind_icol c (Ir.Op.result op 0) in
@@ -971,31 +959,32 @@ let compile_bop c lp (op : Ir.op) :
       let rd = { br_ring = ri; br_width = width; br_loc = Ir.Op.loc op } in
       lp.reads <- rd :: lp.reads
     in
-    match slot_exn c (Ir.Op.result op 0) with
-    | KF _ ->
+    let res = Ir.Op.result op 0 in
+    match kind_of_ty (Ir.Value.ty res) with
+    | `F ->
       read 1;
-      let d = bind_fcol c (Ir.Op.result op 0) in
+      let d = bind_fcol c res in
       finish (fun rs n ->
           (* the block driver checked availability up front *)
           let r = Array.unsafe_get rs.rs_rings ri in
           Array.blit r.rg_data r.rg_head (fcol rs d) 0 n;
           r.rg_head <- r.rg_head + n;
           r.rg_len <- r.rg_len - n)
-    | KV s -> (
-      Tbl.replace c.cols (Ir.Value.id (Ir.Op.result op 0)) (KV s);
+    | `V w -> (
+      let s = Ir.Value.id res in
+      Int_tbl.replace c.cols s (KV s);
       match c.ring_win.(ri) with
       | None ->
         (* a stream no shift produces (a mis-wired design) holds no
            token a vector read can take: the block driver raises before
            any lane runs *)
         read 0;
-        Tbl.replace c.vec_ring s None;
+        Int_tbl.replace c.vec_ring s None;
         None
-      | Some win when Array.length win.wn_pdelta = c.vec_w.(s) ->
-        let w = c.vec_w.(s) in
+      | Some win when Array.length win.wn_pdelta = w ->
         read w;
         let pc = new_icol c in
-        Tbl.replace c.vec_ring s (Some (ri, pc, win));
+        Int_tbl.replace c.vec_ring s (Some (ri, pc, win));
         (* no materialisation: record the block's padded indices and
            let extracted lanes read the window at an offset from them *)
         finish (fun rs n ->
@@ -1007,17 +996,17 @@ let compile_bop c lp (op : Ir.op) :
     | _ -> raise Not_batchable)
   | "llvm.extractvalue" -> (
     match
-      ( Tbl.find_opt c.cols (Ir.Value.id (Ir.Op.operand op 0)),
+      ( Int_tbl.find_opt c.cols (Ir.Value.id (Ir.Op.operand op 0)),
         Ir.Op.get_attr_exn op "indices" )
     with
     | Some (KV s), Attr.Ints [ i ] -> (
       (* no step at all: the lane stays in the window and consumers read
          it in place (the lane loops directly, anything else through a
          one-time gather in [bfcol]) *)
-      match Tbl.find_opt c.vec_ring s with
+      match Int_tbl.find_opt c.vec_ring s with
       | Some (Some (ri, pc, win)) when i >= 0 && i < Array.length win.wn_pdelta
         ->
-        Tbl.replace c.cols
+        Int_tbl.replace c.cols
           (Ir.Value.id (Ir.Op.result op 0))
           (KS (ri, pc, win.wn_pdelta.(i)));
         None
@@ -1160,7 +1149,7 @@ let compile_for c op =
   in
   let lp = { reads = []; writes = []; loaded = []; stored = [] } in
   let ivc = new_icol c in
-  Tbl.replace c.cols (Ir.Value.id iv) (KI ivc);
+  Int_tbl.replace c.cols (Ir.Value.id iv) (KI ivc);
   c.inv <- [];
   c.entry <- [];
   let bsteps =
@@ -1177,7 +1166,7 @@ let compile_for c op =
     |> List.rev |> Array.of_list
   in
   (* an invariant's column is filled by this loop's entry steps only *)
-  List.iter (Tbl.remove c.cols) c.inv;
+  List.iter (Int_tbl.remove c.cols) c.inv;
   c.batched_loops <- c.batched_loops + 1;
   let nb = Array.length bsteps in
   let entry = Array.of_list (List.rev c.entry) in
@@ -1251,7 +1240,7 @@ let compile_stage_op c (op : Ir.op) : (run_state -> unit) option =
    duplicate, write_data on ring buffers) *)
 
 let design_ring_idx ring_index id =
-  match Tbl.find_opt ring_index id with
+  match Int_tbl.find_opt ring_index id with
   | Some i -> i
   | None -> Err.raise_error "design: unknown stream %d" id
 
@@ -1590,17 +1579,17 @@ let plan_id_counter = Atomic.make 0
 let compile (d : Design.t) : t =
   Atomic.incr compile_counter;
   (* every shift outputs a window, and so does a dup of a window *)
-  let windows = Tbl.create 8 in
+  let windows = Int_tbl.create 8 in
   List.iter
     (fun stage ->
       match stage with
       | Design.Shift { output; halo; extent; _ } ->
-        Tbl.replace windows output (window_of ~halo ~extent)
+        Int_tbl.replace windows output (window_of ~halo ~extent)
       | Design.Dup { input; outputs } ->
         List.iter
           (fun o ->
-            Option.iter (Tbl.replace windows o)
-              (Tbl.find_opt windows input))
+            Option.iter (Int_tbl.replace windows o)
+              (Int_tbl.find_opt windows input))
           outputs
       | _ -> ())
     d.d_stages;
@@ -1613,25 +1602,23 @@ let compile (d : Design.t) : t =
         {
           rd_stream = id;
           rd_width = max 1 (stream_width s);
-          rd_win = Tbl.find_opt windows id;
+          rd_win = Int_tbl.find_opt windows id;
         })
       d.d_streams
     |> List.sort (fun a b -> Int.compare a.rd_stream b.rd_stream)
     |> Array.of_list
   in
-  let ring_index = Tbl.create 32 in
+  let ring_index = Int_tbl.create 32 in
   Array.iteri
-    (fun i rd -> Tbl.replace ring_index rd.rd_stream i)
+    (fun i rd -> Int_tbl.replace ring_index rd.rd_stream i)
     ring_descs;
   (* slot allocation: kernel arguments plus every compute-stage region *)
   let al =
     {
-      slots = Tbl.create 256;
+      slots = Int_tbl.create 256;
       nf = 0;
       ni = 0;
       np = 0;
-      vec_widths = [];
-      nv = 0;
     }
   in
   let body = Ir.Region.entry (List.hd (Ir.Op.regions d.d_func)) in
@@ -1640,7 +1627,7 @@ let compile (d : Design.t) : t =
   List.iter
     (fun stage ->
       match stage with
-      | Design.Compute c -> alloc_op al c.df_op
+      | Design.Compute c -> alloc_op al ~in_loop:false c.df_op
       | _ -> ())
     d.d_stages;
   let c =
@@ -1648,19 +1635,18 @@ let compile (d : Design.t) : t =
       al;
       const_f = Array.make (max 1 al.nf) 0.0;
       const_i = Array.make (max 1 al.ni) 0;
-      vec_w = Array.of_list (List.rev al.vec_widths);
       ring_index;
       ring_win = Array.map (fun rd -> rd.rd_win) ring_descs;
       folded = 0;
-      cols = Tbl.create 64;
-      vec_ring = Tbl.create 8;
+      cols = Int_tbl.create 64;
+      vec_ring = Int_tbl.create 8;
       nfc = 0;
       nic = 0;
       npc = 0;
       batched_loops = 0;
       inv = [];
-      uni_f = Tbl.create 16;
-      uni_i = Tbl.create 16;
+      uni_f = Int_tbl.create 16;
+      uni_i = Int_tbl.create 16;
       entry = [];
       st_reads = [];
       st_writes = [];
@@ -1670,7 +1656,7 @@ let compile (d : Design.t) : t =
   let binders =
     List.mapi
       (fun i v ->
-        match Tbl.find_opt al.slots (Ir.Value.id v) with
+        match Int_tbl.find_opt al.slots (Ir.Value.id v) with
         | Some (KP s) -> (
           fun (args : Functional.value array) rs ->
             match args.(i) with
@@ -1715,7 +1701,7 @@ let compile (d : Design.t) : t =
           ( load_stage ring_index d ~out_streams ~ptr_args,
             ([], Owns, rings out_streams) )
         | Design.Shift { input; output; _ } ->
-          let win = Tbl.find windows output in
+          let win = Int_tbl.find windows output in
           ( shift_stage ring_index win ~input ~output,
             (rings [ input ], Shifts win, rings [ output ]) )
         | Design.Dup { input; outputs } ->
@@ -1770,7 +1756,6 @@ let compile (d : Design.t) : t =
         cs_fregs = al.nf;
         cs_iregs = al.ni;
         cs_pregs = al.np;
-        cs_vregs = al.nv;
         cs_steps = !n_steps;
         cs_folded = c.folded;
         cs_batched = c.batched_loops;

@@ -95,7 +95,6 @@ type stats = {
   cs_fregs : int;  (** float slots *)
   cs_iregs : int;  (** int/bool slots *)
   cs_pregs : int;  (** pointer/memref slots *)
-  cs_vregs : int;  (** neighbourhood (vector-token) slots *)
   cs_steps : int;  (** compiled step closures across compute stages *)
   cs_folded : int;  (** constants folded into the pools at compile time *)
   cs_batched : int;  (** compute loops compiled to whole-stream batches *)

@@ -71,8 +71,8 @@ type slot =
    each apply resets it, so the files, the slot table and the cursor
    arrays are allocated once per run, not once per apply. *)
 type decoder = {
-  outer : (int, rval) Hashtbl.t; (* function-level values *)
-  slots : (int, slot) Hashtbl.t; (* value id -> slot *)
+  outer : rval Int_tbl.t; (* function-level values *)
+  slots : slot Int_tbl.t; (* value id -> slot *)
   mutable fl : float array; (* the float file *)
   mutable it : int array; (* the int file *)
   mutable n_f : int; (* cells in use *)
@@ -99,16 +99,16 @@ type decoder = {
 
 (* Function-level values, plus the decoder for the bodies below them. *)
 type env = {
-  vals : (int, rval) Hashtbl.t; (* value id -> runtime value *)
+  vals : rval Int_tbl.t; (* value id -> runtime value *)
   dec : decoder;
 }
 
 let make_env () =
-  let vals = Hashtbl.create 64 in
+  let vals = Int_tbl.create 64 in
   let dec =
     {
       outer = vals;
-      slots = Hashtbl.create 64;
+      slots = Int_tbl.create 64;
       fl = [||];
       it = [||];
       n_f = 0;
@@ -128,10 +128,10 @@ let make_env () =
   in
   { vals; dec }
 
-let bind env v rv = Hashtbl.replace env.vals (Ir.Value.id v) rv
+let bind env v rv = Int_tbl.replace env.vals (Ir.Value.id v) rv
 
 let lookup env v =
-  match Hashtbl.find_opt env.vals (Ir.Value.id v) with
+  match Int_tbl.find_opt env.vals (Ir.Value.id v) with
   | Some rv -> rv
   | None -> Err.raise_error "interp: unbound value %%v%d" (Ir.Value.id v)
 
@@ -165,7 +165,7 @@ let temp_bounds v =
 let reset d ?space ?(results = [||]) () =
   let rank = match space with Some (lb, _) -> Array.length lb | None -> 0 in
   if Array.length d.pos <> rank then d.pos <- Array.make rank 0;
-  Hashtbl.clear d.slots;
+  Int_tbl.clear d.slots;
   d.n_f <- 0;
   d.n_i <- 0;
   d.space <- space;
@@ -212,7 +212,7 @@ let new_i d mask =
   d.it <- grown d.it d.n_i 0;
   s
 
-let set_slot d v s = Hashtbl.replace d.slots (Ir.Value.id v) s
+let set_slot d v s = Int_tbl.replace d.slots (Ir.Value.id v) s
 
 (* Cell [s] (and the lanes after it, for a column) of the float file. *)
 let in_file s m = { data = [||]; k = s; g = 0; m }
@@ -227,6 +227,14 @@ let[@inline] fget (f : float array) b m l = Array.unsafe_get f (b + (l land m))
 let[@inline] fset (f : float array) r l x = Array.unsafe_set f (r + l) x
 let[@inline] iget (i : int array) s m l = Array.unsafe_get i (s + (l land m))
 let[@inline] iset (i : int array) r l x = Array.unsafe_set i (r + l) x
+
+(* [Float.max] and [Float.min], bit for bit: ordered operands skip
+   their two sign-bit calls, equal and NaN operands take them. *)
+let[@inline] fmax (a : float) b =
+  if b > a then b else if a > b then a else Float.max a b
+
+let[@inline] fmin (a : float) b =
+  if b < a then b else if a < b then a else Float.min a b
 
 (* Stop the block's lanes at [lane], which failed with [e]. *)
 let fail d lane e =
@@ -287,13 +295,13 @@ let slot_of_rval d = function
 
 let slot_of d v =
   let id = Ir.Value.id v in
-  match Hashtbl.find d.slots id with
+  match Int_tbl.find d.slots id with
   | s -> s
   | exception Not_found -> (
-    match Hashtbl.find d.outer id with
+    match Int_tbl.find d.outer id with
     | rv ->
       let s = slot_of_rval d rv in
-      Hashtbl.replace d.slots id s;
+      Int_tbl.replace d.slots id s;
       s
     | exception Not_found -> Err.raise_error "interp: unbound value %%v%d" id)
 
@@ -521,13 +529,13 @@ let decode_op d (op : Ir.op) =
         fun d r xa ba ma xb bb mb n ->
           let f = d.fl in
           for l = 0 to n - 1 do
-            fset f r l (Float.max (fget xa ba ma l) (fget xb bb mb l))
+            fset f r l (fmax (fget xa ba ma l) (fget xb bb mb l))
           done
       | "arith.minimumf" ->
         fun d r xa ba ma xb bb mb n ->
           let f = d.fl in
           for l = 0 to n - 1 do
-            fset f r l (Float.min (fget xa ba ma l) (fget xb bb mb l))
+            fset f r l (fmin (fget xa ba ma l) (fget xb bb mb l))
           done
       | "math.powf" ->
         fun d r xa ba ma xb bb mb n ->
@@ -747,7 +755,7 @@ let eval_simple_op env (op : Ir.op) =
   run_block d 1;
   List.iter
     (fun v ->
-      match Hashtbl.find_opt d.slots (Ir.Value.id v) with
+      match Int_tbl.find_opt d.slots (Ir.Value.id v) with
       | Some (SF a) -> bind env v (F (fget (arr d a) (base d a) a.m 0))
       | Some (SI (s, _)) -> bind env v (I d.it.(s))
       | Some (SB (s, _)) -> bind env v (B (d.it.(s) <> 0))

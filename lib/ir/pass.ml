@@ -184,12 +184,18 @@ let reset_memo () =
 (* ------------------------------------------------------------------ *)
 (* Running *)
 
-let run_one ?(verify = false) ?(hooks = []) ?(op_stats = false)
-    ?(memo = false) pass module_op =
+(* [known_before] is the module's op count when the caller already
+   holds it (the previous pass's [ops_after], with no hook run since). *)
+let run_counted ~verify ~hooks ~op_stats ~memo ?known_before pass module_op =
   List.iter (fun h -> h.h_before pass module_op) hooks;
-  (* Counting ops is a full module walk before and after every pass; only
-     pay for it when someone consumes the numbers. *)
+  (* Counting ops is a full module walk; only pay for it when someone
+     consumes the numbers, and at most once per pass boundary. *)
   let count = op_stats || hooks <> [] in
+  let count_before () =
+    match known_before with
+    | Some n -> n
+    | None -> if count then Ir.count_ops module_op else 0
+  in
   let fp = if memo then Some (fingerprint module_op) else None in
   let cached =
     match fp with
@@ -201,7 +207,7 @@ let run_one ?(verify = false) ?(hooks = []) ?(op_stats = false)
   let stat =
     if cached then begin
       Mutex.protect memo_mutex (fun () -> incr memo_hits);
-      let n = if count then Ir.count_ops module_op else 0 in
+      let n = count_before () in
       {
         stat_pass = pass.pass_name;
         duration_s = 0.0;
@@ -212,7 +218,7 @@ let run_one ?(verify = false) ?(hooks = []) ?(op_stats = false)
       }
     end
     else begin
-      let ops_before = if count then Ir.count_ops module_op else 0 in
+      let ops_before = count_before () in
       let t0 = Unix.gettimeofday () in
       Err.with_pass pass.pass_name (fun () -> pass.run module_op);
       let duration_s = Unix.gettimeofday () -. t0 in
@@ -251,10 +257,24 @@ let run_one ?(verify = false) ?(hooks = []) ?(op_stats = false)
   List.iter (fun h -> h.h_after pass stat module_op) hooks;
   stat
 
+let run_one ?(verify = false) ?(hooks = []) ?(op_stats = false)
+    ?(memo = false) pass module_op =
+  run_counted ~verify ~hooks ~op_stats ~memo pass module_op
+
+(* A pass's [ops_after] is the next pass's [ops_before] unless a hook
+   ran in between (hooks may touch the module), so a counted pipeline
+   of n passes walks the module n + 1 times, not 2n. *)
 let run_pipeline ?(verify_each = false) ?(hooks = []) ?(op_stats = false)
     ?(memo = false) passes module_op =
+  let known_before = ref None in
   List.map
-    (fun pass -> run_one ~verify:verify_each ~hooks ~op_stats ~memo pass module_op)
+    (fun pass ->
+      let stat =
+        run_counted ~verify:verify_each ~hooks ~op_stats ~memo
+          ?known_before:!known_before pass module_op
+      in
+      if stat.ops_counted && hooks = [] then known_before := Some stat.ops_after;
+      stat)
     passes
 
 let pp_stat ppf s =

@@ -106,10 +106,10 @@ let apply_patterns ?(name = "rewrite") ?(max_iterations = default_max_iterations
     List.sort (fun a b -> Int.compare b.benefit a.benefit) patterns
   in
   let queue : work Queue.t = Queue.create () in
-  let queued : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+  let queued : unit Int_tbl.t = Int_tbl.create 256 in
   let enqueue (op : Ir.op) =
-    if (not (Ir.Op.equal op root)) && not (Hashtbl.mem queued op.o_id) then begin
-      Hashtbl.add queued op.o_id ();
+    if (not (Ir.Op.equal op root)) && not (Int_tbl.mem queued op.o_id) then begin
+      Int_tbl.add queued op.o_id ();
       Queue.add (Op op) queue
     end
   in
@@ -237,7 +237,7 @@ let apply_patterns ?(name = "rewrite") ?(max_iterations = default_max_iterations
             go ()
           end
         | Some (Op op) ->
-          Hashtbl.remove queued op.o_id;
+          Int_tbl.remove queued op.o_id;
           visit op;
           go ()
       in

@@ -26,10 +26,6 @@
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 let rec all f = function [] -> Ok () | x :: xs -> let* () = f x in all f xs
 
-let rec each f = function
-  | None -> Ok ()
-  | Some (op : Ir.op) -> let* () = f op in each f op.o_next
-
 module Slots = Hashtbl.Make (struct
   type t = Ir.op * int
   let equal ((a : Ir.op), (i : int)) (b, j) = a == b && i = j
@@ -53,14 +49,14 @@ let record_uses uses (v : Ir.value) =
         if u.u_index < Array.length ops && ops.(u.u_index) == v then
           Slots.add slots (u.u_op, u.u_index) ())
       v.v_uses;
-    Hashtbl.add uses v.v_id slots
+    Int_tbl.add uses v.v_id slots
   end
 
 (* A value defined outside the walked op has no table and is searched. *)
 let verify_use_def_consistency uses (op : Ir.op) =
   let recorded i (v : Ir.value) =
     long v
-    && List.exists (fun s -> Slots.mem s (op, i)) (Hashtbl.find_all uses v.v_id)
+    && List.exists (fun s -> Slots.mem s (op, i)) (Int_tbl.find_all uses v.v_id)
     || List.exists (fun (u : Ir.use) -> u.u_op == op && u.u_index = i) v.v_uses
   in
   let rec go i =
@@ -72,8 +68,12 @@ let verify_use_def_consistency uses (op : Ir.op) =
   in
   go 0
 
-let verify_terminator_position (op : Ir.op) =
-  if Option.is_some op.o_next && Dialect.has_trait op.o_name Dialect.Terminator
+(* The registry entry of every op is looked up once per walk, by the
+   walk of the block holding it, and handed to each check that needs it. *)
+let traits = function Some (i : Dialect.op_info) -> i.traits | None -> []
+
+let verify_terminator_position ((op : Ir.op), info) =
+  if Option.is_some op.o_next && List.mem Dialect.Terminator (traits info)
   then
     Err.fail ~loc:(Ir.Op.loc op) "terminator %s is not last in its block"
       op.o_name
@@ -81,16 +81,17 @@ let verify_terminator_position (op : Ir.op) =
 
 (* The blocks visible inside [op]'s regions, given [scope], the blocks
    visible from the block holding [op]. *)
-let inner_scope (op : Ir.op) scope =
+let inner_scope (op : Ir.op) ~isolated scope =
   match op.o_parent with
-  | Some b when not (Dialect.has_trait op.o_name Isolated_from_above) ->
-    b :: scope
+  | Some b when not isolated -> b :: scope
   | _ -> []
 
 let rec root_scope (op : Ir.op) =
   match op.o_parent with
   | Some { b_parent = Some { r_parent = Some p; _ }; _ } ->
-    inner_scope p (root_scope p)
+    inner_scope p
+      ~isolated:(Dialect.has_trait p.o_name Isolated_from_above)
+      (root_scope p)
   | _ -> []
 
 let visible scope (b : Ir.block) (op : Ir.op) (v : Ir.value) =
@@ -139,19 +140,20 @@ let invisible_operand b (op : Ir.op) (v : Ir.value) =
     | _ -> fail "is not visible here")
   | _ -> fail "used before definition"
 
-let verify_ssa uses scope b (op : Ir.op) =
+let verify_ssa uses scope b ((op : Ir.op), _) =
   match Array.find_opt (fun v -> not (visible scope b op v)) op.o_operands with
   | Some v -> invisible_operand b op v
   | None -> Ok (Array.iter (record_uses uses) op.o_results)
 
-(* [scope]: the blocks visible from the block holding [op]. *)
-let rec verify_op_tree uses scope (op : Ir.op) =
+(* [scope]: the blocks visible from the block holding [op]; [info]: its
+   registry entry. *)
+let rec verify_op_tree uses scope ((op : Ir.op), info) =
   let* () =
-    match Dialect.lookup (Ir.Op.name op) with
+    match info with
     | None ->
       Err.fail ~loc:(Ir.Op.loc op) "unregistered operation %S" (Ir.Op.name op)
     | Some info -> (
-      match info.verify op with
+      match info.Dialect.verify op with
       | Ok () -> Ok ()
       | Error e ->
         (* Anchor at the offending op so the failure carries its
@@ -161,16 +163,30 @@ let rec verify_op_tree uses scope (op : Ir.op) =
              (Err.set_loc_if_unknown (Ir.Op.loc op) e)))
   in
   let* () = verify_use_def_consistency uses op in
-  let scope = match op.o_regions with [] -> [] | _ -> inner_scope op scope in
+  let scope =
+    match op.o_regions with
+    | [] -> []
+    | _ ->
+      inner_scope op
+        ~isolated:(List.mem Dialect.Isolated_from_above (traits info))
+        scope
+  in
   let block (b : Ir.block) =
-    let* () = each verify_terminator_position b.b_first in
+    let rec entries acc = function
+      | None -> acc
+      | Some (o : Ir.op) -> entries ((o, Dialect.lookup o.o_name) :: acc) o.o_prev
+    in
+    let ops = entries [] b.b_last in
+    let* () = all verify_terminator_position ops in
     Array.iter (record_uses uses) b.b_args;
-    let* () = each (verify_ssa uses scope b) b.b_first in
-    each (verify_op_tree uses scope) b.b_first
+    let* () = all (verify_ssa uses scope b) ops in
+    all (verify_op_tree uses scope) ops
   in
   all (fun (r : Ir.region) -> all block r.r_blocks) op.o_regions
 
-let verify op = verify_op_tree (Hashtbl.create 16) (root_scope op) op
+let verify op =
+  verify_op_tree (Int_tbl.create 16) (root_scope op)
+    (op, Dialect.lookup op.o_name)
 
 let verify_exn op =
   match verify op with Ok () -> () | Error e -> raise (Err.Error e)

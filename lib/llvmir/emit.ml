@@ -57,17 +57,17 @@ type st = {
   m : Ll.modul;
   fn : Ll.func;
   mutable block : Ll.block;
-  vals : (int, Ll.operand) Hashtbl.t;
+  vals : Ll.operand Int_tbl.t; (* SSA value id -> operand *)
   names : Idgen.t;
   loop_ids : Idgen.t;
 }
 
-let fresh st prefix = Printf.sprintf "%s%d" prefix (Idgen.fresh st.names)
+let fresh st prefix = prefix ^ string_of_int (Idgen.fresh st.names)
 
-let bind st v operand = Hashtbl.replace st.vals (Ir.Value.id v) operand
+let bind st v operand = Int_tbl.replace st.vals (Ir.Value.id v) operand
 
 let operand_of st v =
-  match Hashtbl.find_opt st.vals (Ir.Value.id v) with
+  match Int_tbl.find_opt st.vals (Ir.Value.id v) with
   | Some o -> o
   | None -> Err.raise_error "emit: unbound value %%v%d" (Ir.Value.id v)
 
@@ -344,11 +344,11 @@ let rec emit_op st (op : Ir.op) =
            [ Ll.CInt 0; operand_of st (Ir.Op.operand op 2) ] ));
     Ll.emit st.block (Ll.Store (Ll.Double, operand_of st (Ir.Op.operand op 0), Ll.Reg p))
   | "scf.for" ->
-    let loop_id = Idgen.fresh st.loop_ids in
-    let header = Printf.sprintf "for%d.header" loop_id in
-    let body_l = Printf.sprintf "for%d.body" loop_id in
-    let latch = Printf.sprintf "for%d.latch" loop_id in
-    let exit = Printf.sprintf "for%d.exit" loop_id in
+    let label = "for" ^ string_of_int (Idgen.fresh st.loop_ids) in
+    let header = label ^ ".header" in
+    let body_l = label ^ ".body" in
+    let latch = label ^ ".latch" in
+    let exit = label ^ ".exit" in
     let lb = operand_of st (Ir.Op.operand op 0) in
     let ub = operand_of st (Ir.Op.operand op 1) in
     let step = operand_of st (Ir.Op.operand op 2) in
@@ -382,28 +382,36 @@ let rec emit_op st (op : Ir.op) =
 (* ------------------------------------------------------------------ *)
 (* Outlining dataflow stages *)
 
-(* Free values a dataflow region reads from the enclosing function. *)
+(* Free values a dataflow region reads from the enclosing function, in
+   first-use order.  One pre-order walk: every value is defined before
+   its first use in that order (definitions dominate uses; an op's
+   results and its regions' arguments are marked when the op is
+   visited, before any op nested in it), so an operand not yet defined
+   when it is first seen comes from outside. *)
 let free_values (df : Ir.op) =
-  let defined = Hashtbl.create 64 in
+  let defined = Int_tbl.create 64 in
   let free = ref [] in
   Ir.Op.walk df (fun o ->
+      Array.iter
+        (fun (v : Ir.value) ->
+          let id = Ir.Value.id v in
+          if not (Int_tbl.mem defined id) then begin
+            Int_tbl.add defined id ();
+            free := v :: !free
+          end)
+        o.Ir.o_operands;
+      Array.iter
+        (fun (res : Ir.value) -> Int_tbl.replace defined (Ir.Value.id res) ())
+        o.Ir.o_results;
       List.iter
         (fun r ->
           List.iter
-            (fun (a : Ir.value) -> Hashtbl.replace defined (Ir.Value.id a) ())
-            (List.concat_map Ir.Block.args (Ir.Region.blocks r)))
-        (Ir.Op.regions o);
-      List.iter
-        (fun (res : Ir.value) -> Hashtbl.replace defined (Ir.Value.id res) ())
-        (Ir.Op.results o));
-  Ir.Op.walk df (fun o ->
-      List.iter
-        (fun v ->
-          if
-            (not (Hashtbl.mem defined (Ir.Value.id v)))
-            && not (List.exists (fun f -> Ir.Value.equal f v) !free)
-          then free := v :: !free)
-        (Ir.Op.operands o));
+            (fun b ->
+              List.iter
+                (fun (a : Ir.value) -> Int_tbl.replace defined (Ir.Value.id a) ())
+                (Ir.Block.args b))
+            (Ir.Region.blocks r))
+        (Ir.Op.regions o));
   List.rev !free
 
 (* [stages] numbers the outlined stage functions of one LLVM module, so
@@ -415,13 +423,11 @@ let emit_dataflow_stage (m : Ll.modul) ~stages ~kernel_name (df : Ir.op)
     String.map (fun c -> if c = ':' then '_' else c) stage_name
   in
   let fname =
-    Printf.sprintf "%s__%s_%d" kernel_name clean (Idgen.fresh stages)
+    kernel_name ^ "__" ^ clean ^ "_" ^ string_of_int (Idgen.fresh stages)
   in
   let frees = free_values df in
   let args =
-    List.mapi
-      (fun i v -> (ll_ty_of (Ir.Value.ty v), Printf.sprintf "a%d" i))
-      frees
+    List.mapi (fun i v -> (ll_ty_of (Ir.Value.ty v), "a" ^ string_of_int i)) frees
   in
   let fn =
     Ll.create_func ?src:(src_of_op df) m ~name:fname ~ret:Ll.Void ~args
@@ -433,14 +439,12 @@ let emit_dataflow_stage (m : Ll.modul) ~stages ~kernel_name (df : Ir.op)
       m;
       fn;
       block = entry;
-      vals = Hashtbl.create 64;
+      vals = Int_tbl.create 64;
       names = Idgen.create ();
       loop_ids = Idgen.create ();
     }
   in
-  List.iteri
-    (fun i v -> bind st v (Ll.Reg (Printf.sprintf "a%d" i)))
-    frees;
+  List.iter2 (fun v (_, a) -> bind st v (Ll.Reg a)) frees args;
   let body = Hls.dataflow_body df in
   List.iter (emit_op st) (Ir.Block.ops body);
   Ll.emit st.block (Ll.Ret (Ll.Void, None));
@@ -457,7 +461,7 @@ let emit_kernel (m : Ll.modul) ~stages (func : Ir.op) =
   let body = Ir.Region.entry (List.hd (Ir.Op.regions func)) in
   let args =
     List.mapi
-      (fun i v -> (ll_ty_of (Ir.Value.ty v), Printf.sprintf "arg%d" i))
+      (fun i v -> (ll_ty_of (Ir.Value.ty v), "arg" ^ string_of_int i))
       (Ir.Block.args body)
   in
   let fn =
@@ -469,14 +473,12 @@ let emit_kernel (m : Ll.modul) ~stages (func : Ir.op) =
       m;
       fn;
       block = entry;
-      vals = Hashtbl.create 64;
+      vals = Int_tbl.create 64;
       names = Idgen.create ();
       loop_ids = Idgen.create ();
     }
   in
-  List.iteri
-    (fun i v -> bind st v (Ll.Reg (Printf.sprintf "arg%d" i)))
-    (Ir.Block.args body);
+  List.iter2 (fun v (_, a) -> bind st v (Ll.Reg a)) (Ir.Block.args body) args;
   emit_marker st marker_dataflow;
   List.iter
     (fun (op : Ir.op) ->

@@ -401,9 +401,11 @@ let stamp_derived ctx ~step =
       | None -> ()
       | Some f ->
         let base = Ir.Op.loc fx.fx_old in
+        let derived = Loc.derived step base in
         Ir.Op.walk f (fun o ->
-            if Ir.Op.loc o = Loc.Unknown then
-              Ir.Op.set_loc o (Loc.derived step base)))
+            match Ir.Op.loc o with
+            | Loc.Unknown -> Ir.Op.set_loc o derived
+            | _ -> ()))
     ctx.cx_funcs
 
 (* Drop the threading attribute and the registry entry; idempotent. *)

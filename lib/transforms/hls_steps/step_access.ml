@@ -1,6 +1,6 @@
 (* Step 5: shift-buffer access mapping.  The hls.nb_access placeholders
-   left by step 4 are lowered through the greedy pattern driver: accesses
-   into a shifted source become llvm.extractvalue at the offset's
+   left by step 4 are lowered in one pre-order walk: accesses into a
+   shifted source become llvm.extractvalue at the offset's
    row-major position inside the (2h+1)^d neighbourhood vector; accesses
    into a plain value stream must be offset-free and forward the element
    unchanged.
@@ -13,11 +13,11 @@
    out of range, so the fused design stays comparable to the split one.
 
    That form is lowered one fused loop body at a time, in one in-order
-   walk rather than through the pattern driver, and value-numbered as it
-   is built: each index constant, the NaN constant, each composed
-   coordinate, its clamp and range compares, each stride product and
-   partial address sum exist once per body and serve every access that
-   needs them; only the gep, the load and the NaN selects are per access.
+   walk, and value-numbered as it is built: each index constant, the NaN
+   constant, each composed coordinate, its clamp and range compares, each
+   stride product and partial address sum exist once per body and serve
+   every access that needs them; only the gep, the load and the NaN
+   selects are per access.
    The heat_3d no-split HLS module at 12x10x8 drops from 359 to 175 ops
    (352 to 168 of them defining a value).  No float op is merged, so the
    stage's flop count is unchanged. *)
@@ -137,9 +137,10 @@ let lower_direct_access vn b (op : Ir.op) ~offset ~extent =
     loaded composed extent
 
 (* The three access forms are told apart by attribute (halo / extent /
-   neither).  The split variant lowers its two forms through the pattern
-   driver; the fused variant's step 4 emits only the direct-memory form,
-   lowered by an in-order walk of each loop body. *)
+   neither).  Each variant lowers its forms in one in-order walk: the
+   split variant rewrites every placeholder where it stands; the fused
+   variant's step 4 emits only the direct-memory form, lowered one loop
+   body at a time. *)
 
 let access_offset op = Attr.ints_exn (Ir.Op.get_attr_exn op "offset")
 
@@ -149,47 +150,29 @@ let builder_before op =
   in
   Builder.before block op
 
-let is_access ~attr op =
-  Ir.Op.name op = nb_access_op
-  &&
-  match attr with
-  | Some a -> Ir.Op.get_attr op a <> None
-  | None ->
-    Ir.Op.get_attr op "halo" = None && Ir.Op.get_attr op "extent" = None
+let is_direct_access op =
+  Ir.Op.name op = nb_access_op && Ir.Op.get_attr op "extent" <> None
 
 (* Split variant: access into a shifted source becomes an extractvalue
    at the offset's row-major position inside the neighbourhood vector. *)
-let shift_vector_pattern =
-  Rewriter.make_pattern ~name:"nb-access-shift-vector"
-    ~matches:(is_access ~attr:(Some "halo"))
-    ~rewrite:(fun op ->
-      let halo = Attr.ints_exn (Ir.Op.get_attr_exn op "halo") in
-      let pos = nb_index halo (access_offset op) in
-      let b = builder_before op in
-      let v =
-        Builder.insert_op1 b ~name:Llvm_d.extractvalue_op
-          ~operands:[ Ir.Op.operand op 0 ] ~result_ty:Ty.F64
-          ~attrs:[ ("indices", Attr.Ints [ pos ]) ]
-          ()
-      in
-      Ir.replace_op op [ v ];
-      true)
-    ()
+let lower_shift_vector op =
+  let halo = Attr.ints_exn (Ir.Op.get_attr_exn op "halo") in
+  let pos = nb_index halo (access_offset op) in
+  let b = builder_before op in
+  let v =
+    Builder.insert_op1 b ~name:Llvm_d.extractvalue_op
+      ~operands:[ Ir.Op.operand op 0 ] ~result_ty:Ty.F64
+      ~attrs:[ ("indices", Attr.Ints [ pos ]) ]
+      ()
+  in
+  Ir.replace_op op [ v ]
 
 (* Split variant: an access into a plain value stream must be
    offset-free and forwards the element unchanged. *)
-let value_forward_pattern =
-  Rewriter.make_pattern ~name:"nb-access-value-forward"
-    ~matches:(is_access ~attr:None)
-    ~rewrite:(fun op ->
-      if List.exists (fun o -> o <> 0) (access_offset op) then
-        Err.raise_error "stencil-to-hls: offset access of a value stream";
-      Ir.replace_op op [ Ir.Op.operand op 0 ];
-      true)
-    ()
-
-let split_set =
-  Rewriter.pattern_set ~name [ value_forward_pattern; shift_vector_pattern ]
+let lower_value_forward op =
+  if List.exists (fun o -> o <> 0) (access_offset op) then
+    Err.raise_error "stencil-to-hls: offset access of a value stream";
+  Ir.replace_op op [ Ir.Op.operand op 0 ]
 
 (* Fused variant: one in-order walk over a loop body.  Step 4's own
    index arithmetic and constants (the recovered loop indices' divisors,
@@ -200,7 +183,7 @@ let lower_fused_body (body : Ir.block) =
   let vn : numbering = Cse.Tbl.create 64 in
   List.iter
     (fun (op : Ir.op) ->
-      if is_access ~attr:(Some "extent") op then begin
+      if is_direct_access op then begin
         let extent = Attr.ints_exn (Ir.Op.get_attr_exn op "extent") in
         let b = builder_before op in
         let v = lower_direct_access vn b op ~offset:(access_offset op) ~extent in
@@ -219,14 +202,25 @@ let run_on_fx ~fused fx =
   if fused then begin
     let bodies = ref [] in
     Ir.Op.walk func (fun op ->
-        if is_access ~attr:(Some "extent") op then
+        if is_direct_access op then
           match Ir.Op.parent op with
           | Some body when not (List.exists (Ir.Block.equal body) !bodies) ->
             bodies := body :: !bodies
           | _ -> ());
     List.iter lower_fused_body (List.rev !bodies)
   end
-  else ignore (Rewriter.apply_set split_set func)
+  else begin
+    (* every placeholder, in pre-order, rewritten in that order: the new
+       ops are created in the order a pre-order worklist would make them *)
+    let accesses = ref [] in
+    Ir.Op.walk func (fun op ->
+        if Ir.Op.name op = nb_access_op then accesses := op :: !accesses);
+    List.iter
+      (fun op ->
+        if Ir.Op.get_attr op "halo" <> None then lower_shift_vector op
+        else if Ir.Op.get_attr op "extent" = None then lower_value_forward op)
+      (List.rev !accesses)
+  end
 
 let run_on_ctx (ctx : t) =
   let fused = not ctx.cx_variant.Variant.v_split in

@@ -89,18 +89,18 @@ let build_compute_body db ~grid ~field_halo ~apply ~inputs ~out_stream =
                | From_scalar v -> (arg, `Val v))
              inputs
          in
-         let mapping : (int, Ir.value) Hashtbl.t = Hashtbl.create 32 in
+         let mapping : Ir.value Int_tbl.t = Int_tbl.create 32 in
          (* scalar params and value-stream elements substitute directly for
             their block arguments; neighbourhood/small args only flow
             through stencil.access / stencil.dyn_access *)
          List.iter
            (fun (arg, rv) ->
              match rv with
-             | `Val v -> Hashtbl.replace mapping (Ir.Value.id arg) v
+             | `Val v -> Int_tbl.replace mapping (Ir.Value.id arg) v
              | `Nb _ | `Small _ -> ())
            read_values;
          let remap v =
-           match Hashtbl.find_opt mapping (Ir.Value.id v) with
+           match Int_tbl.find_opt mapping (Ir.Value.id v) with
            | Some nv -> nv
            | None -> v
          in
@@ -129,7 +129,7 @@ let build_compute_body db ~grid ~field_halo ~apply ~inputs ~out_stream =
                        ]
                      ()
                  in
-                 Hashtbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
+                 Int_tbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
                | Some (`Val v) ->
                  let ph =
                    Builder.insert_op1 fb ~name:nb_access_op ~operands:[ v ]
@@ -137,7 +137,7 @@ let build_compute_body db ~grid ~field_halo ~apply ~inputs ~out_stream =
                      ~attrs:[ ("offset", Attr.Ints (Stencil.access_offset op)) ]
                      ()
                  in
-                 Hashtbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) ph
+                 Int_tbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) ph
                | Some (`Small _) | None ->
                  Err.raise_error "stencil-to-hls: access of unexpected source")
              | name when name = Stencil.dyn_access_op -> (
@@ -152,11 +152,11 @@ let build_compute_body db ~grid ~field_halo ~apply ~inputs ~out_stream =
                        [ ("input", Attr.Int slot); ("offset", Attr.Int offset) ]
                      ()
                  in
-                 Hashtbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
+                 Int_tbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
                | _ ->
                  Err.raise_error "stencil-to-hls: dyn_access of non-small data")
              | name when name = Stencil.index_op ->
-               Hashtbl.replace mapping
+               Int_tbl.replace mapping
                  (Ir.Value.id (Ir.Op.result op 0))
                  (List.nth indices (Attr.int_exn (Ir.Op.get_attr_exn op "dim")))
              | name when name = Stencil.return_op -> (
@@ -174,7 +174,7 @@ let build_compute_body db ~grid ~field_halo ~apply ~inputs ~out_stream =
                in
                List.iteri
                  (fun i r ->
-                   Hashtbl.replace mapping (Ir.Value.id r) (Ir.Op.result cloned i))
+                   Int_tbl.replace mapping (Ir.Value.id r) (Ir.Op.result cloned i))
                  (Ir.Op.results op))
            (Ir.Block.ops block)))
 
@@ -325,15 +325,15 @@ let run_on_fx_fused fx =
                 Err.raise_error "stencil-to-hls: unclassified apply operand")))
         (Ir.Op.operands apply) args
     in
-    let mapping : (int, Ir.value) Hashtbl.t = Hashtbl.create 32 in
+    let mapping : Ir.value Int_tbl.t = Int_tbl.create 32 in
     List.iter
       (fun (arg, k) ->
         match k with
-        | `Scalar nv -> Hashtbl.replace mapping (Ir.Value.id arg) nv
+        | `Scalar nv -> Int_tbl.replace mapping (Ir.Value.id arg) nv
         | `Source _ | `Small _ -> ())
       kinds;
     let remap v =
-      match Hashtbl.find_opt mapping (Ir.Value.id v) with
+      match Int_tbl.find_opt mapping (Ir.Value.id v) with
       | Some nv -> nv
       | None -> v
     in
@@ -359,7 +359,7 @@ let run_on_fx_fused fx =
           | Some (`Source src_v) ->
             let off2 = List.map2 ( + ) off (Stencil.access_offset op) in
             let v = emit_value fb ~indices ~off:off2 ~cache src_v in
-            Hashtbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
+            Int_tbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
           | _ -> Err.raise_error "stencil-to-hls: access of unexpected source")
         | n when n = Stencil.dyn_access_op -> (
           match lookup_arg (Ir.Op.operand op 0) with
@@ -371,10 +371,10 @@ let run_on_fx_fused fx =
                 ~attrs:[ ("input", Attr.Int slot); ("offset", Attr.Int offset) ]
                 ()
             in
-            Hashtbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
+            Int_tbl.replace mapping (Ir.Value.id (Ir.Op.result op 0)) v
           | _ -> Err.raise_error "stencil-to-hls: dyn_access of non-small data")
         | n when n = Stencil.index_op ->
-          Hashtbl.replace mapping
+          Int_tbl.replace mapping
             (Ir.Value.id (Ir.Op.result op 0))
             (pos_along (Attr.int_exn (Ir.Op.get_attr_exn op "dim")))
         | n when n = Stencil.return_op -> (
@@ -391,7 +391,7 @@ let run_on_fx_fused fx =
           in
           List.iteri
             (fun i r ->
-              Hashtbl.replace mapping (Ir.Value.id r) (Ir.Op.result cloned i))
+              Int_tbl.replace mapping (Ir.Value.id r) (Ir.Op.result cloned i))
             (Ir.Op.results op))
       (Ir.Block.ops block);
     match !result with

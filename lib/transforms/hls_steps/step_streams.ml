@@ -94,13 +94,13 @@ let run_on_fx ~fused fx =
   let b = Builder.at_end body in
   let padded = padded_extent fx.fx_plan in
   let total_padded = List.fold_left ( * ) 1 padded in
-  let shifts : (int, source) Hashtbl.t = Hashtbl.create 8 in
-  let dups : (int, string * box) Hashtbl.t = Hashtbl.create 8 in
+  let shifts : source Int_tbl.t = Int_tbl.create 8 in
+  let dups : (string * box) Int_tbl.t = Int_tbl.create 8 in
   let mark_dup stage_name (bx : box) =
     if bx.bx_copies <> [] then begin
       let op = main_op bx in
       Ir.Op.set_attr op pending_dup (Attr.Str stage_name);
-      Hashtbl.replace dups op.Ir.o_id (stage_name, bx)
+      Int_tbl.replace dups op.Ir.o_id (stage_name, bx)
     end
   in
   List.iter
@@ -143,7 +143,7 @@ let run_on_fx ~fused fx =
       | Some bx ->
         let op = main_op bx in
         Ir.Op.set_attr op pending_shift (Attr.Str so.so_name);
-        Hashtbl.replace shifts op.Ir.o_id so
+        Int_tbl.replace shifts op.Ir.o_id so
       | None -> ());
       (match so.so_value with
       | Some bx -> mark_dup so.so_name bx
@@ -153,8 +153,8 @@ let run_on_fx ~fused fx =
       | None -> ())
     fx.fx_sources;
   let root = new_func fx in
-  let shift_of (op : Ir.op) = Hashtbl.find shifts op.Ir.o_id in
-  let dup_of (op : Ir.op) = Hashtbl.find dups op.Ir.o_id in
+  let shift_of (op : Ir.op) = Int_tbl.find shifts op.Ir.o_id in
+  let dup_of (op : Ir.op) = Int_tbl.find dups op.Ir.o_id in
   ignore (Rewriter.apply_set (shift_set ~b ~padded shift_of) root);
   ignore (Rewriter.apply_set (dup_set ~b ~total_padded dup_of) root)
 

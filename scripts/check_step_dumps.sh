@@ -15,6 +15,10 @@
 # default pipeline only (the variants' end states are covered by their
 # digests and by the functional parity tests).
 #
+# Each kernel[@variant] also digests its `shmls-compile --emit llvm`
+# output (LLVM-IR after f++) as emit.ll, checked after the nine steps:
+# a divergence that first shows there names the LLVM layer.
+#
 # Regenerate the digest file after an intentional pipeline change with:
 #   scripts/check_step_dumps.sh --update
 set -euo pipefail
@@ -68,13 +72,14 @@ DIRS=() # one dump directory per kernel[@variant], in run order
 
 dump () { # kernel grid [variant]
   local name=$1 grid=$2 variant=${3:-}
-  local dir pipe
+  local dir pipe vflag=()
   if [[ -z $variant ]]; then
     dir="$tmp/$name"
     pipe="stencil-to-hls"
   else
     dir="$tmp/$name@$variant"
     pipe="stencil-to-hls{variant=$variant}"
+    vflag=(--variant "$variant")
   fi
   mkdir -p "$dir"
   DIRS+=("${dir#"$tmp/"}")
@@ -82,6 +87,8 @@ dump () { # kernel grid [variant]
     | tail -n +2 > "$dir/input.stencil.mlir"
   "$OPT" -p "$pipe" --verify-each --dump-after all --dump-dir "$dir" \
     "$dir/input.stencil.mlir" > /dev/null
+  "$COMPILE" "$name" --grid "$grid" "${vflag[@]}" --emit llvm \
+    | tail -n +2 > "$dir/emit.ll"
 }
 
 for entry in "${KERNELS[@]}"; do
@@ -92,7 +99,8 @@ for entry in "${KERNELS[@]}"; do
 done
 
 if [[ $UPDATE -eq 1 ]]; then
-  (cd "$tmp" && sha256sum ./*/*.after.mlir | LC_ALL=C sort -k2) > "$SUMS"
+  (cd "$tmp" && sha256sum ./*/*.after.mlir ./*/emit.ll | LC_ALL=C sort -k2) \
+    > "$SUMS"
   echo "rewrote $SUMS"
   exit 0
 fi
@@ -101,15 +109,18 @@ status=0
 
 # 1. per-step digests.  sha256sum reports failures in the order of
 #    $SUMS, which is sorted by path, not by step; name the first
-#    diverging step in pipeline order for each kernel[@variant]
+#    diverging step in pipeline order for each kernel[@variant], the
+#    LLVM emit last
 if ! (cd "$tmp" && sha256sum -c --quiet "$OLDPWD/$SUMS") > "$tmp/sums.out" 2>&1
 then
   status=1
   echo "step-level divergence (vs $SUMS):"
   sed 's/^/  /' "$tmp/sums.out"
   for dir in "${DIRS[@]}"; do
-    for step in "${STEPS[@]}"; do
-      if grep -qF "./$dir/$step.after.mlir: FAILED" "$tmp/sums.out"; then
+    for step in "${STEPS[@]}" llvm-emit; do
+      file="$step.after.mlir"
+      [[ $step == llvm-emit ]] && file=emit.ll
+      if grep -qF "./$dir/$file: FAILED" "$tmp/sums.out"; then
         echo "first diverging step for $dir: $step"
         break
       fi

@@ -116,6 +116,90 @@ let test_run_with_stats () =
   Alcotest.(check bool) "pipeline grows the module" true
     (last.Pass.ops_after > first.Pass.ops_before)
 
+(* Op counts at every step boundary, [ops_before>ops_after] per step, as
+   the pipeline counted them when it walked the module before and after
+   every step (PW and tracer at their small grids, after apply-split). *)
+let pinned_op_counts =
+  let split = "1>1 1>2 2>59 59>233 233>233 233>235 235>237 237>363 363>374" in
+  let fused = "1>1 1>2 2>5 5>157 157>727 727>729 729>729 729>853 853>864" in
+  let t_split =
+    "1>1 1>2 2>358 358>901 901>895 895>897 897>899 899>899 899>917"
+  in
+  let t_fused =
+    "1>1 1>2 2>8 8>891 891>2011 2011>2013 2013>2013 2013>2013 2013>2031"
+  in
+  let by_split v s f = if v.Shmls.Variant.v_split then s else f in
+  [
+    ( Shmls_kernels.Pw_advection.kernel,
+      Shmls_kernels.Pw_advection.grid_small,
+      fun v -> by_split v split fused );
+    ( Shmls_kernels.Tracer_advection.kernel,
+      Shmls_kernels.Tracer_advection.grid_small,
+      fun v -> by_split v t_split t_fused );
+  ]
+
+let show_counts stats =
+  String.concat " "
+    (List.map
+       (fun s -> Printf.sprintf "%d>%d" s.Pass.ops_before s.Pass.ops_after)
+       stats)
+
+(* Each pass's ops_before is the previous pass's ops_after, carried over
+   rather than recounted; the carried numbers must be the ones an
+   explicit count at that boundary gives. *)
+let test_threaded_op_counts () =
+  List.iter
+    (fun ((kernel : Shmls.Ast.kernel), grid, expected) ->
+      List.iter
+        (fun variant ->
+          let what = kernel.k_name ^ "@" ^ Shmls.Variant.to_string variant in
+          let m = prepared kernel grid in
+          ignore (Shmls_transforms.Apply_split.run_on_module m);
+          let m_hls, _, stats = S2H.run_with_stats ~variant m in
+          Alcotest.(check string) (what ^ ": step op counts") (expected variant)
+            (show_counts stats);
+          ignore
+            (List.fold_left
+               (fun prev s ->
+                 Option.iter
+                   (fun p ->
+                     Alcotest.(check int)
+                       (what ^ ": " ^ s.Pass.stat_pass ^ " starts where the last step ended")
+                       p.Pass.ops_after s.Pass.ops_before)
+                   prev;
+                 Some s)
+               None stats);
+          Alcotest.(check int) (what ^ ": ops_out") (Ir.count_ops m_hls)
+            (List.nth stats 8).Pass.ops_after;
+          (* the in-place pipeline, counted by carrying over and, with a
+             hook (which forces a recount), explicitly at every boundary *)
+          let spec =
+            if Shmls.Variant.is_default variant then "stencil-to-hls"
+            else "stencil-to-hls{variant=" ^ Shmls.Variant.to_string variant ^ "}"
+          in
+          let run ?hooks () =
+            let m = prepared kernel grid in
+            ignore (Shmls_transforms.Apply_split.run_on_module m);
+            Pass.run_pipeline ?hooks ~op_stats:true (Pass.parse_pipeline spec) m
+          in
+          let explicit = ref [] in
+          let hook =
+            {
+              Pass.h_before = (fun _ m -> explicit := Ir.count_ops m :: !explicit);
+              h_after = (fun _ _ m -> explicit := Ir.count_ops m :: !explicit);
+            }
+          in
+          let counted = run ~hooks:[ hook ] () in
+          let carried = run () in
+          Alcotest.(check string) (what ^ ": carried counts") (show_counts counted)
+            (show_counts carried);
+          Alcotest.(check (list int))
+            (what ^ ": explicit counts")
+            (List.rev !explicit)
+            (List.concat_map (fun s -> [ s.Pass.ops_before; s.Pass.ops_after ]) carried))
+        Shmls.Variant.ablation_set)
+    pinned_op_counts
+
 let test_steps_require_order () =
   let _, kernel, grid = List.hd kernels in
   (* a mid-pipeline step without a lowering in progress must fail with a
@@ -285,6 +369,7 @@ let () =
       ( "instrumentation",
         [
           Alcotest.test_case "run_with_stats" `Quick test_run_with_stats;
+          Alcotest.test_case "threaded op counts" `Quick test_threaded_op_counts;
           Alcotest.test_case "steps require order" `Quick
             test_steps_require_order;
         ] );

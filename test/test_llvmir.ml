@@ -157,6 +157,47 @@ let test_fpp_idempotent () =
   Alcotest.(check int) "second run finds nothing" 0 report2.pipelines;
   Alcotest.(check string) "module unchanged" text1 (Ll.to_string m)
 
+(* -- golden digests --------------------------------------------------------- *)
+
+(* Every built-in kernel under every ablation variant: the MD5 of the
+   emitted LLVM-IR (after f++) and of the v++ connectivity config.  The
+   digests were recorded before the emitter's rewrite for speed, so any
+   byte the compile path changes in the printed module shows here. *)
+let digest_kernels () =
+  let small rank = List.filteri (fun i _ -> i < rank) [ 24; 16; 12 ] in
+  [
+    (Shmls_kernels.Pw_advection.kernel, Shmls_kernels.Pw_advection.grid_small);
+    ( Shmls_kernels.Tracer_advection.kernel,
+      Shmls_kernels.Tracer_advection.grid_small );
+  ]
+  @ Shmls_kernels.Zoo.all
+  @ List.map
+      (fun (k : Shmls.Ast.kernel) -> (k, small k.k_rank))
+      Shmls_kernels.Didactic.all
+
+let digest_rows () =
+  List.concat_map
+    (fun ((k : Shmls.Ast.kernel), grid) ->
+      List.map
+        (fun variant ->
+          let c = Shmls.compile ~variant k ~grid in
+          let md5 s = Digest.to_hex (Digest.string s) in
+          Printf.sprintf "%s\t%s\t%s\t%s\t%s" k.k_name
+            (String.concat "x" (List.map string_of_int grid))
+            (Shmls.Variant.to_string variant)
+            (md5 (Shmls.emit_llvm_text c))
+            (md5 c.c_connectivity))
+        Shmls.Variant.ablation_set)
+    (digest_kernels ())
+
+let test_golden_llvm_digests () =
+  let expected =
+    In_channel.with_open_text "golden/llvm_digests.tsv" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "llvm digests" expected (digest_rows ())
+
 let () =
   Alcotest.run "llvmir"
     [
@@ -183,5 +224,10 @@ let () =
           Alcotest.test_case "keeps backend intrinsics" `Quick test_fpp_keeps_intrinsics;
           Alcotest.test_case "connectivity config" `Quick test_connectivity_config;
           Alcotest.test_case "idempotent" `Quick test_fpp_idempotent;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "llvm and connectivity digests" `Quick
+            test_golden_llvm_digests;
         ] );
     ]
