@@ -115,9 +115,19 @@ type compiled = {
     same extraction, simulators and models. *)
 val compile : ?variant:Variant.t -> Ast.kernel -> grid:int list -> compiled
 
+(** The stencil-dialect module of (kernel, grid) — lowered,
+    shape-inferred, apply-split and verified — memoised on a digest of
+    (kernel, grid) until {!reset_compile_cache}. Every variant
+    {!compile_cached} builds at that (kernel, grid) starts from it and
+    holds it as [c_lowered]; callers must only read it. Errors carry the
+    same kernel context as {!compile}'s. *)
+val lower_cached : Ast.kernel -> grid:int list -> Lower.lowered
+
 (** Like {!compile}, but memoised on a digest of (kernel, grid,
     variant): repeated evaluations of the same configuration compile once
-    and share the (read-only) [compiled] record. *)
+    and share the (read-only) [compiled] record. The nine steps start
+    from {!lower_cached}, so the variants of one (kernel, grid) lower it
+    once. *)
 val compile_cached :
   ?variant:Variant.t -> Ast.kernel -> grid:int list -> compiled
 
@@ -153,7 +163,7 @@ val run_state : compiled -> Interp.kernel_state -> unit
     fresh inputs drawn with [seed] ({!Interp.run_lowered}), cached per
     (kernel, grid, seed) until {!reset_compile_cache}. The state is
     shared: callers must only read it. *)
-val reference_state : seed:int -> compiled -> Interp.kernel_state
+val reference_state : seed:int -> Lower.lowered -> Interp.kernel_state
 
 (** Run the generated design ({!run_design}) against the reference
     stencil interpreter on identical inputs and compare every output

@@ -155,6 +155,13 @@ let ring_push_blit r src srcoff n =
 
 let starved loc = Err.raise_error ~loc "functional sim: read from empty stream"
 
+(* An external-memory load is checked against its buffer: a design
+   whose address arithmetic leaves the padded grid fails here instead
+   of reading outside the array. *)
+let load_out_of_range loc i len =
+  Err.raise_error ~loc
+    "functional sim: llvm.load of element %d of a %d-element buffer" i len
+
 (* Fail like a starved pop unless [n] floats are queued — used by the
    bulk stage loops below, which then index [rg_data] directly. *)
 let ring_require r n = if r.rg_len < n then starved Loc.unknown
@@ -1080,6 +1087,7 @@ let compile_bop c lp (op : Ir.op) :
   | "llvm.load" -> (
     let s = bpsrc c (Ir.Op.operand op 0) in
     let d = bind_fcol c (Ir.Op.result op 0) in
+    let loc = Ir.Op.loc op in
     finish
       (match s with
       | PCol s ->
@@ -1087,15 +1095,19 @@ let compile_bop c lp (op : Ir.op) :
           let base = Array.unsafe_get rs.rs_pcols_base s
           and off = Array.unsafe_get rs.rs_pcols_off s
           and fd = fcol rs d in
+          let len = Array.length base in
           for j = 0 to n - 1 do
-            fset fd j (Array.unsafe_get base (iget off j))
+            let i = iget off j in
+            if i < 0 || i >= len then load_out_of_range loc i len;
+            fset fd j (Array.unsafe_get base i)
           done
       | PInv s ->
         fun rs n ->
-          Array.fill (fcol rs d) 0 n
-            (Array.unsafe_get
-               (Array.unsafe_get rs.rs_pbase s)
-               (Array.unsafe_get rs.rs_poff s))))
+          let base = Array.unsafe_get rs.rs_pbase s
+          and i = Array.unsafe_get rs.rs_poff s in
+          if i < 0 || i >= Array.length base then
+            load_out_of_range loc i (Array.length base);
+          Array.fill (fcol rs d) 0 n (Array.unsafe_get base i)))
   | "memref.load" -> (
     match bpsrc c (Ir.Op.operand op 0) with
     | PInv m ->

@@ -235,10 +235,9 @@ type run_result = {
 
 let run ?(seed = 7) ?(params = []) (p : plan) =
   let kernel = p.mp_kernel in
-  let global_c =
-    Shmls.compile_cached ~variant:p.mp_variant kernel ~grid:p.mp_grid
+  let global =
+    Shmls.Interp.alloc_state ~seed (Shmls.lower_cached kernel ~grid:p.mp_grid)
   in
-  let global = Shmls.Interp.alloc_state ~seed global_c.Shmls.c_lowered in
   let params = resolve_params kernel global.params params in
   let h0 = List.hd p.mp_halo in
   let n0 = List.hd p.mp_grid in
@@ -343,16 +342,14 @@ let run ?(seed = 7) ?(params = []) (p : plan) =
   }
 
 let reference ?(seed = 7) ?(params = []) (p : plan) =
-  let c =
-    Shmls.compile_cached ~variant:p.mp_variant p.mp_kernel ~grid:p.mp_grid
-  in
-  let st = Shmls.Interp.alloc_state ~seed c.Shmls.c_lowered in
+  let lowered = Shmls.lower_cached p.mp_kernel ~grid:p.mp_grid in
+  let st = Shmls.Interp.alloc_state ~seed lowered in
   let st =
     { st with Shmls.Interp.params = resolve_params p.mp_kernel st.params params }
   in
   for sweep = 1 to p.mp_sweeps do
     ignore
-      (Shmls.Interp.run_func c.Shmls.c_lowered.l_func
+      (Shmls.Interp.run_func lowered.l_func
          ~args:(Shmls.Interp.state_args st));
     if sweep < p.mp_sweeps then apply_feedback p st
   done;
@@ -365,8 +362,7 @@ let verify_vs_reference ?(seed = 7) ?(params = []) (p : plan) =
        [Shmls.verify] caches, and this comparison only reads it *)
     if p.mp_sweeps = 1 && params = [] then
       Shmls.reference_state ~seed
-        (Shmls.compile_cached ~variant:p.mp_variant p.mp_kernel
-           ~grid:p.mp_grid)
+        (Shmls.lower_cached p.mp_kernel ~grid:p.mp_grid)
     else reference ~seed ~params p
   in
   let interior =

@@ -17,16 +17,31 @@ type ty =
   | Array of int * ty
   | Struct of ty list
 
-let rec string_of_ty = function
-  | Void -> "void"
-  | I1 -> "i1"
-  | I32 -> "i32"
-  | I64 -> "i64"
-  | Double -> "double"
-  | Ptr t -> string_of_ty t ^ "*"
-  | Array (n, t) -> Printf.sprintf "[%d x %s]" n (string_of_ty t)
+(* Printing appends to one [Buffer.t]: every printer below takes the
+   buffer first, and only float constants go through [Printf]. *)
+let rec add_ty buf = function
+  | Void -> Buffer.add_string buf "void"
+  | I1 -> Buffer.add_string buf "i1"
+  | I32 -> Buffer.add_string buf "i32"
+  | I64 -> Buffer.add_string buf "i64"
+  | Double -> Buffer.add_string buf "double"
+  | Ptr t ->
+    add_ty buf t;
+    Buffer.add_char buf '*'
+  | Array (n, t) ->
+    Buffer.add_char buf '[';
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_string buf " x ";
+    add_ty buf t;
+    Buffer.add_char buf ']'
   | Struct ts ->
-    Printf.sprintf "{ %s }" (String.concat ", " (List.map string_of_ty ts))
+    Buffer.add_string buf "{ ";
+    List.iteri
+      (fun i t ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_ty buf t)
+      ts;
+    Buffer.add_string buf " }"
 
 type operand =
   | Reg of string (* %name *)
@@ -35,14 +50,19 @@ type operand =
   | CFloat of float
   | Undef
 
-let string_of_operand = function
-  | Reg r -> "%" ^ r
-  | Global g -> "@" ^ g
-  | CInt i -> string_of_int i
+let add_operand buf = function
+  | Reg r ->
+    Buffer.add_char buf '%';
+    Buffer.add_string buf r
+  | Global g ->
+    Buffer.add_char buf '@';
+    Buffer.add_string buf g
+  | CInt i -> Buffer.add_string buf (string_of_int i)
   | CFloat f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.6e" f
-    else Printf.sprintf "%.17e" f
-  | Undef -> "undef"
+    Buffer.add_string buf
+      (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.6e" f
+       else Printf.sprintf "%.17e" f)
+  | Undef -> Buffer.add_string buf "undef"
 
 type instr =
   | Binop of string * string * ty * operand * operand (* %r = fadd double a, b *)
@@ -120,104 +140,93 @@ let emit b instr = b.bl_instrs <- instr :: b.bl_instrs
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 
-let string_of_args args =
-  String.concat ", "
-    (List.map
-       (fun (t, o) -> string_of_ty t ^ " " ^ string_of_operand o)
-       args)
+let add_strings buf strings = List.iter (Buffer.add_string buf) strings
 
-let string_of_instr = function
-  | Binop (r, op, t, a, b) ->
-    Printf.sprintf "%%%s = %s %s %s, %s" r op (string_of_ty t)
-      (string_of_operand a) (string_of_operand b)
-  | Icmp (r, pred, t, a, b) ->
-    Printf.sprintf "%%%s = icmp %s %s %s, %s" r pred (string_of_ty t)
-      (string_of_operand a) (string_of_operand b)
-  | Fcmp (r, pred, t, a, b) ->
-    Printf.sprintf "%%%s = fcmp %s %s %s, %s" r pred (string_of_ty t)
-      (string_of_operand a) (string_of_operand b)
+(* An instruction's text as the pieces it is printed from, in order. *)
+type piece = S of string | T of ty | O of operand
+
+let add_piece buf = function
+  | S s -> Buffer.add_string buf s
+  | T t -> add_ty buf t
+  | O o -> add_operand buf o
+
+let def r = [ S "%"; S r; S " = " ]
+
+(* "ty a, b": the operands of a binary op or compare *)
+let pair t a b = [ T t; S " "; O a; S ", "; O b ]
+
+(* [ps] of each of [xs], separated by ", " *)
+let commas ps xs = List.concat (List.mapi (fun i x -> if i = 0 then ps x else S ", " :: ps x) xs)
+
+let pieces = function
+  | Binop (r, op, t, a, b) -> def r @ (S op :: S " " :: pair t a b)
+  | Icmp (r, pred, t, a, b) -> def r @ (S "icmp " :: S pred :: S " " :: pair t a b)
+  | Fcmp (r, pred, t, a, b) -> def r @ (S "fcmp " :: S pred :: S " " :: pair t a b)
   | Select (r, t, c, a, b) ->
-    Printf.sprintf "%%%s = select i1 %s, %s %s, %s %s" r (string_of_operand c)
-      (string_of_ty t) (string_of_operand a) (string_of_ty t)
-      (string_of_operand b)
-  | Alloca (r, t) -> Printf.sprintf "%%%s = alloca %s" r (string_of_ty t)
-  | Load (r, t, p) ->
-    Printf.sprintf "%%%s = load %s, %s %s" r (string_of_ty t)
-      (string_of_ty (Ptr t))
-      (string_of_operand p)
-  | Store (t, v, p) ->
-    Printf.sprintf "store %s %s, %s %s" (string_of_ty t) (string_of_operand v)
-      (string_of_ty (Ptr t))
-      (string_of_operand p)
+    def r @ [ S "select i1 "; O c; S ", "; T t; S " "; O a; S ", "; T t; S " "; O b ]
+  | Alloca (r, t) -> def r @ [ S "alloca "; T t ]
+  | Load (r, t, p) -> def r @ [ S "load "; T t; S ", "; T (Ptr t); S " "; O p ]
+  | Store (t, v, p) -> [ S "store "; T t; S " "; O v; S ", "; T (Ptr t); S " "; O p ]
   | Gep (r, t, base, indices) ->
-    Printf.sprintf "%%%s = getelementptr %s, %s %s, %s" r (string_of_ty t)
-      (string_of_ty (Ptr t))
-      (string_of_operand base)
-      (String.concat ", "
-         (List.map (fun i -> "i64 " ^ string_of_operand i) indices))
+    def r
+    @ [ S "getelementptr "; T t; S ", "; T (Ptr t); S " "; O base; S ", " ]
+    @ commas (fun i -> [ S "i64 "; O i ]) indices
   | Call (res, ret, callee, args, mds) ->
-    let prefix = match res with Some r -> Printf.sprintf "%%%s = " r | None -> "" in
-    let suffix = if mds = [] then "" else ", " ^ String.concat ", " mds in
-    Printf.sprintf "%scall %s @%s(%s)%s" prefix (string_of_ty ret) callee
-      (string_of_args args) suffix
-  | Br label -> Printf.sprintf "br label %%%s" label
-  | CondBr (c, t, f) ->
-    Printf.sprintf "br i1 %s, label %%%s, label %%%s" (string_of_operand c) t f
-  | BrLoop (label, md) -> Printf.sprintf "br label %%%s, !llvm.loop %s" label md
-  | Ret (t, v) -> (
-    match v with
-    | None -> "ret void"
-    | Some v -> Printf.sprintf "ret %s %s" (string_of_ty t) (string_of_operand v))
+    (match res with Some r -> def r | None -> [])
+    @ [ S "call "; T ret; S " @"; S callee; S "(" ]
+    @ commas (fun (t, o) -> [ T t; S " "; O o ]) args
+    @ (S ")" :: List.concat_map (fun md -> [ S ", "; S md ]) mds)
+  | Br label -> [ S "br label %"; S label ]
+  | CondBr (c, t, f) -> [ S "br i1 "; O c; S ", label %"; S t; S ", label %"; S f ]
+  | BrLoop (label, md) -> [ S "br label %"; S label; S ", !llvm.loop "; S md ]
+  | Ret (_, None) -> [ S "ret void" ]
+  | Ret (t, Some v) -> [ S "ret "; T t; S " "; O v ]
   | Phi (r, t, incoming) ->
-    Printf.sprintf "%%%s = phi %s %s" r (string_of_ty t)
-      (String.concat ", "
-         (List.map
-            (fun (v, l) ->
-              Printf.sprintf "[ %s, %%%s ]" (string_of_operand v) l)
-            incoming))
+    def r @ [ S "phi "; T t; S " " ]
+    @ commas (fun (v, l) -> [ S "[ "; O v; S ", %"; S l; S " ]" ]) incoming
   | Sitofp (r, from_ty, v, to_ty) ->
-    Printf.sprintf "%%%s = sitofp %s %s to %s" r (string_of_ty from_ty)
-      (string_of_operand v) (string_of_ty to_ty)
-  | Comment c -> "; " ^ c
+    def r @ [ S "sitofp "; T from_ty; S " "; O v; S " to "; T to_ty ]
+  | Comment c -> [ S "; "; S c ]
+
+let add_pieces buf ps = List.iter (add_piece buf) ps
 
 let print_func buf f =
-  (match f.fn_src with
-  | Some src -> Buffer.add_string buf ("; source: " ^ src ^ "\n")
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "define %s @%s(%s)%s {\n" (string_of_ty f.fn_ret) f.fn_name
-       (String.concat ", "
-          (List.map
-             (fun (t, n) -> string_of_ty t ^ " %" ^ n)
-             f.fn_args))
-       (match f.fn_attrs with
-       | [] -> ""
-       | attrs -> " " ^ String.concat " " attrs));
+  Option.iter (fun src -> add_strings buf [ "; source: "; src; "\n" ]) f.fn_src;
+  add_pieces buf
+    ([ S "define "; T f.fn_ret; S " @"; S f.fn_name; S "(" ]
+    @ commas (fun (t, n) -> [ T t; S " %"; S n ]) f.fn_args
+    @ (S ")" :: List.concat_map (fun a -> [ S " "; S a ]) f.fn_attrs));
+  Buffer.add_string buf " {\n";
   List.iter
     (fun b ->
-      Buffer.add_string buf (b.bl_label ^ ":\n");
+      add_strings buf [ b.bl_label; ":\n" ];
       List.iter
-        (fun i -> Buffer.add_string buf ("  " ^ string_of_instr i ^ "\n"))
+        (fun i ->
+          Buffer.add_string buf "  ";
+          add_pieces buf (pieces i);
+          Buffer.add_char buf '\n')
         (List.rev b.bl_instrs))
     (List.rev f.fn_blocks);
   Buffer.add_string buf "}\n\n"
 
 let to_string m =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 65536 in
   Buffer.add_string buf "; ModuleID = 'stencil-hmls'\n";
   Buffer.add_string buf
     "target datalayout = \"e-m:e-i64:64-i128:128-n32:64-S128\"\n";
   Buffer.add_string buf "target triple = \"fpga64-xilinx-none\"\n\n";
   List.iter
     (fun (name, ret, args) ->
-      Buffer.add_string buf
-        (Printf.sprintf "declare %s @%s(%s)\n" (string_of_ty ret) name
-           (String.concat ", " (List.map string_of_ty args))))
+      add_pieces buf
+        ([ S "declare "; T ret; S " @"; S name; S "(" ]
+        @ commas (fun t -> [ T t ]) args
+        @ [ S ")\n" ]))
     (List.rev m.m_decls);
   Buffer.add_char buf '\n';
   List.iter (print_func buf) (List.rev m.m_funcs);
   List.iter
-    (fun md -> Buffer.add_string buf (Printf.sprintf "!%d = %s\n" md.md_id md.md_body))
+    (fun md ->
+      add_strings buf [ "!"; string_of_int md.md_id; " = "; md.md_body; "\n" ])
     (List.rev m.m_metadata);
   Buffer.contents buf
 

@@ -12,11 +12,7 @@ type ty =
   | Array of int * ty
   | Struct of ty list
 
-val string_of_ty : ty -> string
-
 type operand = Reg of string | Global of string | CInt of int | CFloat of float | Undef
-
-val string_of_operand : operand -> string
 
 type instr =
   | Binop of string * string * ty * operand * operand
@@ -72,7 +68,6 @@ val create_func :
 
 val add_block : func -> string -> block
 val emit : block -> instr -> unit
-val string_of_instr : instr -> string
 
 (** Print the whole module as .ll text. *)
 val to_string : modul -> string

@@ -15,8 +15,10 @@
      packed kernels are appended next to the stencil originals, and
      [finalize] detaches the originals once step 9 has run;
    - functional ([begin_ ~in_place:false], used by Stencil_to_hls.run):
-     packed kernels grow in a fresh module and the input is left intact,
-     which the interpreter-backed verification relies on. *)
+     packed kernels grow in a fresh module and the input is only read
+     (no threading attribute either), which the interpreter-backed
+     verification and the shared lowered module of Shmls.compile_cached
+     rely on. *)
 
 open Shmls_ir
 open Shmls_dialects
@@ -364,9 +366,14 @@ let begin_ ?(variant = Variant.default) ~in_place m =
       cx_done = [];
     }
   in
-  incr tokens;
-  Hashtbl.replace live !tokens ctx;
-  Ir.Op.set_attr m ctx_attr (Attr.Int !tokens);
+  (* only an in-place lowering is threaded through its module: a
+     functional one writes nothing to its input, so the variants of one
+     kernel can all lower from the same module *)
+  if in_place then begin
+    incr tokens;
+    Hashtbl.replace live !tokens ctx;
+    Ir.Op.set_attr m ctx_attr (Attr.Int !tokens)
+  end;
   ctx
 
 let find m =
@@ -410,10 +417,12 @@ let stamp_derived ctx ~step =
 
 (* Drop the threading attribute and the registry entry; idempotent. *)
 let release ctx =
-  (match Ir.Op.get_attr ctx.cx_module ctx_attr with
-  | Some (Attr.Int token) -> Hashtbl.remove live token
-  | _ -> ());
-  Ir.Op.remove_attr ctx.cx_module ctx_attr
+  if ctx.cx_in_place then begin
+    (match Ir.Op.get_attr ctx.cx_module ctx_attr with
+    | Some (Attr.Int token) -> Hashtbl.remove live token
+    | _ -> ());
+    Ir.Op.remove_attr ctx.cx_module ctx_attr
+  end
 
 (* End an in-place lowering: detach the original stencil-dialect ops
    (clearing their operand uses so the graph stays consistent), leaving

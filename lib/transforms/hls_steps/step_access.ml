@@ -12,15 +12,25 @@
    outside the padded extent — mirroring the NaN a shift buffer yields
    out of range, so the fused design stays comparable to the split one.
 
+   Contract with step 4: every index operand of a direct access is a
+   loop index recovered from the flat induction variable, so it lies in
+   [0, padded extent).  A dimension is therefore clamped and range-checked
+   only on the side its offset can leave: below for a negative offset,
+   above for a positive one, not at all for zero.  Every select left out
+   would pick the same operand on every point of the loop, so values
+   stay bit-for-bit the same and the flop count is unchanged.
+
    That form is lowered one fused loop body at a time, in one in-order
    walk, and value-numbered as it is built: each index constant, the NaN
-   constant, each composed coordinate, its clamp and range compares, each
+   constant, each composed coordinate, its clamp and range compare, each
    stride product and partial address sum exist once per body and serve
    every access that needs them; only the gep, the load and the NaN
    selects are per access.
-   The heat_3d no-split HLS module at 12x10x8 drops from 359 to 175 ops
-   (352 to 168 of them defining a value).  No float op is merged, so the
-   stage's flop count is unchanged. *)
+   The heat_3d no-split HLS module at 12x10x8 has 103 ops, 91 of them
+   defining a value: 359 and 352 when every access built its own address
+   arithmetic, 175 and 163 with value numbering but two-sided bounds
+   checks.  No float op is merged, so the stage's flop count is
+   unchanged. *)
 
 open Shmls_ir
 open Shmls_dialects
@@ -67,9 +77,15 @@ let shared (vn : numbering) b ~name ?(attrs = []) operands ty =
 (* Direct external-memory access of the fused variant: clamp the
    composed position into the padded extent per dimension, load at the
    row-major linear address, and select NaN for any out-of-range
-   dimension.  Constants, composed coordinates, clamps, range compares,
-   stride products and partial address sums are shared through [vn];
-   the gep, the load and the NaN selects are per access. *)
+   dimension.  With every index in [0, ext) (the contract with step 4,
+   see the header), [idx + o] lies in [o, ext - 1 + o]: the lower clamp
+   and the [sge 0] check are built only for [o < 0], the upper clamp and
+   the [slt ext] check only for [o > 0], and an unshifted coordinate is
+   used as it is.
+
+   Constants, composed coordinates, clamps, range compares, stride
+   products and partial address sums are shared through [vn]; the gep,
+   the load and the NaN selects are per access. *)
 let lower_direct_access vn b (op : Ir.op) ~offset ~extent =
   let index name ?attrs operands = shared vn b ~name ?attrs operands Ty.Index in
   let const n = index Arith.constant_op ~attrs:[ ("value", Attr.Int n) ] [] in
@@ -81,19 +97,22 @@ let lower_direct_access vn b (op : Ir.op) ~offset ~extent =
   let select c x y = index "arith.select" [ c; x; y ] in
   let ptr = Ir.Op.operand op 0 in
   let indices = List.tl (Ir.Op.operands op) in
-  let composed =
+  (* (composed coordinate, offset) per dimension *)
+  let coords =
     List.map2
-      (fun idx o -> if o = 0 then idx else index "arith.addi" [ idx; const o ])
+      (fun idx o ->
+        ((if o = 0 then idx else index "arith.addi" [ idx; const o ]), o))
       indices offset
   in
   let clamped =
     List.map2
-      (fun c ext ->
-        let zero = const 0 in
-        let maxi = const (ext - 1) in
-        let cl0 = select (cmpi "slt" c zero) zero c in
-        select (cmpi "sgt" cl0 maxi) maxi cl0)
-      composed extent
+      (fun (c, o) ext ->
+        if o < 0 then select (cmpi "slt" c (const 0)) (const 0) c
+        else if o > 0 then
+          let maxi = const (ext - 1) in
+          select (cmpi "sgt" c maxi) maxi c
+        else c)
+      coords extent
   in
   let strides =
     let rec go = function
@@ -124,17 +143,17 @@ let lower_direct_access vn b (op : Ir.op) ~offset ~extent =
       ()
   in
   let loaded = Llvm_d.load b p in
-  let nan =
+  let nan () =
     shared vn b ~name:Arith.constant_op
       ~attrs:[ ("value", Attr.Float Float.nan) ]
       [] Ty.F64
   in
   List.fold_left2
-    (fun acc c ext ->
-      let ge = cmpi "sge" c (const 0) in
-      let lt = cmpi "slt" c (const ext) in
-      Arith.select b ge (Arith.select b lt acc nan) nan)
-    loaded composed extent
+    (fun acc (c, o) ext ->
+      if o < 0 then Arith.select b (cmpi "sge" c (const 0)) acc (nan ())
+      else if o > 0 then Arith.select b (cmpi "slt" c (const ext)) acc (nan ())
+      else acc)
+    loaded coords extent
 
 (* The three access forms are told apart by attribute (halo / extent /
    neither).  Each variant lowers its forms in one in-order walk: the

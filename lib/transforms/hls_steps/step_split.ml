@@ -249,7 +249,13 @@ let run_on_fx fx =
    pipeline's shift buffers produce out of range, so boundary values
    stay comparable and interior values bit-identical.  Recomputation
    shares work through a per-iteration cache keyed (source value,
-   composed offset); small-data slots are deduplicated stage-wide. *)
+   composed offset); small-data slots are deduplicated stage-wide.
+
+   Contract with step 5: the index operands of every direct access are
+   the loop's recovered indices, each in [0, padded extent), so step 5
+   bounds-checks a coordinate only on the side its composed offset can
+   leave the grid.  A direct access built from any other index would
+   need the two-sided checks back. *)
 
 let run_on_fx_fused fx =
   let body = new_body fx in

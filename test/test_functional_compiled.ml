@@ -409,6 +409,80 @@ let test_variants_engines_bit_identical () =
         variant_kernels)
     Shmls.Variant.ablation_set
 
+(* Three chained applies: composed offsets reach 3 cells below and above
+   along dim 0 and 2 cells along dim 2, beyond any one apply's own
+   offset, and dim 1 is read on one side only. *)
+let chain_deep_3d =
+  let open Shmls_frontend.Ast in
+  let stencil sd_target sd_expr =
+    { sd_loc = Shmls_support.Loc.unknown; sd_target; sd_expr }
+  in
+  {
+    k_loc = Shmls_support.Loc.unknown;
+    k_name = "chain_deep_3d";
+    k_rank = 3;
+    k_fields =
+      [ { fd_name = "src"; fd_role = Input }; { fd_name = "dst"; fd_role = Output } ];
+    k_smalls = [];
+    k_params = [];
+    k_stencils =
+      [
+        stencil "a" (fld "src" [ -1; 0; 0 ] +: fld "src" [ 1; 0; 0 ]);
+        stencil "b" (fld "a" [ -1; 0; 0 ] *: fld "a" [ 0; 0; 1 ]);
+        stencil "dst"
+          (fld "b" [ 1; 0; 0 ] -: fld "b" [ 0; 0; -1 ] +: fld "src" [ 0; -1; 0 ]);
+      ];
+  }
+
+(* The fused (no-split) stage bounds-checks a coordinate only on the
+   side its offset can leave the padded grid.  Grids with an extent of
+   one or two along some dimension put every loop index next to both
+   edges at once; the engine must still match the interpreter on the
+   full padded arrays. *)
+let test_no_split_edge_grids () =
+  let no_split = { Shmls.Variant.default with v_split = false } in
+  let no_pack = { no_split with v_pack = false } in
+  List.iter
+    (fun (k : Shmls.Ast.kernel) ->
+      List.iter
+        (fun grid ->
+          List.iter
+            (fun variant ->
+              check_engine_vs_interp
+                (Printf.sprintf "%s{%s} at %s" k.k_name
+                   (Shmls.Variant.to_string variant)
+                   (String.concat "x" (List.map string_of_int grid)))
+                (Shmls.compile ~variant k ~grid))
+            [ no_split; no_pack ])
+        [ [ 1; 1; 1 ]; [ 1; 2; 1 ]; [ 2; 1; 2 ]; [ 2; 2; 5 ]; [ 5; 1; 2 ] ])
+    [
+      chain_deep_3d;
+      H.chain_3d;
+      Shmls_kernels.Didactic.heat_3d;
+      Shmls_kernels.Pw_advection.kernel;
+      Shmls_kernels.Tracer_advection.kernel;
+    ]
+
+(* Every variant of one (kernel, grid) from [compile_cached] starts from
+   the same lowered module, which stays as it was after each variant's
+   design is verified against it. *)
+let test_lowered_shared_across_variants () =
+  let k = Shmls_kernels.Pw_advection.kernel in
+  let grid = Shmls_kernels.Pw_advection.grid_small in
+  let lowered = Shmls.lower_cached k ~grid in
+  let text = Shmls.Printer.to_string lowered.l_module in
+  List.iter
+    (fun variant ->
+      let name = Shmls.Variant.to_string variant in
+      let c = Shmls.compile_cached ~variant k ~grid in
+      Alcotest.(check bool) (name ^ ": the shared lowered module") true
+        (c.c_lowered == lowered);
+      Alcotest.(check (float 0.0)) (name ^ ": verify bit-exact") 0.0
+        (Shmls.verify c).v_max_diff)
+    Shmls.Variant.ablation_set;
+  Alcotest.(check string) "lowered module unchanged" text
+    (Shmls.Printer.to_string lowered.l_module)
+
 (* Structural spot checks: the variants change the *design*, not just a
    model parameter. *)
 let test_variant_designs_differ () =
@@ -599,6 +673,31 @@ let test_starved_read_parity () =
   check_error_parity "starved window read" short ~args_of
     ~message:"functional sim: read from empty stream"
     ~loc:(Shmls.Ir.Op.loc (List.hd window_read))
+
+(* A fused stage loads from external memory at its own address
+   arithmetic; an address outside the pointer's buffer (here, a field
+   buffer three elements long) raises at the load instead of reading
+   past the array. *)
+let test_load_outside_buffer () =
+  let no_split = { Shmls.Variant.default with v_split = false } in
+  let c = Shmls.compile_cached ~variant:no_split H.avg_1d ~grid:[ 16 ] in
+  let load =
+    List.concat_map
+      (function
+        | Shmls.Design.Compute cc ->
+          Shmls.Ir.Op.collect cc.df_op (fun o -> Shmls.Ir.Op.name o = "llvm.load")
+        | _ -> [])
+      c.c_design.d_stages
+    |> List.hd
+  in
+  let args_of () =
+    let args = Shmls.state_args (Interp.alloc_state ~seed:7 c.c_lowered) in
+    args.(0) <- Shmls.Functional.Ptr (Array.make 3 0.0, 0);
+    args
+  in
+  check_error_parity "load outside its buffer" c.c_design ~args_of
+    ~message:"functional sim: llvm.load of element 3 of a 3-element buffer"
+    ~loc:(Shmls.Ir.Op.loc load)
 
 (* One compute loop reading two windows, [a]'s and [c]'s. *)
 let two_windows_2d =
@@ -986,6 +1085,10 @@ let () =
             test_variants_bit_exact;
           Alcotest.test_case "engines bit-identical per variant" `Quick
             test_variants_engines_bit_identical;
+          Alcotest.test_case "no-split bit-exact on edge grids" `Quick
+            test_no_split_edge_grids;
+          Alcotest.test_case "variants share the lowered module" `Quick
+            test_lowered_shared_across_variants;
           Alcotest.test_case "variant designs structurally differ" `Quick
             test_variant_designs_differ;
           Alcotest.test_case "batched plans actually batch" `Quick
@@ -996,6 +1099,8 @@ let () =
       ( "error parity",
         [
           Alcotest.test_case "starved read" `Quick test_starved_read_parity;
+          Alcotest.test_case "load outside its buffer" `Quick
+            test_load_outside_buffer;
           Alcotest.test_case "zero-capacity push" `Quick
             test_zero_capacity_push;
           Alcotest.test_case "undrained stream" `Quick

@@ -121,12 +121,12 @@ let test_run_with_stats () =
    every step (PW and tracer at their small grids, after apply-split). *)
 let pinned_op_counts =
   let split = "1>1 1>2 2>59 59>233 233>233 233>235 235>237 237>363 363>374" in
-  let fused = "1>1 1>2 2>5 5>157 157>727 727>729 729>729 729>853 853>864" in
+  let fused = "1>1 1>2 2>5 5>157 157>401 401>403 403>403 403>527 527>538" in
   let t_split =
     "1>1 1>2 2>358 358>901 901>895 895>897 897>899 899>899 899>917"
   in
   let t_fused =
-    "1>1 1>2 2>8 8>891 891>2011 2011>2013 2013>2013 2013>2013 2013>2031"
+    "1>1 1>2 2>8 8>891 891>1206 1206>1208 1208>1208 1208>1208 1208>1226"
   in
   let by_split v s f = if v.Shmls.Variant.v_split then s else f in
   [
@@ -276,17 +276,114 @@ let test_fused_no_duplicate_address_ops () =
         bodies)
     fused_kernels
 
+(* The loop indices step 4 recovers from a fused body's induction
+   variable: [iv / s0], [(iv mod s0) / s1], ..., the last remainder. *)
+let recovered_indices body ~rank =
+  let user name v =
+    List.find_map
+      (fun (u : Ir.use) ->
+        if Ir.Op.name u.u_op = name && u.u_index = 0 then
+          Some (Ir.Op.result u.u_op 0)
+        else None)
+      (Ir.Value.uses v)
+    |> function
+    | Some r -> r
+    | None -> Alcotest.failf "fused body: no %s recovering a loop index" name
+  in
+  let rec go x d =
+    if d = rank - 1 then [ x ]
+    else user "arith.divsi" x :: go (user "arith.remsi" x) (d + 1)
+  in
+  go (Ir.Block.arg body 0) 0
+
+let int_constant v =
+  match Ir.Value.defining_op v with
+  | Some d when Ir.Op.name d = "arith.constant" ->
+    Some (Attr.int_exn (Ir.Op.get_attr_exn d "value"))
+  | _ -> None
+
+let test_fused_bounds_follow_offset () =
+  (* every recovered index lies in [0, ext), so [idx + o] can leave the
+     padded extent only below when o < 0 and only above when o > 0:
+     after step 5 an unshifted index is never compared or selected, and
+     a shifted one has one clamp (a compare and a select) and one range
+     compare, both on the side its offset can leave *)
+  let seen_neg = ref 0 and seen_pos = ref 0 in
+  List.iter
+    (fun (name, kernel) ->
+      let m = prepared kernel fused_grid in
+      ignore
+        (Pass.run_pipeline
+           (Pass.parse_pipeline "stencil-to-hls{variant=no-split,steps=1-5}")
+           m);
+      List.iter
+        (fun body ->
+          List.iter
+            (fun idx ->
+              List.iter
+                (fun (u : Ir.use) ->
+                  let op = u.u_op in
+                  match Ir.Op.name op with
+                  | "arith.cmpi" | "arith.select" ->
+                    Alcotest.failf "%s: %s reads an unshifted loop index" name
+                      (Printer.to_string op)
+                  | "arith.addi" -> (
+                    match int_constant (Ir.Op.operand op 1) with
+                    | None -> ()
+                    | Some o ->
+                      let c = Ir.Op.result op 0 in
+                      let users = List.map (fun (u : Ir.use) -> u.u_op) (Ir.Value.uses c) in
+                      let compares =
+                        List.filter_map
+                          (fun o' ->
+                            if Ir.Op.name o' <> "arith.cmpi" then None
+                            else
+                              Some
+                                ( Attr.str_exn (Ir.Op.get_attr_exn o' "predicate"),
+                                  int_constant (Ir.Op.operand o' 1) ))
+                          users
+                        |> List.sort compare
+                      in
+                      let selects =
+                        List.filter (fun o' -> Ir.Op.name o' = "arith.select") users
+                      in
+                      let what = Printf.sprintf "%s: coordinate at offset %d" name o in
+                      Alcotest.(check int) (what ^ ": one clamp select") 1
+                        (List.length selects);
+                      (match compares with
+                      | [ (ge, Some 0); (lt, Some 0) ] when o < 0 ->
+                        incr seen_neg;
+                        Alcotest.(check (pair string string))
+                          (what ^ ": clamp and range compare below") ("sge", "slt")
+                          (ge, lt)
+                      | [ (gt, Some maxi); (lt, Some ext) ] when o > 0 ->
+                        incr seen_pos;
+                        Alcotest.(check (pair string string))
+                          (what ^ ": clamp and range compare above") ("sgt", "slt")
+                          (gt, lt);
+                        Alcotest.(check int) (what ^ ": clamp at ext - 1") (ext - 1) maxi
+                      | _ ->
+                        Alcotest.failf "%s: compares [%s]" what
+                          (String.concat "; " (List.map fst compares))))
+                  | _ -> ())
+                (Ir.Value.uses idx))
+            (recovered_indices body ~rank:(List.length fused_grid)))
+        (fused_bodies m))
+    fused_kernels;
+  Alcotest.(check bool) "negative and positive offsets both met" true
+    (!seen_neg > 0 && !seen_pos > 0)
+
 let value_defining_ops m =
   List.length (Ir.Op.collect m (fun o -> Ir.Op.results o <> []))
 
 let test_fused_op_count () =
   (* 352 value-defining ops when every access rebuilt its own address
-     arithmetic *)
+     arithmetic, 163 with value numbering and two-sided bounds checks *)
   let m = prepared Shmls_kernels.Didactic.heat_3d fused_grid in
   let m_hls, _ = S2H.run ~variant:no_split m in
   let n = value_defining_ops m_hls in
-  if n > 170 then
-    Alcotest.failf "heat_3d no-split %s: %d value-defining ops (want <= 170)"
+  if n > 91 then
+    Alcotest.failf "heat_3d no-split %s: %d value-defining ops (want <= 91)"
       (String.concat "x" (List.map string_of_int fused_grid))
       n
 
@@ -377,6 +474,8 @@ let () =
         [
           Alcotest.test_case "no duplicate address ops" `Quick
             test_fused_no_duplicate_address_ops;
+          Alcotest.test_case "fused bounds follow the offset" `Quick
+            test_fused_bounds_follow_offset;
           Alcotest.test_case "heat_3d op count" `Quick test_fused_op_count;
           Alcotest.test_case "flops unchanged" `Quick
             test_fused_flops_unchanged;

@@ -381,6 +381,21 @@ let test_compile_budget () =
   Alcotest.(check int) "validations" 36 (List.length r.T.r_validations);
   Alcotest.(check int) "measurements" 12 r.T.r_simulated
 
+(* A two-device search compiles only its slab designs: the global-grid
+   reference of every multi-device validation is interpreted from the
+   lowered module, with no design compiled at the global grid. *)
+let test_multi_device_reference_compiles_nothing () =
+  Shmls.reset_compile_cache ();
+  let r =
+    T.run ~max_cu:1 ~devices:[ 2 ] Shmls_kernels.Didactic.heat_3d
+      ~grids:[ [ 12; 10; 8 ] ]
+  in
+  Alcotest.(check int) "compiles: the four slab designs" 4 (Shmls.compile_runs ());
+  Alcotest.(check bool) "validated" true (r.T.r_validations <> []);
+  List.iter
+    (fun (_, v) -> Alcotest.(check (float 0.0)) "bit-exact" 0.0 v.T.va_max_diff)
+    r.T.r_validations
+
 (* ------------------------------------------------------------------ *)
 (* Resume *)
 
@@ -545,6 +560,8 @@ let () =
             test_cu_is_priced_not_built;
           Alcotest.test_case "one compile and plan per group" `Quick
             test_compile_budget;
+          Alcotest.test_case "multi-device reference compiles nothing" `Quick
+            test_multi_device_reference_compiles_nothing;
         ] );
       ( "resume",
         [
